@@ -3,16 +3,18 @@
 Everything here consumes solved fields (or exact callables) and produces
 numbers: L2 errors with relative percentages, observed orders between
 dyadic mesh levels, the commuting-interpolation residual for the stress
-interpolant, a dense inf-sup estimate for the saddle-point system, and
-the asymmetry norm of a computed stress.
+interpolant, a sparse shift-invert inf-sup estimate for the saddle-point
+system, and the asymmetry norm of a computed stress.  Every diagnostic
+works on all cells at once: fields are pulled back in one batch and the
+reference dofs are applied as one weight array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .fe_space import (
     FEFunction,
@@ -21,14 +23,7 @@ from .fe_space import (
     evaluate_div_batch,
     unmapped_monomials,
 )
-from .mapping import (
-    BilinearMap,
-    gauss_rule,
-    gauss_rule_1d,
-    geometry_at,
-    map_eval,
-    map_jacobian,
-)
+from .mapping import gauss_rule, gauss_rule_1d, geometry_at
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 
@@ -36,7 +31,7 @@ from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 #: errors are quadrature-converged for every element family in scope.
 NORM_QUAD = 12
 
-#: Largest system size accepted by the dense inf-sup path.
+#: Largest system size accepted by the inf-sup estimate.
 INFSUP_CAP = 3000
 
 QUANTITIES = ("sigma", "div", "u", "p")
@@ -199,70 +194,89 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,
                          format="csr")
 
 
+def _check_positive_definite(N: sp.csc_matrix):
+    """Raise ValueError unless the symmetric sparse matrix N is SPD.
+
+    A symmetric matrix is positive definite exactly when its LDL^T pivots
+    are positive.  Symmetric-mode SuperLU with a zero pivot threshold keeps
+    every diagonal pivot it can, so the pivots are the diagonal of U unless
+    a zero pivot forced a row exchange (perm_r differs from perm_c).
+    """
+    message = "Gram matrix is not positive definite"
+    try:
+        lu = spla.splu(N, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        raise ValueError(message) from None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise ValueError(message)
+
+
 def infsup_estimate(system, gram) -> float:
     """Smallest singular value of the system in the solution norm.
 
-    Computes the spectrum of N^(-1/2) K N^(-1/2) where K is the full
-    saddle-point matrix and N the Gram matrix from :func:`ynorm_gram`;
-    the smallest magnitude is the discrete inf-sup constant.  Dense
-    eigenvalue computation, so the system size is capped.
+    The discrete inf-sup constant is the smallest |lambda| of the
+    generalized eigenproblem K x = lambda N x, where K is the full
+    saddle-point matrix and N the Gram matrix from :func:`ynorm_gram`
+    (the numerical inf-sup test of Chapelle & Bathe, 1993).  It is found
+    by shift-invert Lanczos about zero on one sparse LU of K; an exactly
+    singular K has constant 0.
     """
     if system.n > INFSUP_CAP:
         raise ValueError(
             f"system has {system.n} unknowns; dense inf-sup path is "
             f"capped at {INFSUP_CAP}"
         )
-    K = system.full_matrix().toarray()
-    N = gram.toarray() if sp.issparse(gram) else np.asarray(gram)
-    w, U = la.eigh(N)
-    if w.min() <= 0.0:
-        raise ValueError("Gram matrix is not positive definite")
-    nmh = (U / np.sqrt(w)) @ U.T
-    S = nmh @ K @ nmh
-    S = 0.5 * (S + S.T)
-    return float(np.min(np.abs(la.eigvalsh(S))))
+    N = sp.csc_matrix(gram)
+    _check_positive_definite(N)
+    K = system.full_matrix()
+    try:
+        lu = spla.splu(K)
+    except RuntimeError:  # exactly singular
+        return 0.0
+    Kinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    lam = spla.eigsh(K, k=1, M=N, sigma=0, which="LM", tol=0, OPinv=Kinv,
+                     return_eigenvectors=False)
+    return float(abs(lam[0]))
 
 
-def _pullback_rows(sigma, Fmap: BilinearMap, elem: int):
-    """Reference representative of a physical matrix field on one element.
+def _reference_rows(sigma, mesh, xhat: np.ndarray):
+    """Pull a matrix field back to the reference square on every cell.
 
-    Returns a callable giving sighat(xhat) with shape (npts, 2, 2); rows
-    transform like vector fields under the inverse contravariant map.
-    ``sigma`` is either a physical callable or an FEFunction on the mesh.
+    Each row transforms like a vector field under the inverse
+    contravariant Piola map: sighat_r = J DF^{-1} sigma_r, and J DF^{-1}
+    is the adjugate of DF.  ``sigma`` is a physical callable or an
+    FEFunction on the same mesh.  Returns the rows, shape (E, npts, 2, 2),
+    and the Jacobian determinants, shape (E, npts).
     """
-
-    def sighat(xhat):
-        xhat = np.asarray(xhat, dtype=float)
-        if isinstance(sigma, FEFunction):
-            vals = sigma(elem, xhat)
-        else:
-            vals = np.asarray(sigma(map_eval(Fmap, xhat)))
-        DF, J = map_jacobian(Fmap, xhat)
-        DFinv = np.linalg.inv(DF)
-        return J[..., None, None] * np.einsum("...ck,...rk->...rc",
-                                              DFinv, vals)
-
-    return sighat
+    X, DF, J = geometry_at(mesh.element_corners(), xhat)
+    if isinstance(sigma, FEFunction):
+        vals = evaluate_batch(sigma, xhat)
+    else:
+        vals = np.asarray(sigma(X))
+    adj = np.stack([np.stack([DF[..., 1, 1], -DF[..., 0, 1]], axis=-1),
+                    np.stack([-DF[..., 1, 0], DF[..., 0, 0]], axis=-1)],
+                   axis=-2)
+    return np.einsum("epck,eprk->eprc", adj, vals), J
 
 
 def interpolate_stress(space: FESpace, sigma, quad: int = 10) -> FEFunction:
     """Canonical interpolant of a matrix field into a stress space.
 
     Applies the reference degrees of freedom to the pulled-back rows on
-    each element.  Shared edge dofs are written from both sides; for a
-    single-valued field the two values agree because the edge moments are
-    intrinsic, which is exactly what the orientation signs encode.
+    all elements at once.  Shared edge dofs are written from both sides;
+    for a single-valued field the two values agree because the edge
+    moments are intrinsic, which is exactly what the orientation signs
+    encode.
     """
-    mesh, elem = space.mesh, space.element
-    corners = mesh.element_corners()
+    points, W = space.element.interpolation_matrix(quad)
+    sighat, _ = _reference_rows(sigma, space.mesh, points)
+    local = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
+    rows = (np.arange(2)[:, None, None] * space.n_row_dofs
+            + space.row_dofs[None])
     coef = np.zeros(space.n_dofs)
-    for e in range(mesh.n_quads):
-        sighat = _pullback_rows(sigma, BilinearMap(corners[e]), e)
-        for rho in (0, 1):
-            local = elem.interpolate(
-                lambda xh, r=rho: sighat(xh)[..., r, :], order=quad)
-            rows = rho * space.n_row_dofs + space.row_dofs[e]
-            coef[rows] = local * space.row_signs[e]
+    coef[rows.ravel()] = local.ravel()
     return FEFunction(space, coef)
 
 
@@ -273,13 +287,16 @@ def check_commuting_projection(space: FESpace, sigma, quad: int = 10) -> float:
     degrees of freedom and measures the L2 norm of the difference between
     the displacement-space projections of div(interpolant) and div(sigma).
     The latter is obtained from reference-square integration by parts, so
-    only values of ``sigma`` are needed, never its derivatives.
+    only values of ``sigma`` are needed, never its derivatives.  The dof
+    points are the edge Gauss points followed by the cell Gauss points, so
+    one pullback serves the interpolant and both integrals.
     """
-    mesh, elem = space.mesh, space.element
+    elem = space.element
     psi_basis = q_element(elem.degree - 1).basis
     rule = gauss_rule(quad)
-    t1, w1 = gauss_rule_1d(quad)
-    corners = mesh.element_corners()
+    _, w1 = gauss_rule_1d(quad)
+    n_edge = 4 * quad
+    points, W = elem.interpolation_matrix(quad)
 
     psi = psi_basis.eval(rule.points)[..., 0]
     dpsi = np.stack(
@@ -291,37 +308,24 @@ def check_commuting_projection(space: FESpace, sigma, quad: int = 10) -> float:
         ]
     ).reshape(len(psi_basis.coeffs), 2, -1)
     div_phi = elem.basis.div(rule.points)
+    psi_edge = psi_basis.eval(points[:n_edge])[..., 0].reshape(-1, 4, quad)
 
-    edge_pts = [EDGE_STARTS[j] + t1[:, None] * EDGE_DIRS[j] for j in range(4)]
-    psi_edge = [psi_basis.eval(pts)[..., 0] for pts in edge_pts]
+    sighat, J = _reference_rows(sigma, space.mesh, points)
+    coef = np.einsum("ipc,eprc->eri", W, sighat)
+    # projection moments of div(interpolant): the reference divergence
+    # integrates against psi without any Jacobian (the 1/J of the
+    # divergence transform cancels the volume factor)
+    m1 = coef @ np.einsum("iq,jq,q->ij", div_phi, psi, rule.weights)
 
-    total = 0.0
-    for e in range(mesh.n_quads):
-        Fmap = BilinearMap(corners[e])
-        sighat = _pullback_rows(sigma, Fmap, e)
-        coef = np.stack(
-            [
-                elem.interpolate(lambda xh, r=rho: sighat(xh)[..., r, :],
-                                 order=quad)
-                for rho in (0, 1)
-            ]
-        )
-        # projection moments of div(interpolant): the reference divergence
-        # integrates against psi without any Jacobian (the 1/J of the
-        # divergence transform cancels the volume factor)
-        m1 = np.einsum("rk,kq,jq,q->rj", coef, div_phi, psi, rule.weights)
+    cell = sighat[:, n_edge:]
+    m2 = -np.einsum("eqrc,jcq,q->erj", cell, dpsi, rule.weights)
+    edge = sighat[:, :n_edge].reshape(-1, 4, quad, 2, 2)
+    flux = np.einsum("eaqrc,ac->eaqr", edge, EDGE_NORMALS)
+    m2 += np.einsum("eaqr,jaq,q->erj", flux, psi_edge, w1)
 
-        vals = sighat(rule.points)
-        m2 = -np.einsum("qrc,jcq,q->rj", vals, dpsi, rule.weights)
-        for j in range(4):
-            edge_vals = sighat(edge_pts[j]) @ EDGE_NORMALS[j]
-            m2 += np.einsum("qr,jq,q->rj", edge_vals, psi_edge[j], w1)
-
-        _, J = map_jacobian(Fmap, rule.points)
-        mass = np.einsum("iq,jq,q->ij", psi, psi, rule.weights * J)
-        diff = m1 - m2
-        total += float(np.sum(diff * la.solve(mass, diff.T,
-                                              assume_a="pos").T))
+    mass = np.einsum("iq,jq,eq->eij", psi, psi, rule.weights * J[:, n_edge:])
+    diff = (m1 - m2).transpose(0, 2, 1)
+    total = float(np.sum(diff * np.linalg.solve(mass, diff)))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -378,24 +382,31 @@ def normal_jump_norm(sigma: FEFunction, n1d: int = 8) -> float:
     """
     mesh = sigma.space.mesh
     t, w = gauss_rule_1d(n1d)
-    incidence = {}
-    for q in range(mesh.n_quads):
-        for j in range(4):
-            e, orient = mesh.quad_edges[q, j]
-            incidence.setdefault(int(e), []).append((q, j, int(orient)))
-    total = 0.0
-    for e, users in incidence.items():
-        if len(users) != 2:
-            continue
-        lo, hi = mesh.edges[e]
-        tang = mesh.vertices[hi] - mesh.vertices[lo]
-        length = float(np.linalg.norm(tang))
-        normal = np.array([tang[1], -tang[0]]) / length
-        traces = []
-        for q, j, orient in users:
-            tloc = t if orient == 1 else 1.0 - t
-            xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
-            traces.append(sigma(q, xhat) @ normal)
-        jump = traces[0] - traces[1]
-        total += length * float(w @ np.sum(jump ** 2, axis=-1))
+    # reference points of the four local edges, traversed lo -> hi for
+    # orientation +1 and hi -> lo for -1: shape (4, 2, n1d, 2)
+    tloc = np.stack([t, 1.0 - t])
+    xhat = (EDGE_STARTS[:, None, None, :]
+            + tloc[None, :, :, None] * EDGE_DIRS[:, None, None, :])
+    vals = evaluate_batch(sigma, xhat.reshape(-1, 2)).reshape(
+        mesh.n_quads, 4, 2, n1d, 2, 2)
+
+    edge = mesh.quad_edges[..., 0].ravel()
+    backward = (mesh.quad_edges[..., 1].ravel() != 1).astype(np.int64)
+    quad, local = np.divmod(np.arange(edge.size), 4)
+    users = np.argsort(edge, kind="stable")
+    count = np.bincount(edge, minlength=mesh.n_edges)
+    first = np.cumsum(count) - count
+    interior = np.flatnonzero(count == 2)
+
+    lo, hi = mesh.edges[interior].T
+    tang = mesh.vertices[hi] - mesh.vertices[lo]
+    length = np.linalg.norm(tang, axis=1)
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None]
+
+    def trace(u):
+        return np.einsum("iqrc,ic->iqr",
+                         vals[quad[u], local[u], backward[u]], normal)
+
+    jump = trace(users[first[interior]]) - trace(users[first[interior] + 1])
+    total = float(np.sum(length * (np.sum(jump ** 2, axis=-1) @ w)))
     return float(np.sqrt(total))

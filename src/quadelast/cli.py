@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (
+    INFSUP_CAP,
     ConvergenceTable,
     check_commuting_projection,
     compute_errors,
@@ -258,11 +259,22 @@ def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
     ``corrupt_sign`` deliberately flips one shared-edge dof orientation
     before the conformity check; it exists so tests can confirm the jump
     diagnostic actually detects a broken space.  Failures are reported in
-    the returned records, never raised.
+    the returned records, never raised.  A level above the inf-sup size cap
+    is a ConfigError, raised before any diagnostic runs.
     """
+    levels = []
+    for n in config.levels:
+        spaces = build_elasticity_spaces(build_mesh(config, n), config.element)
+        total = sum(space.n_dofs for space in spaces)
+        if total > INFSUP_CAP:
+            raise ConfigError(
+                f"inf-sup diagnostic is capped at {INFSUP_CAP} unknowns; "
+                f"level n={n} has {total}")
+        levels.append(spaces)
+
     n0 = config.levels[0]
-    mesh = build_mesh(config, n0)
-    stress, disp, rot = build_elasticity_spaces(mesh, config.element)
+    stress = levels[0][0]
+    mesh = stress.mesh
     results = []
 
     s5 = check_commuting_projection(stress, trig_solution(config.params).sigma)
@@ -289,15 +301,8 @@ def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
                               1e-10, ierr <= 1e-10))
 
     estimates = []
-    for n in config.levels:
-        m = build_mesh(config, n)
-        sp_n = build_elasticity_spaces(m, config.element)
+    for sp_n in levels:
         system = assemble(*sp_n, Compliance(config.params), quad=config.quad)
-        total = system.n_sigma + system.n_v + system.n_q
-        if total > 3000:
-            raise ConfigError(
-                f"inf-sup diagnostic is dense and capped at 3000 unknowns; "
-                f"level n={n} has {total}")
         estimates.append(infsup_estimate(system, ynorm_gram(*sp_n)))
     lo, hi = min(estimates), max(estimates)
     variation = (hi - lo) / lo if lo > 0 else float("inf")

@@ -13,8 +13,11 @@ Four element families are provided:
 Edge moments use shifted Legendre weights in the counterclockwise edge
 parametrization against the outward normal; moment weights of equal degree
 pairs are L2-orthogonal, which keeps every degree-of-freedom matrix well
-conditioned (diagonal for the scalar families).  Nodal bases are obtained by
-inverting the DOF matrix once at construction.
+conditioned (diagonal for the scalar families).  Every functional is a
+weighted sum of field values at fixed edge and cell Gauss points, so the
+dofs of an element are one weight array over those points
+(:meth:`ReferenceElement.interpolation_matrix`).  Nodal bases are obtained
+by inverting the DOF matrix once at construction.
 """
 
 from __future__ import annotations
@@ -64,22 +67,6 @@ def shifted_legendre(m: int) -> np.ndarray:
     for c in p[-2::-1]:
         out = npoly.polyadd(npoly.polymul(out, [-1.0, 2.0]), [c])
     return out
-
-
-def _poly_field(coeffs: np.ndarray):
-    """Callable evaluating a (ncomp, dx, dy) coefficient array at points."""
-    ncomp = coeffs.shape[0]
-
-    def f(xhat):
-        xhat = np.asarray(xhat)
-        x, y = xhat[..., 0], xhat[..., 1]
-        if ncomp == 1:
-            return npoly.polyval2d(x, y, coeffs[0])
-        return np.stack(
-            [npoly.polyval2d(x, y, coeffs[c]) for c in range(ncomp)], axis=-1
-        )
-
-    return f
 
 
 @dataclass(frozen=True)
@@ -158,13 +145,6 @@ class EdgeMoment:
     edge: int
     degree: int
 
-    def apply(self, field, n1d: int = 8) -> float:
-        t, w = gauss_rule_1d(n1d)
-        pts = EDGE_STARTS[self.edge] + t[:, None] * EDGE_DIRS[self.edge]
-        vals = np.asarray(field(pts))
-        weight = npoly.polyval(t, shifted_legendre(self.degree))
-        return float((w * weight) @ (vals @ EDGE_NORMALS[self.edge]))
-
 
 @dataclass(frozen=True)
 class InteriorMoment:
@@ -177,19 +157,41 @@ class InteriorMoment:
         w.setflags(write=False)
         object.__setattr__(self, "weight", w)
 
-    def apply(self, field, k: int = 8) -> float:
-        rule = gauss_rule(k)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        vals = np.asarray(field(rule.points))
-        ncomp = self.weight.shape[0]
-        if ncomp == 1:
-            integrand = vals * npoly.polyval2d(x, y, self.weight[0])
+
+def _dof_points(order: int) -> np.ndarray:
+    """Points at which the dof functionals sample a field, shape (npts, 2).
+
+    The ``order`` Gauss points of each edge in its counterclockwise
+    parametrization, edge by edge, followed by the ``order`` x ``order``
+    tensor Gauss points of the cell.
+    """
+    t, _ = gauss_rule_1d(order)
+    edges = EDGE_STARTS[:, None, :] + t[None, :, None] * EDGE_DIRS[:, None, :]
+    return np.concatenate([edges.reshape(-1, 2), gauss_rule(order).points])
+
+
+def _dof_weights(dofs, ncomp: int, order: int) -> np.ndarray:
+    """Weights W (ndofs, npts, ncomp): dof_i(v) = sum(W[i] * v(points)).
+
+    An edge moment weighs the normal component with the Gauss weight times
+    the Legendre weight at the edge points; an interior moment weighs each
+    component with the Gauss weight times its polynomial weight at the cell
+    points.
+    """
+    t, w1 = gauss_rule_1d(order)
+    rule = gauss_rule(order)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    W = np.zeros((len(dofs), 4 * order + len(rule.weights), ncomp))
+    for i, dof in enumerate(dofs):
+        if isinstance(dof, EdgeMoment):
+            lo = dof.edge * order
+            scale = w1 * npoly.polyval(t, shifted_legendre(dof.degree))
+            W[i, lo:lo + order] = scale[:, None] * EDGE_NORMALS[dof.edge]
         else:
-            integrand = sum(
-                vals[:, c] * npoly.polyval2d(x, y, self.weight[c])
-                for c in range(ncomp)
-            )
-        return float(rule.weights @ integrand)
+            for c in range(ncomp):
+                W[i, 4 * order:, c] = rule.weights * npoly.polyval2d(
+                    x, y, dof.weight[c])
+    return W
 
 
 @dataclass(frozen=True)
@@ -222,19 +224,24 @@ class ReferenceElement:
     def n_edge_dofs(self) -> int:
         return len(self.edge_dofs[0])
 
+    def interpolation_matrix(self, order: int = 10):
+        """Sampling points and dof weights for a quadrature order.
+
+        Returns ``(points, W)`` from :func:`_dof_points` and the weight array
+        of shape (dim, npts, ncomp): the dofs of a field v are
+        ``einsum("ipc,pc->i", W, v(points))``.
+        """
+        return _dof_points(order), _dof_weights(self.dofs, self.ncomp, order)
+
     def interpolate(self, field, order: int = 10) -> np.ndarray:
         """Canonical interpolation: apply every dof functional to ``field``.
 
         ``order`` sets the quadrature used inside the functionals; exact for
         polynomial fields, and the knob to turn for rational pullbacks.
         """
-        out = np.empty(self.dim)
-        for i, dof in enumerate(self.dofs):
-            if isinstance(dof, EdgeMoment):
-                out[i] = dof.apply(field, n1d=order)
-            else:
-                out[i] = dof.apply(field, k=order)
-        return out
+        points, W = self.interpolation_matrix(order)
+        vals = np.asarray(field(points)).reshape(len(points), self.ncomp)
+        return np.einsum("ipc,pc->i", W, vals)
 
 
 def _legendre_product(i: int, j: int, shape: tuple[int, int]) -> np.ndarray:
@@ -248,14 +255,8 @@ def _nodalize(name, degree, raw, dofs, edge_dofs, interior_dofs, order):
     n = raw.shape[0]
     if len(dofs) != n:
         raise ValueError(f"{name}: {len(dofs)} dofs for dimension {n}")
-    D = np.empty((n, n))
-    for j in range(n):
-        f = _poly_field(raw[j])
-        for i, dof in enumerate(dofs):
-            if isinstance(dof, EdgeMoment):
-                D[i, j] = dof.apply(f, n1d=order)
-            else:
-                D[i, j] = dof.apply(f, k=order)
+    W = _dof_weights(dofs, raw.shape[1], order)
+    D = np.einsum("ipc,jpc->ij", W, PolyBasis(raw).eval(_dof_points(order)))
     cond = float(np.linalg.cond(D))
     C = np.linalg.solve(D, np.eye(n))
     nodal = np.einsum("jk,jcab->kcab", C, raw)

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.fe_space import build_elasticity_spaces, build_stress_space, FEFunction
@@ -16,7 +21,23 @@ from quadelast.analysis import (
     equilibrium_residual,
     infsup_estimate,
     interpolate_stress,
+    normal_jump_norm,
     ynorm_gram,
+)
+from quadelast.mapping import (
+    BilinearMap,
+    gauss_rule,
+    gauss_rule_1d,
+    map_eval,
+    map_jacobian,
+)
+from quadelast.reference_elements import (
+    EDGE_DIRS,
+    EDGE_NORMALS,
+    EDGE_STARTS,
+    EdgeMoment,
+    q_element,
+    shifted_legendre,
 )
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -242,3 +263,229 @@ def test_asymmetry_decreases_under_refinement():
         sh, _, _, _ = solve_triple(generate_square_mesh(n), "rt2", sol)
         vals.append(asymmetry_norm(sh))
     assert vals[2] < vals[1] < vals[0]
+
+
+# ------------------------------------------- per-cell reference oracles
+#
+# The loop implementations the batched diagnostics replaced.  They apply
+# each dof functional on its own and pull fields back one element at a
+# time through BilinearMap, so they share no code path with the batched
+# dof weights and the adjugate pullback.
+
+def dense_infsup(system, gram):
+    """Smallest |eigenvalue| of N^(-1/2) K N^(-1/2), dense."""
+    K = system.full_matrix().toarray()
+    N = gram.toarray() if sp.issparse(gram) else np.asarray(gram)
+    w, U = la.eigh(N)
+    if w.min() <= 0.0:
+        raise ValueError("Gram matrix is not positive definite")
+    nmh = (U / np.sqrt(w)) @ U.T
+    S = nmh @ K @ nmh
+    S = 0.5 * (S + S.T)
+    return float(np.min(np.abs(la.eigvalsh(S))))
+
+
+def apply_dofs(elem, field, order):
+    """Every dof functional of ``elem`` applied to ``field`` one by one."""
+    t, w1 = gauss_rule_1d(order)
+    rule = gauss_rule(order)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    cell = np.asarray(field(rule.points))
+    edges = [np.asarray(field(EDGE_STARTS[e] + t[:, None] * EDGE_DIRS[e]))
+             for e in range(4)]
+    out = np.empty(elem.dim)
+    for i, dof in enumerate(elem.dofs):
+        if isinstance(dof, EdgeMoment):
+            weight = npoly.polyval(t, shifted_legendre(dof.degree))
+            out[i] = (w1 * weight) @ (edges[dof.edge] @ EDGE_NORMALS[dof.edge])
+        else:
+            integrand = sum(cell[:, c] * npoly.polyval2d(x, y, dof.weight[c])
+                            for c in range(elem.ncomp))
+            out[i] = rule.weights @ integrand
+    return out
+
+
+def percell_rows(sigma, corners, elem):
+    """Pulled-back rows J DF^{-1} sigma_r on one element, as a callable."""
+    Fmap = BilinearMap(corners)
+
+    def sighat(xhat):
+        if isinstance(sigma, FEFunction):
+            vals = sigma(elem, xhat)
+        else:
+            vals = np.asarray(sigma(map_eval(Fmap, xhat)))
+        DF, J = map_jacobian(Fmap, xhat)
+        DFinv = np.linalg.inv(DF)
+        return J[..., None, None] * np.einsum("...ck,...rk->...rc",
+                                              DFinv, vals)
+
+    return sighat
+
+
+def percell_interpolate(space, sigma, quad=10):
+    corners = space.mesh.element_corners()
+    coef = np.zeros(space.n_dofs)
+    for e in range(space.mesh.n_quads):
+        sighat = percell_rows(sigma, corners[e], e)
+        for rho in (0, 1):
+            local = apply_dofs(space.element,
+                               lambda xh, r=rho: sighat(xh)[..., r, :], quad)
+            rows = rho * space.n_row_dofs + space.row_dofs[e]
+            coef[rows] = local * space.row_signs[e]
+    return coef
+
+
+def percell_commuting(space, sigma, quad=10):
+    elem = space.element
+    psi_basis = q_element(elem.degree - 1).basis
+    rule = gauss_rule(quad)
+    t1, w1 = gauss_rule_1d(quad)
+    corners = space.mesh.element_corners()
+    psi = psi_basis.eval(rule.points)[..., 0]
+    dpsi = np.stack(
+        [npoly.polyval2d(rule.points[:, 0], rule.points[:, 1],
+                         npoly.polyder(c[0], axis=axis))
+         for c in psi_basis.coeffs for axis in (0, 1)]
+    ).reshape(len(psi_basis.coeffs), 2, -1)
+    div_phi = elem.basis.div(rule.points)
+    edge_pts = [EDGE_STARTS[j] + t1[:, None] * EDGE_DIRS[j] for j in range(4)]
+    psi_edge = [psi_basis.eval(pts)[..., 0] for pts in edge_pts]
+    total = 0.0
+    for e in range(space.mesh.n_quads):
+        sighat = percell_rows(sigma, corners[e], e)
+        coef = np.stack([apply_dofs(elem, lambda xh, r=rho: sighat(xh)[..., r, :],
+                                    quad) for rho in (0, 1)])
+        m1 = np.einsum("rk,kq,jq,q->rj", coef, div_phi, psi, rule.weights)
+        m2 = -np.einsum("qrc,jcq,q->rj", sighat(rule.points), dpsi,
+                        rule.weights)
+        for j in range(4):
+            edge_vals = sighat(edge_pts[j]) @ EDGE_NORMALS[j]
+            m2 += np.einsum("qr,jq,q->rj", edge_vals, psi_edge[j], w1)
+        _, J = map_jacobian(BilinearMap(corners[e]), rule.points)
+        mass = np.einsum("iq,jq,q->ij", psi, psi, rule.weights * J)
+        diff = m1 - m2
+        total += float(np.sum(diff * la.solve(mass, diff.T, assume_a="pos").T))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def percell_jump(sigma, n1d=8):
+    mesh = sigma.space.mesh
+    t, w = gauss_rule_1d(n1d)
+    incidence = {}
+    for q in range(mesh.n_quads):
+        for j in range(4):
+            e, orient = mesh.quad_edges[q, j]
+            incidence.setdefault(int(e), []).append((q, j, int(orient)))
+    total = 0.0
+    for e, users in incidence.items():
+        if len(users) != 2:
+            continue
+        lo, hi = mesh.edges[e]
+        tang = mesh.vertices[hi] - mesh.vertices[lo]
+        length = float(np.linalg.norm(tang))
+        normal = np.array([tang[1], -tang[0]]) / length
+        traces = []
+        for q, j, orient in users:
+            tloc = t if orient == 1 else 1.0 - t
+            xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
+            traces.append(sigma(q, xhat) @ normal)
+        jump = traces[0] - traces[1]
+        total += length * float(w @ np.sum(jump ** 2, axis=-1))
+    return float(np.sqrt(total))
+
+
+def identity_field(x):
+    return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+
+
+def oracle_fields(space):
+    """Trigonometric stress, a random discrete field and the identity."""
+    rng = np.random.RandomState(5)
+    return {
+        "trig": trig_solution(PARAMS).sigma,
+        "fefunction": FEFunction(space, rng.standard_normal(space.n_dofs)),
+        "identity": identity_field,
+    }
+
+
+def close(batched, reference, scale=1.0, tol=1e-12):
+    return abs(batched - reference) <= tol * max(abs(reference), scale)
+
+
+ORACLE_CASES = [(family, mesh_fn, n)
+                for family in ("rt2", "rt3", "bdm1")
+                for mesh_fn in (generate_square_mesh, generate_trapezoidal_mesh)
+                for n in (2, 4)]
+ORACLE_IDS = [f"{f}-{m.__name__.split('_')[1]}-n{n}"
+              for f, m, n in ORACLE_CASES]
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", ORACLE_CASES, ids=ORACLE_IDS)
+def test_batched_interpolation_matches_percell(family, mesh_fn, n):
+    space = build_stress_space(mesh_fn(n), family)
+    for name, field in oracle_fields(space).items():
+        ref = percell_interpolate(space, field)
+        got = interpolate_stress(space, field).coefficients
+        scale = max(np.abs(ref).max(), 1.0)
+        assert np.abs(got - ref).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", ORACLE_CASES, ids=ORACLE_IDS)
+def test_batched_commuting_matches_percell(family, mesh_fn, n):
+    space = build_stress_space(mesh_fn(n), family)
+    for name, field in oracle_fields(space).items():
+        # the identity holds for the discrete moments of any field, so both
+        # residuals are round-off of the moments, whose size the
+        # interpolant's coefficients give
+        scale = np.abs(interpolate_stress(space, field).coefficients).max()
+        ref = percell_commuting(space, field)
+        got = check_commuting_projection(space, field)
+        assert close(got, ref, scale), (name, got, ref)
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", ORACLE_CASES, ids=ORACLE_IDS)
+def test_batched_jump_matches_percell(family, mesh_fn, n):
+    space = build_stress_space(mesh_fn(n), family)
+    fields = oracle_fields(space)
+    functions = {
+        "trig": interpolate_stress(space, fields["trig"]),
+        "fefunction": fields["fefunction"],
+        "identity": interpolate_stress(space, identity_field),
+    }
+    # one flipped shared-edge sign makes the jump O(1)
+    signs = space.row_signs.copy()
+    signs[0, space.element.edge_dofs[1][0]] *= -1.0
+    broken = dataclasses.replace(space, row_signs=signs)
+    functions["corrupted"] = FEFunction(broken,
+                                        fields["fefunction"].coefficients)
+    for name, fn in functions.items():
+        ref = percell_jump(fn)
+        assert close(normal_jump_norm(fn), ref), name
+    assert percell_jump(functions["corrupted"]) > 1e-3
+
+
+INFSUP_CASES = [("bdm1", generate_square_mesh, 1)] + ORACLE_CASES
+INFSUP_IDS = ["bdm1-square-n1"] + ORACLE_IDS
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", INFSUP_CASES, ids=INFSUP_IDS)
+def test_infsup_matches_dense_oracle(family, mesh_fn, n):
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    system = assemble(S, V, Q, Compliance(PARAMS))
+    gram = ynorm_gram(S, V, Q)
+    ref = dense_infsup(system, gram)
+    assert abs(infsup_estimate(system, gram) - ref) <= 1e-10 * ref
+
+
+def test_infsup_rejects_indefinite_gram():
+    S, V, Q = build_elasticity_spaces(generate_square_mesh(2), "bdm1")
+    system = assemble(S, V, Q, Compliance(PARAMS))
+    with pytest.raises(ValueError, match="not positive definite"):
+        infsup_estimate(system, -ynorm_gram(S, V, Q))
+
+
+def test_infsup_of_singular_system_is_zero():
+    S, V, Q = build_elasticity_spaces(generate_square_mesh(2), "bdm1")
+    system = assemble(S, V, Q, Compliance(PARAMS))
+    singular = dataclasses.replace(system, Ba=0.0 * system.Ba)
+    assert infsup_estimate(singular, ynorm_gram(S, V, Q)) == 0.0

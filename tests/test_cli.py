@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import quadelast.cli as cli
 from quadelast.cli import (
     ConfigError,
     RunConfig,
@@ -167,6 +170,24 @@ def test_diagnostics_infsup_cap_is_config_error(capsys):
     code, _, err = run_cli(capsys, "diagnostics", "--levels", "16")
     assert code == 2
     assert "capped" in err
+
+
+def test_diagnostics_singular_system_fails_variation(capsys, monkeypatch):
+    # without the asymmetry block K is exactly singular: the estimate is 0
+    # and the variation diagnostic reports FAIL instead of raising
+    original = cli.assemble
+
+    def assemble_without_ba(*args, **kwargs):
+        system = original(*args, **kwargs)
+        return dataclasses.replace(system, Ba=0.0 * system.Ba)
+
+    monkeypatch.setattr(cli, "assemble", assemble_without_ba)
+    code, out, _ = run_cli(capsys, "diagnostics", "--element", "bdm1",
+                           "--levels", "2")
+    assert code == 0
+    line = next(l for l in out.split("\n") if "inf-sup variation" in l)
+    assert line.startswith("FAIL")
+    assert "estimates 0.000000e+00" in line
 
 
 def test_run_diagnostics_returns_records():
