@@ -31,8 +31,12 @@ from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 #: errors are quadrature-converged for every element family in scope.
 NORM_QUAD = 12
 
-#: Largest system size accepted by the inf-sup estimate.
-INFSUP_CAP = 3000
+#: Largest system size accepted by the inf-sup estimate.  On trapezoids,
+#: 2 vCPUs, scipy 1.17: 0.4 s at 7,040 unknowns (rt2 n=16), 2.8-5.1 s at
+#: 27,904 (rt2 n=32), 5.6-10.1 s and a 343-416 MB process peak at 45,568
+#: (bdm1 n=64); the ranges are host-load drift.  The cap keeps one
+#: estimate to about ten seconds and half a gigabyte.
+INFSUP_CAP = 50_000
 
 QUANTITIES = ("sigma", "div", "u", "p")
 
@@ -225,8 +229,8 @@ def infsup_estimate(system, gram) -> float:
     """
     if system.n > INFSUP_CAP:
         raise ValueError(
-            f"system has {system.n} unknowns; dense inf-sup path is "
-            f"capped at {INFSUP_CAP}"
+            f"inf-sup estimate is capped at {INFSUP_CAP} unknowns; "
+            f"system has {system.n}"
         )
     N = sp.csc_matrix(gram)
     _check_positive_definite(N)

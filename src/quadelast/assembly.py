@@ -34,7 +34,7 @@ from .mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
 from .problem import Compliance
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
-__all__ = ["BlockSystem", "assemble", "boundary_term", "write_coo"]
+__all__ = ["BlockSystem", "assemble", "boundary_term"]
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,3 @@ def boundary_term(stress: FESpace, g, n1d: int = 6) -> np.ndarray:
                     out[gidx] += stress.row_signs[q, i] * val
     return out
 
-
-def write_coo(matrix, path) -> None:
-    """Dump a sparse matrix as 0-based ``i j value`` triplet lines."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {v:.17g}\n")

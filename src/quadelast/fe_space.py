@@ -47,8 +47,6 @@ __all__ = [
     "build_displacement_space",
     "build_rotation_space",
     "build_elasticity_spaces",
-    "evaluate",
-    "evaluate_div",
     "evaluate_batch",
     "evaluate_div_batch",
     "unmapped_monomials",
@@ -106,9 +104,6 @@ class FESpace:
     def local_dim(self) -> int:
         return self.row_dofs.shape[1]
 
-    def global_dof(self, component: int, elem: int, local: int) -> int:
-        return component * self.n_row_dofs + int(self.row_dofs[elem, local])
-
     def local_coefficients(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-element, per-row coefficients including orientation signs.
 
@@ -137,12 +132,6 @@ class FEFunction:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.shape != (self.space.n_dofs,):
             raise ValueError("coefficient vector does not match space size")
-
-    def __call__(self, elem: int, xhat: np.ndarray) -> np.ndarray:
-        return evaluate(self, elem, xhat)
-
-    def div(self, elem: int, xhat: np.ndarray) -> np.ndarray:
-        return evaluate_div(self, elem, xhat)
 
 
 def build_stress_space(mesh: QuadMesh, family: str) -> FESpace:
@@ -212,36 +201,28 @@ def build_elasticity_spaces(mesh: QuadMesh, family: str):
     )
 
 
-def unmapped_monomials(space: FESpace, X: np.ndarray, elements=None) -> np.ndarray:
-    """Scaled-coordinate monomials; X is (nq_sel, npts, 2) physical points."""
-    if elements is None:
-        elements = np.arange(space.mesh.n_quads)
-    centers = space.centers[elements]
-    scales = space.scales[elements]
-    xi = (X - centers[:, None, :]) / scales[:, None, None]
+def unmapped_monomials(space: FESpace, X: np.ndarray) -> np.ndarray:
+    """Scaled-coordinate monomials; X is (nq, npts, 2) physical points."""
+    xi = (X - space.centers[:, None, :]) / space.scales[:, None, None]
     a = space.exponents[:, 0][:, None, None]
     b = space.exponents[:, 1][:, None, None]
-    return xi[None, ..., 0] ** a * xi[None, ..., 1] ** b  # (dim, nq_sel, npts)
+    return xi[None, ..., 0] ** a * xi[None, ..., 1] ** b  # (dim, nq, npts)
 
 
-def evaluate_batch(f: FEFunction, xhat: np.ndarray,
-                   elements: np.ndarray | None = None) -> np.ndarray:
-    """Values of ``f`` at the same reference points in many elements.
+def evaluate_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at the same reference points in every element.
 
-    Returns shape (nq_sel, npts, 2, 2) for stress, (nq_sel, npts, 2) for
-    displacement, (nq_sel, npts) for rotation.
+    Returns shape (nq, npts, 2, 2) for stress, (nq, npts, 2) for
+    displacement, (nq, npts) for rotation.
     """
     space = f.space
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if elements is None:
-        elements = np.arange(space.mesh.n_quads)
-    elements = np.asarray(elements)
-    C = space.local_coefficients(f.coefficients)[:, elements]
-    corners = space.mesh.element_corners()[elements]
+    C = space.local_coefficients(f.coefficients)
+    corners = space.mesh.element_corners()
 
     if space.kind == UNMAPPED:
         X, _, _ = geometry_at(corners, xhat)
-        mono = unmapped_monomials(space, X, elements)
+        mono = unmapped_monomials(space, X)
         return np.einsum("ek,kep->ep", C[0], mono)
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
@@ -256,44 +237,16 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray,
     return vals if space.components > 1 else vals[:, :, 0, :]
 
 
-def evaluate_div_batch(f: FEFunction, xhat: np.ndarray,
-                       elements: np.ndarray | None = None) -> np.ndarray:
+def evaluate_div_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
     """Row-wise divergence of a Piola-mapped function, via the 1/J transform."""
     space = f.space
     if space.kind != PIOLA:
         raise ValueError("divergence evaluation requires a Piola-mapped space")
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if elements is None:
-        elements = np.arange(space.mesh.n_quads)
-    elements = np.asarray(elements)
-    C = space.local_coefficients(f.coefficients)[:, elements]
-    corners = space.mesh.element_corners()[elements]
+    C = space.local_coefficients(f.coefficients)
+    corners = space.mesh.element_corners()
     dPhi = space.element.basis.div(xhat)  # (dim, npts)
     _, _, J = geometry_at(corners, xhat)
     ref = np.einsum("rek,kp->epr", C, dPhi)
     vals = ref / J[..., None]
     return vals if space.components > 1 else vals[..., 0]
-
-
-def _check_elem(space: FESpace, elem: int) -> int:
-    if not 0 <= elem < space.mesh.n_quads:
-        raise IndexError(f"element index {elem} out of range")
-    return elem
-
-
-def evaluate(f: FEFunction, elem: int, xhat: np.ndarray) -> np.ndarray:
-    """Value of ``f`` on element ``elem`` at reference points ``xhat``."""
-    xhat = np.asarray(xhat, dtype=float)
-    single = xhat.ndim == 1
-    out = evaluate_batch(f, np.atleast_2d(xhat),
-                         elements=np.array([_check_elem(f.space, elem)]))[0]
-    return out[0] if single else out
-
-
-def evaluate_div(f: FEFunction, elem: int, xhat: np.ndarray) -> np.ndarray:
-    """Divergence of ``f`` (Piola spaces) on one element."""
-    xhat = np.asarray(xhat, dtype=float)
-    single = xhat.ndim == 1
-    out = evaluate_div_batch(f, np.atleast_2d(xhat),
-                             elements=np.array([_check_elem(f.space, elem)]))[0]
-    return out[0] if single else out

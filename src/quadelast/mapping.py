@@ -1,18 +1,15 @@
-"""Bilinear geometry maps, Gauss quadrature, and the pullback transforms.
+"""Bilinear geometry of quadrilateral cells and Gauss quadrature.
 
 Every physical integral in the package is computed by pulling back to the
 reference square (integrand times Jacobian determinant); the inverse map is
-never formed.  Three transforms move fields between the reference and a
-physical element:
-
-* P0 -- plain composition (displacements, test functions),
-* P1 -- the Piola transform ``v = (1/J) (grad F) vhat``, applied row by row
-  to matrix-valued fields (stresses); it preserves normal traces and the
-  divergence structure,
-* P2 -- composition scaled by 1/J (divergences of Piola fields).
-
-Pushed-forward fields are represented as callables of *reference*
-coordinates; the value at ``xhat`` is the physical field at ``F(xhat)``.
+never formed.  :func:`geometry_at` evaluates, for a batch of cells at once,
+the physical points, the Jacobians DF and their determinants J at given
+reference points, from the bilinear corner shape functions of
+:func:`ref_shape`.  The field transforms built on it live with their
+users: stress rows move by the Piola map ``(1/J) DF vhat``, which keeps
+normal traces and turns the divergence into ``(1/J) divhat``
+(``fe_space.evaluate_batch`` and ``assembly.assemble``); displacements
+move by composition.
 """
 
 from __future__ import annotations
@@ -21,22 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import corner_jacobians
-
 __all__ = [
-    "BilinearMap",
     "QuadratureRule",
     "ref_shape",
-    "map_eval",
-    "map_jacobian",
     "geometry_at",
     "gauss_rule",
     "gauss_rule_1d",
-    "push_p0",
-    "push_p1",
-    "push_p2",
-    "piola_vector",
-    "piola_matrix",
 ]
 
 
@@ -65,44 +52,6 @@ def ref_shape(xhat: np.ndarray):
         axis=-2,
     )
     return N, dN
-
-
-@dataclass(frozen=True)
-class BilinearMap:
-    """Bilinear map of the reference square onto a convex quadrilateral.
-
-    ``corners`` are the counterclockwise images of (0,0), (1,0), (1,1), (0,1).
-    """
-
-    corners: np.ndarray  # (4, 2)
-
-    def __post_init__(self):
-        corners = np.ascontiguousarray(self.corners, dtype=float)
-        if corners.shape != (4, 2):
-            raise ValueError("corners must have shape (4, 2)")
-        if not np.all(corner_jacobians(corners, np.arange(4)[None]) > 0):
-            raise ValueError("corners do not describe a strictly convex, "
-                             "counterclockwise quadrilateral")
-        corners.setflags(write=False)
-        object.__setattr__(self, "corners", corners)
-
-
-def map_eval(F: BilinearMap, xhat: np.ndarray) -> np.ndarray:
-    """Physical image F(xhat); vectorized over leading axes of ``xhat``."""
-    N, _ = ref_shape(xhat)
-    return N @ F.corners
-
-
-def map_jacobian(F: BilinearMap, xhat: np.ndarray):
-    """Jacobian matrix (entries affine in xhat) and its determinant.
-
-    Returns ``(DF, J)`` with ``DF[..., i, j] = dF_i/dxhat_j`` and
-    ``J = det DF``.
-    """
-    _, dN = ref_shape(xhat)
-    DF = np.einsum("...cj,ci->...ij", dN, F.corners)
-    J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
-    return DF, J
 
 
 def geometry_at(corners: np.ndarray, xhat: np.ndarray):
@@ -158,57 +107,3 @@ def gauss_rule_1d(k: int):
         raise ValueError("quadrature order k must be >= 1")
     x, w = np.polynomial.legendre.leggauss(k)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def piola_vector(DF, J, vhat):
-    """Piola transform of vector values: (1/J) DF vhat."""
-    return np.einsum("...ij,...j->...i", DF, vhat) / J[..., None]
-
-
-def piola_matrix(DF, J, tauhat):
-    """Row-wise Piola transform of matrix values: (1/J) tauhat DF^T."""
-    return np.einsum("...jk,...ik->...ij", DF, tauhat) / J[..., None, None]
-
-
-def push_p0(F: BilinearMap, qhat):
-    """Composition transform: the physical field at F(xhat) is qhat(xhat)."""
-
-    def field(xhat):
-        return np.asarray(qhat(xhat))
-
-    return field
-
-
-def push_p1(F: BilinearMap, vhat):
-    """Piola transform of a vector field, or row-wise of a matrix field.
-
-    The shape of the values relative to the batch of evaluation points
-    decides the case: trailing (2,) is a vector, trailing (2, 2) a matrix.
-    """
-
-    def field(xhat):
-        xhat = np.asarray(xhat)
-        DF, J = map_jacobian(F, xhat)
-        v = np.asarray(vhat(xhat))
-        batch = xhat.shape[:-1]
-        if v.shape == batch + (2,):
-            return piola_vector(DF, J, v)
-        if v.shape == batch + (2, 2):
-            return piola_matrix(DF, J, v)
-        raise ValueError(f"cannot infer field rank from value shape {v.shape}")
-
-    return field
-
-
-def push_p2(F: BilinearMap, qhat):
-    """Jacobian-scaled composition: physical value qhat(xhat) / J(xhat)."""
-
-    def field(xhat):
-        xhat = np.asarray(xhat)
-        _, J = map_jacobian(F, xhat)
-        q = np.asarray(qhat(xhat))
-        if q.shape != np.shape(J):
-            J = J.reshape(J.shape + (1,) * (q.ndim - J.ndim))
-        return q / J
-
-    return field

@@ -117,26 +117,6 @@ class PolyBasis:
             out[k] = npoly.polyval2d(x, y, dx) + npoly.polyval2d(x, y, dy)
         return out
 
-    def div_coeffs(self) -> np.ndarray:
-        """Coefficient arrays of the divergences, shape (n, dx, dy)."""
-        if self.ncomp != 2:
-            raise ValueError("div is defined for vector bases only")
-        parts = []
-        for k in range(self.n):
-            dx = np.atleast_2d(npoly.polyder(self.coeffs[k, 0], axis=0))
-            dy = np.atleast_2d(npoly.polyder(self.coeffs[k, 1], axis=1))
-            s = np.zeros((max(dx.shape[0], dy.shape[0]),
-                          max(dx.shape[1], dy.shape[1])))
-            s[: dx.shape[0], : dx.shape[1]] += dx
-            s[: dy.shape[0], : dy.shape[1]] += dy
-            parts.append(s)
-        d1 = max(p.shape[0] for p in parts)
-        d2 = max(p.shape[1] for p in parts)
-        out = np.zeros((self.n, d1, d2))
-        for k, p in enumerate(parts):
-            out[k, : p.shape[0], : p.shape[1]] = p
-        return out
-
 
 @dataclass(frozen=True)
 class EdgeMoment:

@@ -1,11 +1,11 @@
 """Direct solution of the assembled saddle-point system.
 
-The matrix is symmetric indefinite.  The sparse path uses SuperLU with
-partial pivoting (scipy has no sparse symmetric-indefinite factorization);
-the dense path uses LAPACK's symmetric-indefinite solver and doubles as an
-independent oracle for small systems.  Every solve is verified a posteriori
-against a relative-residual threshold, which catches the conditioning
-failures a Bunch--Kaufman pivot test would.
+The matrix is symmetric indefinite, and scipy has no sparse
+symmetric-indefinite factorization, so every system goes through one
+SuperLU factorization with COLAMD ordering and partial pivoting.  A pivot
+check flags a (numerically) singular system, and every solve is verified
+a posteriori against a relative-residual threshold, which catches the
+conditioning failures a Bunch--Kaufman pivot test would.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
@@ -23,7 +22,6 @@ __all__ = ["SolveReport", "SolverError", "SingularSystem", "ResidualTooLarge",
 
 RESIDUAL_TOL = 1e-10
 PIVOT_TOL = 1e-13
-DENSE_CUTOFF = 5000
 
 
 class SolverError(Exception):
@@ -43,47 +41,32 @@ class ResidualTooLarge(SolverError):
 class SolveReport:
     solution: np.ndarray
     residual: float  # ||Kx - b|| / ||b||  (or absolute for b = 0)
-    factorization: str  # "sparse" or "dense"
+    factorization: str  # always "sparse"
 
 
-def _check_residual(K, x, b, kind) -> SolveReport:
+def _check_residual(K, x, b) -> SolveReport:
     bnorm = np.linalg.norm(b)
-    rnorm = float(np.linalg.norm(K @ x - b))
+    residual = float(np.linalg.norm(K @ x - b))
     if bnorm == 0.0:
-        if rnorm > 1e-12:
+        if residual > 1e-12:
             raise ResidualTooLarge(
-                f"zero-load residual {rnorm:.3e} exceeds 1e-12")
-        return SolveReport(solution=x, residual=rnorm, factorization=kind)
-    rel = rnorm / bnorm
-    if rel > RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return SolveReport(solution=x, residual=rel, factorization=kind)
+                f"zero-load residual {residual:.3e} exceeds 1e-12")
+    else:
+        residual /= bnorm
+        if residual > RESIDUAL_TOL:
+            raise ResidualTooLarge(
+                f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    return SolveReport(solution=x, residual=residual, factorization="sparse")
 
 
-def solve(system: BlockSystem, method: str = "auto") -> SolveReport:
-    """Solve the block system; ``method`` is 'auto', 'sparse' or 'dense'.
+def solve(system: BlockSystem) -> SolveReport:
+    """Solve the block system by one sparse LU factorization.
 
-    'auto' takes the dense symmetric-indefinite path below 5000 unknowns and
-    the sparse path above.  Raises SingularSystem on a vanished pivot and
-    ResidualTooLarge when the verified residual exceeds tolerance.
+    Raises SingularSystem on a vanished pivot and ResidualTooLarge when the
+    verified residual exceeds tolerance.
     """
-    if method not in ("auto", "sparse", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     K = system.full_matrix()
     b = system.rhs
-    if method == "auto":
-        method = "dense" if system.n < DENSE_CUTOFF else "sparse"
-
-    if method == "dense":
-        try:
-            x = scipy.linalg.solve(K.toarray(), b, assume_a="sym")
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("non-finite entries in dense solution")
-        return _check_residual(K, x, b, "dense")
-
     try:
         lu = spla.splu(K, permc_spec="COLAMD")
     except RuntimeError as exc:  # "Factor is exactly singular"
@@ -95,4 +78,4 @@ def solve(system: BlockSystem, method: str = "auto") -> SolveReport:
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystem("non-finite entries in sparse solution")
-    return _check_residual(K, x, b, "sparse")
+    return _check_residual(K, x, b)

@@ -7,11 +7,17 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
-from quadelast.fe_space import build_elasticity_spaces, build_stress_space, FEFunction
+from quadelast.fe_space import (
+    FEFunction,
+    build_elasticity_spaces,
+    build_stress_space,
+    evaluate_batch,
+)
 from quadelast.problem import Compliance, LameParams, linear_solution, trig_solution
-from quadelast.assembly import assemble
+from quadelast.assembly import BlockSystem, assemble
 from quadelast.solver import solve
 from quadelast.analysis import (
+    INFSUP_CAP,
     ConvergenceTable,
     ErrorReport,
     asymmetry_norm,
@@ -24,13 +30,7 @@ from quadelast.analysis import (
     normal_jump_norm,
     ynorm_gram,
 )
-from quadelast.mapping import (
-    BilinearMap,
-    gauss_rule,
-    gauss_rule_1d,
-    map_eval,
-    map_jacobian,
-)
+from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import (
     EDGE_DIRS,
     EDGE_NORMALS,
@@ -182,12 +182,15 @@ def test_infsup_positive_on_single_element():
     assert c0 > 0.0
 
 
-@pytest.mark.parametrize("family,mesh_fn", [
+INFSUP_SWEEPS = [
     ("rt2", generate_square_mesh),
     ("rt2", generate_trapezoidal_mesh),
     ("bdm1", generate_square_mesh),
     ("bdm1", generate_trapezoidal_mesh),
-])
+]
+
+
+@pytest.mark.parametrize("family,mesh_fn", INFSUP_SWEEPS)
 def test_infsup_stable_under_refinement(family, mesh_fn):
     vals = []
     for n in (2, 4, 8):
@@ -199,11 +202,35 @@ def test_infsup_stable_under_refinement(family, mesh_fn):
     assert (vals.max() - vals.min()) / vals.max() <= 0.20
 
 
+@pytest.mark.parametrize("family,mesh_fn", INFSUP_SWEEPS)
+def test_infsup_sees_constraint_blocks(family, mesh_fn):
+    # With the default material the estimate sits on the compliance floor
+    # 1/(2(mu+lambda)), the smallest eigenvalue the mass block alone can
+    # give, at every level.  A soft material lifts that floor to 25, so the
+    # smallest singular value comes from the constraint blocks Bd and Ba
+    # and the refinement sweep actually tests their stability.
+    soft = LameParams(mu=0.01, lam=0.01)
+    floor = 1.0 / (2.0 * (soft.mu + soft.lam))
+    vals = []
+    for n in (4, 8):
+        S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+        system = assemble(S, V, Q, Compliance(soft))
+        vals.append(infsup_estimate(system, ynorm_gram(S, V, Q)))
+    vals = np.array(vals)
+    assert vals.max() < 1e-2 * floor
+    assert vals.min() > 0.0
+    assert (vals.max() - vals.min()) / vals.max() <= 0.20
+
+
 def test_infsup_dimension_cap():
-    S, V, Q = build_elasticity_spaces(generate_square_mesh(16), "rt2")
-    system = assemble(S, V, Q, Compliance(PARAMS))
+    # an empty system one unknown above the cap: the size check comes
+    # before any factorization, so nothing of this size is ever assembled
+    n = INFSUP_CAP + 1
+    system = BlockSystem(n_sigma=n, n_v=0, n_q=0, M=sp.csr_matrix((n, n)),
+                         Bd=sp.csr_matrix((0, n)), Ba=sp.csr_matrix((0, n)),
+                         rhs=np.zeros(n))
     with pytest.raises(ValueError, match="capped"):
-        infsup_estimate(system, ynorm_gram(S, V, Q))
+        infsup_estimate(system, sp.identity(n, format="csr"))
 
 
 def test_ynorm_gram_positive_definite():
@@ -269,8 +296,8 @@ def test_asymmetry_decreases_under_refinement():
 #
 # The loop implementations the batched diagnostics replaced.  They apply
 # each dof functional on its own and pull fields back one element at a
-# time through BilinearMap, so they share no code path with the batched
-# dof weights and the adjugate pullback.
+# time with an explicit inverse Jacobian, so they share no code path with
+# the batched dof weights and the adjugate pullback.
 
 def dense_infsup(system, gram):
     """Smallest |eigenvalue| of N^(-1/2) K N^(-1/2), dense."""
@@ -306,15 +333,15 @@ def apply_dofs(elem, field, order):
 
 
 def percell_rows(sigma, corners, elem):
-    """Pulled-back rows J DF^{-1} sigma_r on one element, as a callable."""
-    Fmap = BilinearMap(corners)
+    """Pulled-back rows J DF^{-1} sigma_r on element ``elem``, as a callable."""
 
     def sighat(xhat):
+        X, DF, J = geometry_at(corners[None], xhat)
+        X, DF, J = X[0], DF[0], J[0]
         if isinstance(sigma, FEFunction):
-            vals = sigma(elem, xhat)
+            vals = evaluate_batch(sigma, xhat)[elem]
         else:
-            vals = np.asarray(sigma(map_eval(Fmap, xhat)))
-        DF, J = map_jacobian(Fmap, xhat)
+            vals = np.asarray(sigma(X))
         DFinv = np.linalg.inv(DF)
         return J[..., None, None] * np.einsum("...ck,...rk->...rc",
                                               DFinv, vals)
@@ -361,8 +388,8 @@ def percell_commuting(space, sigma, quad=10):
         for j in range(4):
             edge_vals = sighat(edge_pts[j]) @ EDGE_NORMALS[j]
             m2 += np.einsum("qr,jq,q->rj", edge_vals, psi_edge[j], w1)
-        _, J = map_jacobian(BilinearMap(corners[e]), rule.points)
-        mass = np.einsum("iq,jq,q->ij", psi, psi, rule.weights * J)
+        _, _, J = geometry_at(corners[e][None], rule.points)
+        mass = np.einsum("iq,jq,q->ij", psi, psi, rule.weights * J[0])
         diff = m1 - m2
         total += float(np.sum(diff * la.solve(mass, diff.T, assume_a="pos").T))
     return float(np.sqrt(max(total, 0.0)))
@@ -388,7 +415,7 @@ def percell_jump(sigma, n1d=8):
         for q, j, orient in users:
             tloc = t if orient == 1 else 1.0 - t
             xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
-            traces.append(sigma(q, xhat) @ normal)
+            traces.append(evaluate_batch(sigma, xhat)[q] @ normal)
         jump = traces[0] - traces[1]
         total += length * float(w @ np.sum(jump ** 2, axis=-1))
     return float(np.sqrt(total))

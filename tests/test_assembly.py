@@ -4,9 +4,9 @@ import pytest
 from quadelast.mesh import QuadMesh, generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import EDGE_DIRS, EDGE_STARTS
-from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate, evaluate_div_batch
+from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate_batch, evaluate_div_batch
 from quadelast.problem import Compliance, LameParams
-from quadelast.assembly import assemble, boundary_term, write_coo
+from quadelast.assembly import assemble, boundary_term
 from quadelast.analysis import interpolate_stress
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -68,8 +68,8 @@ def test_bd_entries_are_reference_integrals(family):
     for rho in range(2):
         for i in range(V.local_dim):
             for k in range(S.local_dim):
-                row = V.global_dof(rho, 0, i)
-                col = S.global_dof(rho, 0, k)
+                row = rho * V.n_row_dofs + V.row_dofs[0, i]
+                col = rho * S.n_row_dofs + S.row_dofs[0, k]
                 expected = S.row_signs[0, k] * ref[i, k]
                 assert abs(Bd[row, col] - expected) < 1e-12
     # no coupling between displacement components
@@ -159,7 +159,7 @@ def test_boundary_term_matches_physical_edge_integrals(family, g):
             for dof in range(S.n_dofs):
                 coeffs = np.zeros(S.n_dofs)
                 coeffs[dof] = 1.0
-                sig = evaluate(FEFunction(S, coeffs), q, xhat)
+                sig = evaluate_batch(FEFunction(S, coeffs), xhat)[q]
                 flux = np.einsum("qrc,qc->qr", sig, normal)
                 expected[dof] += w @ (np.sum(gv * flux, axis=-1) * speed)
     assert np.allclose(rhs, expected, rtol=1e-9, atol=1e-11)
@@ -200,22 +200,6 @@ def test_bd_kernel_is_divergence_free(family):
     div = evaluate_div_batch(FEFunction(S, z), rule.points)
     val = np.sum(rule.weights[None, :] * J * np.sum(div**2, axis=-1))
     assert val <= 1e-18
-
-
-def test_write_coo_round_trip(tmp_path):
-    _, _, _, system = spaces_and_system(generate_square_mesh(1), "bdm1")
-    path = tmp_path / "matrix.txt"
-    write_coo(system.full_matrix(), path)
-    rows = []
-    for line in path.read_text().strip().splitlines():
-        i, j, v = line.split()
-        rows.append((int(i), int(j), float(v)))
-    assert rows == sorted(rows)
-    K = system.full_matrix().tocoo()
-    dense = np.zeros(K.shape)
-    for i, j, v in rows:
-        dense[i, j] = v
-    assert np.allclose(dense, K.toarray(), rtol=0, atol=0)
 
 
 def test_mismatched_meshes_rejected():

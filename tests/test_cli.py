@@ -167,7 +167,8 @@ def test_diagnostics_report_corrupted_sign(capsys):
 
 
 def test_diagnostics_infsup_cap_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "diagnostics", "--levels", "16")
+    # rt2 at n=64 has 111,104 unknowns, above the inf-sup cap
+    code, _, err = run_cli(capsys, "diagnostics", "--levels", "64")
     assert code == 2
     assert "capped" in err
 
@@ -222,7 +223,7 @@ def test_mesh_summary_reports_quality(capsys):
 
 
 def test_solver_failure_exit_code_names_level(capsys, monkeypatch):
-    def boom(system, method="auto"):
+    def boom(system):
         raise SolverError("synthetic breakdown")
 
     monkeypatch.setattr("quadelast.cli.solve", boom)

@@ -1,58 +1,88 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from quadelast.mapping import (
-    BilinearMap,
-    gauss_rule,
-    gauss_rule_1d,
-    map_eval,
-    map_jacobian,
-    push_p0,
-    push_p1,
-    push_p2,
-    ref_shape,
+from quadelast.fe_space import (
+    FEFunction,
+    build_elasticity_spaces,
+    evaluate_batch,
+    evaluate_div_batch,
 )
+from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
+from quadelast.mesh import QuadMesh
 
-IDENTITY = BilinearMap(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-PARALLELOGRAM = BilinearMap(np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 1.0]]))
-TRAPEZOID = BilinearMap(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.5], [0.0, 0.5]]))
+IDENTITY = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+PARALLELOGRAM = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 1.0]])
+TRAPEZOID = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.5], [0.0, 0.5]])
+DILATION = 2.0 * IDENTITY  # F(xhat) = 2*xhat: grad F = 2I, J = 4
 
 
-def rand_poly2(rng, deg, shape=()):
-    """Random bivariate polynomial of coordinate degree <= deg."""
-    c = rng.uniform(-1, 1, size=(deg + 1, deg + 1) + shape)
+def geometry(corners, xhat):
+    """Points, Jacobians and determinants on one cell, via geometry_at."""
+    X, DF, J = geometry_at(corners[None], xhat)
+    return X[0], DF[0], J[0]
+
+
+def one_cell_mesh(corners):
+    return QuadMesh(corners, np.array([[0, 1, 2, 3]]))
+
+
+def row_space(stress):
+    """The vector-valued H(div) space of one stress row."""
+    return dataclasses.replace(stress, components=1)
+
+
+def random_fields(corners, family, seed):
+    """Random stress and displacement functions on a one-cell mesh."""
+    S, V, _ = build_elasticity_spaces(one_cell_mesh(corners), family)
+    rng = np.random.RandomState(seed)
+    return (FEFunction(S, rng.uniform(-1, 1, S.n_dofs)),
+            FEFunction(V, rng.uniform(-1, 1, V.n_dofs)))
+
+
+def reference_values(f, z):
+    """Reference-side values of ``f`` on its one cell, shape (p, rows, ncomp).
+
+    Evaluated coefficient by coefficient with polyval2d, so ``z`` may be
+    complex (for complex-step derivatives).
+    """
+    C = f.space.local_coefficients(f.coefficients)[:, 0]  # (rows, dim)
+    x, y = z[..., 0], z[..., 1]
+    phi = np.array([[P.polyval2d(x, y, c) for c in comps]
+                    for comps in f.space.element.basis.coeffs])
+    return np.einsum("rk,kcp->prc", C, phi)
+
+
+def reference_div(f, xhat):
+    """Reference-side row divergences of a Piola function, shape (p, rows)."""
+    C = f.space.local_coefficients(f.coefficients)[:, 0]
+    return np.einsum("rk,kp->pr", C, f.space.element.basis.div(xhat))
+
+
+def rand_poly2(rng, deg):
+    """Random scalar bivariate polynomial of coordinate degree <= deg."""
+    c = rng.uniform(-1, 1, size=(deg + 1, deg + 1))
 
     def f(xhat):
-        xhat = np.asarray(xhat)
-        x, y = xhat[..., 0], xhat[..., 1]
-        if shape:
-            out = np.empty(x.shape + shape, dtype=np.result_type(x, c))
-            for idx in np.ndindex(*shape):
-                out[(...,) + idx] = P.polyval2d(x, y, c[(...,) + idx])
-            return out
-        return P.polyval2d(x, y, c)
+        return P.polyval2d(xhat[..., 0], xhat[..., 1], c)
 
     f.coeffs = c
     return f
 
 
-def poly_der(f, axis):
-    """Derivative of a rand_poly2 along a coordinate axis, as coefficients."""
-    return P.polyder(f.coeffs, axis=axis)
-
-
 def test_identity_map():
     xhat = np.random.RandomState(0).uniform(0, 1, size=(7, 2))
-    np.testing.assert_allclose(map_eval(IDENTITY, xhat), xhat)
-    DF, J = map_jacobian(IDENTITY, xhat)
+    X, DF, J = geometry(IDENTITY, xhat)
+    np.testing.assert_allclose(X, xhat)
     np.testing.assert_allclose(DF, np.broadcast_to(np.eye(2), (7, 2, 2)))
     np.testing.assert_allclose(J, 1.0)
 
 
 def test_parallelogram_map():
     xhat = np.random.RandomState(1).uniform(0, 1, size=(5, 2))
-    DF, J = map_jacobian(PARALLELOGRAM, xhat)
+    _, DF, J = geometry(PARALLELOGRAM, xhat)
     np.testing.assert_allclose(DF, np.broadcast_to([[2.0, 1.0], [0.0, 1.0]], (5, 2, 2)))
     np.testing.assert_allclose(J, 2.0)
 
@@ -60,25 +90,33 @@ def test_parallelogram_map():
 def test_trapezoid_jacobian():
     # corners (0,0),(1,0),(1,1.5),(0,0.5): J(xhat) = 0.5 + xhat_1
     xhat = np.random.RandomState(2).uniform(0, 1, size=(9, 2))
-    _, J = map_jacobian(TRAPEZOID, xhat)
+    _, DF, J = geometry(TRAPEZOID, xhat)
     np.testing.assert_allclose(J, 0.5 + xhat[:, 0], atol=1e-14)
-    _, J0 = map_jacobian(TRAPEZOID, np.array([0.5, 0.5]))
-    assert np.isclose(J0, 1.0)
+    # by hand: F(xhat) = (xhat_1, 0.5 xhat_2 + xhat_1 xhat_2), so
+    # DF = [[1, 0], [xhat_2, 0.5 + xhat_1]]
+    hand = np.zeros((9, 2, 2))
+    hand[:, 0, 0] = 1.0
+    hand[:, 1, 0] = xhat[:, 1]
+    hand[:, 1, 1] = 0.5 + xhat[:, 0]
+    np.testing.assert_allclose(DF, hand, atol=1e-14)
+    _, _, J0 = geometry(TRAPEZOID, np.array([[0.5, 0.5]]))
+    assert np.isclose(J0[0], 1.0)
 
 
 def test_map_corners_and_edges():
-    corners = TRAPEZOID.corners
+    corners = TRAPEZOID
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_allclose(map_eval(TRAPEZOID, ref), corners, atol=1e-15)
+    X, _, _ = geometry(corners, ref)
+    np.testing.assert_allclose(X, corners, atol=1e-15)
     # edge midpoints map to chord midpoints (edges are straight)
-    mid = map_eval(TRAPEZOID, np.array([[0.5, 0.0], [1.0, 0.5]]))
+    mid, _, _ = geometry(corners, np.array([[0.5, 0.0], [1.0, 0.5]]))
     np.testing.assert_allclose(mid[0], 0.5 * (corners[0] + corners[1]))
     np.testing.assert_allclose(mid[1], 0.5 * (corners[1] + corners[2]))
 
 
 def test_nonconvex_map_rejected():
     with pytest.raises(ValueError):
-        BilinearMap(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]]))
+        one_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]]))
 
 
 def test_gauss_rule_basics():
@@ -115,38 +153,39 @@ def test_gauss_rule_1d():
 @pytest.mark.parametrize("F", [IDENTITY, PARALLELOGRAM, TRAPEZOID])
 def test_area_identity(F):
     r = gauss_rule(2)
-    _, J = map_jacobian(F, r.points)
-    p = F.corners
-    shoelace = 0.5 * np.sum(p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1])
+    _, _, J = geometry(F, r.points)
+    shoelace = 0.5 * np.sum(F[:, 0] * np.roll(F[:, 1], -1) - np.roll(F[:, 0], -1) * F[:, 1])
     assert np.isclose(r.weights @ J, shoelace, atol=1e-14)
 
 
 def test_transforms_identity_map():
-    rng = np.random.RandomState(3)
-    q = rand_poly2(rng, 2)
-    v = rand_poly2(rng, 2, shape=(2,))
-    xhat = rng.uniform(0, 1, size=(6, 2))
-    np.testing.assert_allclose(push_p0(IDENTITY, q)(xhat), q(xhat))
-    np.testing.assert_allclose(push_p1(IDENTITY, v)(xhat), v(xhat))
-    np.testing.assert_allclose(push_p2(IDENTITY, q)(xhat), q(xhat))
+    sigma, u = random_fields(IDENTITY, "rt2", seed=3)
+    xhat = np.random.RandomState(3).uniform(0, 1, size=(6, 2))
+    np.testing.assert_allclose(evaluate_batch(u, xhat)[0],
+                               reference_values(u, xhat)[..., 0])
+    np.testing.assert_allclose(evaluate_batch(sigma, xhat)[0],
+                               reference_values(sigma, xhat))
+    np.testing.assert_allclose(evaluate_div_batch(sigma, xhat)[0],
+                               reference_div(sigma, xhat))
 
 
 def test_transforms_dilation():
-    # F(xhat) = 2*xhat: grad F = 2I, J = 4
-    F = BilinearMap(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
-    rng = np.random.RandomState(4)
-    q = rand_poly2(rng, 2)
-    v = rand_poly2(rng, 2, shape=(2,))
-    tau = rand_poly2(rng, 1, shape=(2, 2))
-    xhat = rng.uniform(0, 1, size=(5, 2))
-    np.testing.assert_allclose(push_p0(F, q)(xhat), q(xhat))
-    np.testing.assert_allclose(push_p1(F, v)(xhat), v(xhat) / 2.0)
-    np.testing.assert_allclose(push_p1(F, tau)(xhat), tau(xhat) / 2.0)
-    np.testing.assert_allclose(push_p2(F, q)(xhat), q(xhat) / 4.0)
+    sigma, u = random_fields(DILATION, "rt2", seed=4)
+    v = FEFunction(row_space(sigma.space),
+                   sigma.coefficients[: sigma.space.n_row_dofs])
+    xhat = np.random.RandomState(4).uniform(0, 1, size=(5, 2))
+    np.testing.assert_allclose(evaluate_batch(u, xhat)[0],
+                               reference_values(u, xhat)[..., 0])
+    np.testing.assert_allclose(evaluate_batch(v, xhat)[0],
+                               reference_values(v, xhat)[:, 0] / 2.0)
+    np.testing.assert_allclose(evaluate_batch(sigma, xhat)[0],
+                               reference_values(sigma, xhat) / 2.0)
+    np.testing.assert_allclose(evaluate_div_batch(sigma, xhat)[0],
+                               reference_div(sigma, xhat) / 4.0)
 
 
 def _phys_grad(F, ref_values_c, xhat):
-    """Physical gradient of a P0 field by chain rule at reference points.
+    """Physical gradient of a composed scalar field by chain rule.
 
     ``ref_values_c`` maps complex reference points to values; the reference
     gradient is obtained by complex-step differentiation, then converted with
@@ -158,13 +197,14 @@ def _phys_grad(F, ref_values_c, xhat):
         z = xhat.astype(complex)
         z[..., j] += 1j * h
         g[..., j] = ref_values_c(z).imag / h
-    DF, _ = map_jacobian(F, xhat)
+    _, DF, _ = geometry(F, xhat)
     return np.linalg.solve(np.swapaxes(DF, -1, -2), g[..., None])[..., 0]
 
 
 @pytest.mark.parametrize("F", [PARALLELOGRAM, TRAPEZOID])
 def test_commuting_curl(F):
-    # curl(P0 qhat) = P1(curl qhat) with curl q = (dq/dy, -dq/dx)
+    # curl(qhat o F^-1) = P1(curl qhat) with curl q = (dq/dy, -dq/dx); for
+    # q in Q_3 the reference curl lies in RT_3, so it is an RT_3 function
     rng = np.random.RandomState(5)
     q = rand_poly2(rng, 3)
     xhat = rng.uniform(0.05, 0.95, size=(8, 2))
@@ -172,13 +212,17 @@ def test_commuting_curl(F):
     grad = _phys_grad(F, q, xhat)
     lhs = np.stack([grad[:, 1], -grad[:, 0]], axis=-1)
 
-    cy, cx = poly_der(q, axis=1), poly_der(q, axis=0)
+    cy, cx = P.polyder(q.coeffs, axis=1), P.polyder(q.coeffs, axis=0)
 
     def curl_ref(z):
         x, y = z[..., 0], z[..., 1]
         return np.stack([P.polyval2d(x, y, cy), -P.polyval2d(x, y, cx)], axis=-1)
 
-    rhs = push_p1(F, curl_ref)(xhat)
+    space = row_space(build_elasticity_spaces(one_cell_mesh(F), "rt3")[0])
+    coeffs = np.zeros(space.n_dofs)
+    coeffs[space.row_dofs[0]] = (space.element.interpolate(curl_ref)
+                                 * space.row_signs[0])
+    rhs = evaluate_batch(FEFunction(space, coeffs), xhat)[0]
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
@@ -186,20 +230,22 @@ def test_commuting_curl(F):
 @pytest.mark.parametrize("matrix", [False, True])
 def test_commuting_div(F, matrix):
     # div(P1 tauhat) = P2(div tauhat), row-wise for matrix fields
-    rng = np.random.RandomState(6)
-    shape = (2, 2) if matrix else (2,)
-    tau = rand_poly2(rng, 3, shape=shape)
-    xhat = rng.uniform(0.05, 0.95, size=(6, 2))
+    tau, _ = random_fields(F, "rt3", seed=6)
+    if not matrix:
+        tau = FEFunction(row_space(tau.space),
+                         tau.coefficients[: tau.space.n_row_dofs])
+    xhat = np.random.RandomState(6).uniform(0.05, 0.95, size=(6, 2))
 
     def pushed_c(z):
-        # complex-capable version of the pushed field
-        _, dN = ref_shape(z)
-        DF = np.einsum("...cj,ci->...ij", dN, F.corners)
-        J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
-        v = tau(z)
-        if matrix:
-            return np.einsum("...jk,...ik->...ij", DF, v) / J[..., None, None]
-        return np.einsum("...ij,...j->...i", DF, v) / J[..., None]
+        # complex-capable Piola push-forward (1/J) DF tauhat, row by row
+        _, DF, J = geometry(F, z)
+        return (np.einsum("pij,prj->pri", DF, reference_values(tau, z))
+                / J[:, None, None])
+
+    # the batched evaluation is this push-forward
+    vals = evaluate_batch(tau, xhat)[0]
+    np.testing.assert_allclose(vals.reshape(pushed_c(xhat).shape),
+                               pushed_c(xhat).real, atol=1e-13)
 
     # reference-coordinate gradient of the pushed field by complex step
     h = 1e-150
@@ -208,54 +254,29 @@ def test_commuting_div(F, matrix):
         z = xhat.astype(complex)
         z[..., j] += 1j * h
         grads.append(pushed_c(z).imag / h)
-    grad_ref = np.stack(grads, axis=-1)  # (..., [rows,] 2, dxhat)
+    grad_ref = np.stack(grads, axis=-1)  # (p, rows, 2, dxhat)
 
-    DF, _ = map_jacobian(F, xhat)
+    _, DF, _ = geometry(F, xhat)
     DFinv = np.linalg.inv(DF)
-    if matrix:
-        grad_phys = np.einsum("...rij,...jk->...rik", grad_ref, DFinv)
-        lhs = np.einsum("...rii->...r", grad_phys)
-    else:
-        grad_phys = np.einsum("...ij,...jk->...ik", grad_ref, DFinv)
-        lhs = np.einsum("...ii->...", grad_phys)
+    grad_phys = np.einsum("prij,pjk->prik", grad_ref, DFinv)
+    lhs = np.einsum("prii->pr", grad_phys)
 
-    dx = [poly_der(tau, axis=0), poly_der(tau, axis=1)]
-
-    def div_ref(z):
-        x, y = z[..., 0], z[..., 1]
-        if matrix:
-            out = np.empty(x.shape + (2,), dtype=z.dtype)
-            for r in range(2):
-                out[..., r] = (P.polyval2d(x, y, dx[0][..., r, 0])
-                               + P.polyval2d(x, y, dx[1][..., r, 1]))
-            return out
-        return P.polyval2d(x, y, dx[0][..., 0]) + P.polyval2d(x, y, dx[1][..., 1])
-
-    rhs = push_p2(F, div_ref)(xhat)
+    rhs = evaluate_div_batch(tau, xhat)[0].reshape(lhs.shape)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
 @pytest.mark.parametrize("F", [PARALLELOGRAM, TRAPEZOID])
 def test_integral_identities(F):
-    # (P2 qhat, P0 vhat)_K = (qhat, vhat)_Khat and the div/P1 variant
-    rng = np.random.RandomState(7)
-    q = rand_poly2(rng, 2)
-    w = rand_poly2(rng, 2)
-    tau = rand_poly2(rng, 2, shape=(2,))
-
+    # (P2 div tauhat, P0 what)_K = (div tauhat, what)_Khat, row by row
+    sigma, u = random_fields(F, "rt2", seed=7)
     r = gauss_rule(6)
-    _, J = map_jacobian(F, r.points)
+    _, _, J = geometry(F, r.points)
 
-    lhs = r.weights @ (push_p2(F, q)(r.points) * push_p0(F, w)(r.points) * J)
-    rhs = r.weights @ (q(r.points) * w(r.points))
-    assert np.isclose(lhs, rhs, atol=1e-12)
-
-    dx = [poly_der(tau, axis=0), poly_der(tau, axis=1)]
-
-    def div_ref(z):
-        x, y = z[..., 0], z[..., 1]
-        return P.polyval2d(x, y, dx[0][..., 0]) + P.polyval2d(x, y, dx[1][..., 1])
-
-    lhs = r.weights @ (push_p2(F, div_ref)(r.points) * push_p0(F, w)(r.points) * J)
-    rhs = r.weights @ (div_ref(r.points) * w(r.points))
-    assert np.isclose(lhs, rhs, atol=1e-12)
+    div = evaluate_div_batch(sigma, r.points)[0]  # (q, rows)
+    w = evaluate_batch(u, r.points)[0]  # (q, rows)
+    divhat = reference_div(sigma, r.points)
+    what = reference_values(u, r.points)[..., 0]
+    for row in range(2):
+        lhs = r.weights @ (div[:, row] * w[:, row] * J)
+        rhs = r.weights @ (divhat[:, row] * what[:, row])
+        assert np.isclose(lhs, rhs, atol=1e-12)

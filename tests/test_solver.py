@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
@@ -27,41 +28,67 @@ def assembled(mesh, family="rt2", sol=TRIG, **kw):
     return (S, V, Q), assemble(S, V, Q, A, f=f, g=g, **kw)
 
 
+def dense_solve(system):
+    """Oracle: LAPACK's symmetric-indefinite solve of the dense matrix."""
+    return la.solve(system.full_matrix().toarray(), system.rhs, assume_a="sym")
+
+
+def relative_residual(system, x):
+    K = system.full_matrix()
+    return np.linalg.norm(K @ x - system.rhs) / np.linalg.norm(system.rhs)
+
+
 def test_sparse_and_dense_paths_agree():
     _, system = assembled(generate_square_mesh(1), "bdm1")
     assert system.n == 19
-    xs = solve(system, method="sparse")
-    xd = solve(system, method="dense")
+    xs = solve(system)
+    xd = dense_solve(system)
     assert xs.factorization == "sparse"
-    assert xd.factorization == "dense"
-    scale = abs(xd.solution).max()
-    assert np.allclose(xs.solution, xd.solution, rtol=1e-10, atol=1e-12 * scale)
+    scale = abs(xd).max()
+    assert np.allclose(xs.solution, xd, rtol=1e-10, atol=1e-12 * scale)
 
 
-def test_auto_method_picks_dense_for_small_systems():
-    _, system = assembled(generate_square_mesh(1), "bdm1")
-    assert solve(system).factorization == "dense"
+ORACLE_CASES = [(family, mesh_fn, n, PARAMS)
+                for family in ("bdm1", "rt2", "rt3")
+                for mesh_fn in (generate_square_mesh, generate_trapezoidal_mesh)
+                for n in (2, 4)]
+ORACLE_IDS = [f"{f}-{m.__name__.split('_')[1]}-n{n}"
+              for f, m, n, _ in ORACLE_CASES]
+# nearly incompressible: the locking study's largest Poisson ratio
+ORACLE_CASES.append(("bdm1", generate_trapezoidal_mesh, 8,
+                     LameParams.from_young_poisson(1000.0, 0.4999)))
+ORACLE_IDS.append("bdm1-trapezoidal-n8-nu0.4999")
+
+
+@pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
+                         ids=ORACLE_IDS)
+def test_solve_matches_dense_oracle(family, mesh_fn, n, params):
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    sol = trig_solution(params)
+    system = assemble(S, V, Q, Compliance(params), f=sol.f, g=sol.g)
+    x = solve(system).solution
+    xd = dense_solve(system)
+    assert abs(x - xd).max() <= 1e-10 * abs(xd).max()
 
 
 def test_residual_verified_on_report():
     _, system = assembled(generate_square_mesh(4), "rt2")
-    for method in ("sparse", "dense"):
-        report = solve(system, method=method)
-        assert report.residual <= 1e-10
-        K = system.full_matrix()
-        direct = np.linalg.norm(K @ report.solution - system.rhs)
-        assert np.isclose(report.residual,
-                          direct / np.linalg.norm(system.rhs), rtol=1e-6)
+    report = solve(system)
+    assert report.residual <= 1e-10
+    assert np.isclose(report.residual,
+                      relative_residual(system, report.solution), rtol=1e-6)
+    assert relative_residual(system, dense_solve(system)) <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["sparse", "dense"])
 def test_patch_test_reproduced_exactly(method):
     # linear displacement data: the exact triple lies in the discrete
-    # spaces, so the solver must return it up to roundoff
+    # spaces, so the solver and the dense oracle must return it up to
+    # roundoff
     patch = linear_solution(PARAMS)
     (S, V, Q), system = assembled(generate_trapezoidal_mesh(4), "rt2", sol=patch)
-    report = solve(system, method=method)
-    sh, uh, ph = system.split(report.solution)
+    x = solve(system).solution if method == "sparse" else dense_solve(system)
+    sh, uh, ph = system.split(x)
     errs = compute_errors(FEFunction(S, sh), FEFunction(V, uh),
                           FEFunction(Q, ph), patch, quad=8)
     assert errs.e_sigma <= 1e-9
@@ -73,15 +100,14 @@ def test_patch_test_reproduced_exactly(method):
 def test_zero_data_gives_zero_solution():
     _, system = assembled(generate_square_mesh(2), "rt2", sol=None)
     assert np.all(system.rhs == 0.0)
-    for method in ("sparse", "dense"):
-        report = solve(system, method=method)
-        assert abs(report.solution).max() <= 1e-13
+    for x in (solve(system).solution, dense_solve(system)):
+        assert abs(x).max() <= 1e-13
 
 
 def test_solver_deterministic():
     _, system = assembled(generate_trapezoidal_mesh(3), "rt2")
-    a = solve(system, method="sparse").solution
-    b = solve(system, method="sparse").solution
+    a = solve(system).solution
+    b = solve(system).solution
     assert np.array_equal(a, b)
 
 
@@ -124,20 +150,10 @@ def singular_system():
 
 def test_singular_system_raises_sparse():
     with pytest.raises(SingularSystem):
-        solve(singular_system(), method="sparse")
-
-
-def test_singular_system_raises_dense():
-    with pytest.raises(SolverError):
-        solve(singular_system(), method="dense")
+        solve(singular_system())
 
 
 def test_exception_hierarchy():
     assert issubclass(SingularSystem, SolverError)
     assert issubclass(ResidualTooLarge, SolverError)
 
-
-def test_unknown_method_rejected():
-    _, system = assembled(generate_square_mesh(1), "bdm1")
-    with pytest.raises(ValueError, match="method"):
-        solve(system, method="cg")

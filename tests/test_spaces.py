@@ -10,9 +10,8 @@ from quadelast.fe_space import (
     build_elasticity_spaces,
     build_rotation_space,
     build_stress_space,
-    evaluate,
     evaluate_batch,
-    evaluate_div,
+    evaluate_div_batch,
     family_order,
 )
 
@@ -56,7 +55,7 @@ def normal_jump_sq(stress_fn, n1d=6):
         for q, j, orient in users:
             tloc = t if orient == 1 else 1.0 - t
             xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
-            sig = evaluate(stress_fn, q, xhat)  # (n1d, 2, 2)
+            sig = evaluate_batch(stress_fn, xhat)[q]  # (n1d, 2, 2)
             traces.append(sig @ normal)
         jump = traces[0] - traces[1]
         total += length * (w @ np.sum(jump**2, axis=-1))
@@ -108,24 +107,13 @@ def test_identity_map_evaluation():
     c_local = rng.randn(2, space.local_dim)
     coeffs = np.zeros(space.n_dofs)
     for rho in range(2):
-        for k in range(space.local_dim):
-            g = space.global_dof(rho, 0, k)
-            coeffs[g] = c_local[rho, k] * space.row_signs[0, k]
+        rows = rho * space.n_row_dofs + space.row_dofs[0]
+        coeffs[rows] = c_local[rho] * space.row_signs[0]
     f = FEFunction(space, coeffs)
     pts = rng.uniform(0, 1, size=(5, 2))
     ref = space.element.basis.eval(pts)  # (dim, 5, 2)
     expect = np.einsum("rk,kpc->prc", c_local, ref)
-    np.testing.assert_allclose(evaluate(f, 0, pts), expect, atol=1e-13)
-
-
-def test_element_index_out_of_range():
-    mesh = generate_square_mesh(2)
-    space = build_rotation_space(mesh, 2)
-    f = FEFunction(space, np.zeros(space.n_dofs))
-    with pytest.raises(IndexError):
-        evaluate(f, 4, np.array([0.5, 0.5]))
-    with pytest.raises(IndexError):
-        evaluate(f, -1, np.array([0.5, 0.5]))
+    np.testing.assert_allclose(evaluate_batch(f, pts)[0], expect, atol=1e-13)
 
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
@@ -231,7 +219,7 @@ def test_displacement_evaluation_compose():
     ref = space.element.basis.eval(xhat)[..., 0]
     C = space.local_coefficients(f.coefficients)
     expect = np.einsum("rk,kp->pr", C[:, e], ref)
-    np.testing.assert_allclose(evaluate(f, e, xhat), expect)
+    np.testing.assert_allclose(vals[e], expect)
 
 
 def test_div_evaluation_against_fd():
@@ -241,24 +229,21 @@ def test_div_evaluation_against_fd():
     rng = np.random.RandomState(17)
     f = FEFunction(space, rng.randn(space.n_dofs))
     e = 2
-    xhat0 = np.array([0.4, 0.55])
-    div = evaluate_div(f, e, xhat0)
+    xhat0 = np.array([[0.4, 0.55]])
+    div = evaluate_div_batch(f, xhat0)[e, 0]
 
     # physical-coordinate finite differences need the inverse map; instead
     # use reference-coordinate steps mapped through the Jacobian
-    from quadelast.mapping import BilinearMap, map_jacobian
-
-    F = BilinearMap(mesh.element_corners()[e])
     h = 1e-6
     grad_ref = np.empty((2, 2, 2))  # d(sigma row i, comp c)/d xhat_j
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        sp = evaluate(f, e, xhat0 + step)
-        sm = evaluate(f, e, xhat0 - step)
+        sp = evaluate_batch(f, xhat0 + step)[e, 0]
+        sm = evaluate_batch(f, xhat0 - step)[e, 0]
         grad_ref[..., j] = (sp - sm) / (2 * h)
-    DF, _ = map_jacobian(F, xhat0)
-    grad_phys = grad_ref @ np.linalg.inv(DF)
+    _, DF, _ = geometry_at(mesh.element_corners()[e][None], xhat0)
+    grad_phys = grad_ref @ np.linalg.inv(DF[0, 0])
     fd_div = np.array([grad_phys[0, 0, 0] + grad_phys[0, 1, 1],
                        grad_phys[1, 0, 0] + grad_phys[1, 1, 1]])
     np.testing.assert_allclose(div, fd_div, atol=1e-5)
@@ -269,4 +254,4 @@ def test_div_requires_piola():
     space = build_displacement_space(mesh, 2)
     f = FEFunction(space, np.zeros(space.n_dofs))
     with pytest.raises(ValueError):
-        evaluate_div(f, 0, np.array([0.5, 0.5]))
+        evaluate_div_batch(f, np.array([0.5, 0.5]))
