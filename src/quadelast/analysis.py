@@ -16,11 +16,13 @@ import numpy.polynomial.polynomial as npoly
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import default_quad
 from .fe_space import (
     FEFunction,
     FESpace,
     evaluate_batch,
     evaluate_div_batch,
+    scatter,
     unmapped_monomials,
 )
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at
@@ -153,15 +155,6 @@ def convergence_orders(table) -> dict:
     return out
 
 
-def _scatter(blocks: np.ndarray, rows: np.ndarray, n: int) -> sp.csr_matrix:
-    """Accumulate per-element dense blocks into an n-by-n sparse matrix."""
-    ii = np.broadcast_to(rows[:, :, None], blocks.shape)
-    jj = np.broadcast_to(rows[:, None, :], blocks.shape)
-    out = sp.coo_matrix((blocks.ravel(), (ii.ravel(), jj.ravel())),
-                        shape=(n, n))
-    return out.tocsr()
-
-
 def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,
                quad: int | None = None) -> sp.csr_matrix:
     """Block-diagonal Gram matrix of the H(div) x L2 x L2 solution norm.
@@ -183,19 +176,21 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,
     G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
     G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
     G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
-    G_row = _scatter(G, stress.row_dofs, stress.n_row_dofs)
 
     wJ = w[None, :] * J
     psi = disp.element.basis.eval(rule.points)[..., 0]
     Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-    Mv_row = _scatter(Mv, disp.row_dofs, disp.n_row_dofs)
 
     mono = unmapped_monomials(rot, X)
     Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
-    Mq_row = _scatter(Mq, rot.row_dofs, rot.n_row_dofs)
 
-    return sp.block_diag([G_row, G_row, Mv_row, Mv_row, Mq_row],
-                         format="csr")
+    sdof = stress.dofs
+    vdof = stress.n_dofs + disp.dofs
+    qdof = stress.n_dofs + disp.n_dofs + rot.dofs[0]
+    n = stress.n_dofs + disp.n_dofs + rot.n_dofs
+    return scatter([(G, sdof[0], sdof[0]), (G, sdof[1], sdof[1]),
+                    (Mv, vdof[0], vdof[0]), (Mv, vdof[1], vdof[1]),
+                    (Mq, qdof, qdof)], (n, n))
 
 
 def _check_positive_definite(N: sp.csc_matrix):
@@ -276,11 +271,8 @@ def interpolate_stress(space: FESpace, sigma, quad: int = 10) -> FEFunction:
     """
     points, W = space.element.interpolation_matrix(quad)
     sighat, _ = _reference_rows(sigma, space.mesh, points)
-    local = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
-    rows = (np.arange(2)[:, None, None] * space.n_row_dofs
-            + space.row_dofs[None])
     coef = np.zeros(space.n_dofs)
-    coef[rows.ravel()] = local.ravel()
+    coef[space.dofs] = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
     return FEFunction(space, coef)
 
 
@@ -341,11 +333,12 @@ def equilibrium_residual(sigma: FEFunction, disp: FESpace, f,
     divergence matches the projection of the load onto the displacement
     space, so the value sits at solver accuracy.  Relative to the L2 norm
     of ``f`` when that is nonzero, absolute otherwise.  The default
-    quadrature matches the assembly default; a much coarser rule would
-    measure its own integration error instead of the residual.
+    quadrature is the assembly default (:func:`assembly.default_quad`); a
+    much coarser rule would measure its own integration error instead of
+    the residual.
     """
     mesh = sigma.space.mesh
-    k = quad if quad is not None else sigma.space.element.degree + 6
+    k = quad if quad is not None else default_quad(sigma.space.element)
     rule = gauss_rule(k)
     X, _, J = geometry_at(mesh.element_corners(), rule.points)
     wJ = rule.weights[None, :] * J
@@ -394,23 +387,19 @@ def normal_jump_norm(sigma: FEFunction, n1d: int = 8) -> float:
     vals = evaluate_batch(sigma, xhat.reshape(-1, 2)).reshape(
         mesh.n_quads, 4, 2, n1d, 2, 2)
 
-    edge = mesh.quad_edges[..., 0].ravel()
-    backward = (mesh.quad_edges[..., 1].ravel() != 1).astype(np.int64)
-    quad, local = np.divmod(np.arange(edge.size), 4)
-    users = np.argsort(edge, kind="stable")
-    count = np.bincount(edge, minlength=mesh.n_edges)
-    first = np.cumsum(count) - count
-    interior = np.flatnonzero(count == 2)
+    interior = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
+    quad, local = np.divmod(mesh.edge_slots[interior], 4)  # (ni, 2) each
+    backward = (mesh.quad_edges[quad, local, 1] != 1).astype(np.int64)
 
     lo, hi = mesh.edges[interior].T
     tang = mesh.vertices[hi] - mesh.vertices[lo]
     length = np.linalg.norm(tang, axis=1)
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None]
 
-    def trace(u):
-        return np.einsum("iqrc,ic->iqr",
-                         vals[quad[u], local[u], backward[u]], normal)
+    def trace(side):
+        return np.einsum("iqrc,ic->iqr", vals[quad[:, side], local[:, side],
+                                              backward[:, side]], normal)
 
-    jump = trace(users[first[interior]]) - trace(users[first[interior] + 1])
+    jump = trace(0) - trace(1)
     total = float(np.sum(length * (np.sum(jump ** 2, axis=-1) @ w)))
     return float(np.sqrt(total))

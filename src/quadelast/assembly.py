@@ -29,12 +29,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fe_space import FESpace, unmapped_monomials
+from .fe_space import FESpace, scatter, unmapped_monomials
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
 from .problem import Compliance
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
-__all__ = ["BlockSystem", "assemble", "boundary_term"]
+__all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad"]
+
+
+def default_quad(element) -> int:
+    """Default tensor-Gauss order for a stress element of order r: r + 6.
+
+    On non-parallelogram cells the mass-block integrand carries a rational
+    1/J factor, and r + 6 pushes its quadrature tail below 1e-11 relative
+    even on strongly distorted cells.
+    """
+    return element.n_edge_dofs + 6
 
 
 @dataclass(frozen=True)
@@ -74,14 +84,6 @@ class BlockSystem:
         )
 
 
-def _check_same_mesh(*spaces: FESpace):
-    first = spaces[0].mesh
-    for s in spaces[1:]:
-        if s.mesh is not first:
-            raise ValueError("spaces must be built on the same mesh object")
-    return first
-
-
 def assemble(
     stress: FESpace,
     disp: FESpace,
@@ -96,14 +98,14 @@ def assemble(
     ``f`` is the body force (displacement-block load) and ``g`` the Dirichlet
     displacement trace (stress-block consistent boundary term); either may be
     None for a zero contribution.  ``quad`` is the tensor-Gauss order, by
-    default r+6 for a family of order r: on non-parallelogram cells the
-    mass-block integrand carries a rational 1/J factor, and r+6 pushes its
-    quadrature tail below 1e-11 relative even on strongly distorted cells.
+    default :func:`default_quad`.
     """
-    mesh = _check_same_mesh(stress, disp, rot)
+    mesh = stress.mesh
+    if not (disp.mesh is mesh and rot.mesh is mesh):
+        raise ValueError("spaces must be built on the same mesh object")
     r = stress.element.n_edge_dofs
     if quad is None:
-        quad = r + 6
+        quad = default_quad(stress.element)
     if quad < r + 1:
         warnings.warn(
             f"quadrature order {quad} is below the exactness floor {r + 1} "
@@ -114,8 +116,7 @@ def assemble(
     rule = gauss_rule(quad)
     w = rule.weights
     nq = mesh.n_quads
-    corners = mesh.element_corners()
-    X, DF, J = geometry_at(corners, rule.points)
+    X, DF, J = geometry_at(mesh.element_corners(), rule.points)
     wJ = w[None, :] * J  # (E, q)
 
     Phi = stress.element.basis.eval(rule.points)  # (dimS, q, 2)
@@ -123,11 +124,9 @@ def assemble(
     Psi = disp.element.basis.eval(rule.points)[..., 0]  # (dimV, q)
     Q = unmapped_monomials(rot, X)  # (dimQ, E, q)
 
-    dimS, dimV, dimQ = Phi.shape[0], Psi.shape[0], Q.shape[0]
+    dimS = Phi.shape[0]
     sgn = stress.row_signs  # (E, dimS)
-    sdof = stress.row_dofs
-    vdof = disp.row_dofs
-    qdof = rot.row_dofs
+    sdof = stress.dofs  # (2, E, dimS)
 
     # Unscaled Piola values DF @ phi; the true values carry an extra 1/J
     UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)  # (E, dimS, q, 2)
@@ -148,20 +147,13 @@ def assemble(
     Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
     Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
     Tflat = Bflat @ Aflat.transpose(0, 2, 1)  # (E, dimS*2, dimS*2)
+    del UPVw, Aflat, Bflat  # freed before the scatters to lower peak memory
     T = Tflat.reshape(nq, dimS, 2, dimS, 2).transpose(0, 2, 4, 1, 3)
     S0 = T[:, 0, 0] + T[:, 1, 1]  # (E, dimS, dimS): sum_q (w/J) v.w
 
     c_iso = 1.0 / (4.0 * mu)
-    rows, cols, data = [], [], []
     sign_outer = np.einsum("ei,ej->eij", sgn, sgn)
-
-    def emit(rho, rho2, block):
-        gi = rho * stress.n_row_dofs + sdof  # (E, dimS)
-        gj = rho2 * stress.n_row_dofs + sdof
-        rows.append(np.broadcast_to(gi[:, :, None], block.shape).ravel())
-        cols.append(np.broadcast_to(gj[:, None, :], block.shape).ravel())
-        data.append((sign_outer * block).ravel())
-
+    blocks = []
     # only the upper component blocks are computed; the lower ones are
     # their exact transposes, which keeps M symmetric to the last bit
     for rho in range(2):
@@ -171,53 +163,35 @@ def assemble(
             if rho == rho2:
                 block = block + (c_iso + alpha / 2.0) * S0
                 block = 0.5 * (block + block.transpose(0, 2, 1))
-                emit(rho, rho2, block)
-            else:
-                emit(rho, rho2, block)
-                emit(rho2, rho, block.transpose(0, 2, 1))
-    M = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(stress.n_dofs, stress.n_dofs),
-    ).tocsr()
+            blocks.append((sign_outer * block, sdof[rho], sdof[rho2]))
+            if rho != rho2:
+                blocks.append((sign_outer * block.transpose(0, 2, 1),
+                               sdof[rho2], sdof[rho]))
+    M = scatter(blocks, (stress.n_dofs, stress.n_dofs))
 
     # ---- Bd block: (u, div t).  J cancels: the local matrix is the fixed
     # reference integral int divphi_i psi_m, identical on every element.
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
-    rows, cols, data = [], [], []
-    for rho in range(2):
-        gv = rho * disp.n_row_dofs + vdof  # (E, dimV)
-        gs = rho * stress.n_row_dofs + sdof  # (E, dimS)
-        blk = np.einsum("ek,mk->emk", sgn, D0)  # (E, dimV, dimS)
-        rows.append(np.broadcast_to(gv[:, :, None], blk.shape).ravel())
-        cols.append(np.broadcast_to(gs[:, None, :], blk.shape).ravel())
-        data.append(blk.ravel())
-    Bd = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(disp.n_dofs, stress.n_dofs),
-    ).tocsr()
+    blk = np.einsum("ek,mk->emk", sgn, D0)  # (E, dimV, dimS)
+    Bd = scatter([(blk, disp.dofs[rho], sdof[rho]) for rho in range(2)],
+                 (disp.n_dofs, stress.n_dofs))
 
     # ---- Ba block: (p, as t).  as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1;
     # the Piola 1/J cancels the volume J, leaving weight w alone.
-    rows, cols, data = [], [], []
+    blocks = []
     for rho, (comp, s_as) in enumerate([(1, 1.0), (0, -1.0)]):
         blk = s_as * np.einsum("meq,ekq,q->emk", Q, UPV[..., comp], w)
         blk *= sgn[:, None, :]
-        gs = rho * stress.n_row_dofs + sdof
-        rows.append(np.broadcast_to(qdof[:, :, None], blk.shape).ravel())
-        cols.append(np.broadcast_to(gs[:, None, :], blk.shape).ravel())
-        data.append(blk.ravel())
-    Ba = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(rot.n_dofs, stress.n_dofs),
-    ).tocsr()
+        blocks.append((blk, rot.dofs[0], sdof[rho]))
+    Ba = scatter(blocks, (rot.n_dofs, stress.n_dofs))
 
     # ---- right-hand side
     rhs = np.zeros(stress.n_dofs + disp.n_dofs + rot.n_dofs)
     if f is not None:
         fx = np.asarray(f(X))  # (E, q, 2)
-        for rho in range(2):
-            load = np.einsum("eq,mq->em", wJ * fx[..., rho], Psi)
-            np.add.at(rhs, stress.n_dofs + rho * disp.n_row_dofs + vdof, load)
+        load = [np.einsum("eq,mq->em", wJ * fx[..., rho], Psi)
+                for rho in range(2)]
+        np.add.at(rhs, stress.n_dofs + disp.dofs, load)
     if g is not None:
         rhs[: stress.n_dofs] = boundary_term(stress, g, n1d=quad)
     return BlockSystem(
@@ -234,29 +208,19 @@ def boundary_term(stress: FESpace, g, n1d: int = 6) -> np.ndarray:
     ``int_ehat g(F(t)) . nhat phi(t) dt`` accumulated into the edge dofs.
     """
     mesh = stress.mesh
-    elem = stress.element
     t, w = gauss_rule_1d(n1d)
+    edge_pts = EDGE_STARTS[:, None, :] + t[:, None] * EDGE_DIRS[:, None, :]
+    phi = stress.element.basis.eval(edge_pts)  # (dim, 4, n1d, 2)
+
+    quad, local = np.divmod(mesh.edge_slots[mesh.boundary_edges(), 0], 4)
+    dof = np.array(stress.element.edge_dofs)[local]  # (nb, r)
+    trace = np.einsum("bkpc,bc->bkp", phi[dof, local[:, None]],
+                      EDGE_NORMALS[local])
+    N, _ = ref_shape(edge_pts[local])  # (nb, n1d, 4)
+    X = np.einsum("bpk,bkx->bpx", N, mesh.element_corners()[quad])
+    gx = np.asarray(g(X))  # (nb, n1d, 2)
+    vals = np.einsum("p,bkp,bpr->rbk", w, trace, gx)
+    vals *= stress.row_signs[quad[:, None], dof]
     out = np.zeros(stress.n_dofs)
-
-    # reference quadrature points and nodal normal traces per local edge
-    edge_pts = [EDGE_STARTS[j] + t[:, None] * EDGE_DIRS[j] for j in range(4)]
-    traces = [elem.basis.eval(edge_pts[j]) @ EDGE_NORMALS[j] for j in range(4)]
-
-    on_boundary = np.zeros(mesh.n_edges, dtype=bool)
-    on_boundary[mesh.boundary_edges()] = True
-    corners = mesh.element_corners()
-
-    for q in range(mesh.n_quads):
-        for j in range(4):
-            edge, _ = mesh.quad_edges[q, j]
-            if not on_boundary[edge]:
-                continue
-            N, _ = ref_shape(edge_pts[j])
-            gx = np.asarray(g(N @ corners[q]))  # (n1d, 2)
-            for i in elem.edge_dofs[j]:
-                for rho in range(2):
-                    val = (w * traces[j][i]) @ gx[:, rho]
-                    gidx = rho * stress.n_row_dofs + stress.row_dofs[q, i]
-                    out[gidx] += stress.row_signs[q, i] * val
+    np.add.at(out, stress.dofs[:, quad[:, None], dof], vals)
     return out
-

@@ -9,7 +9,7 @@ errors.
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,9 @@ CSV_COLUMNS = ("h,e_sigma,pct_sigma,ord_sigma,e_div,pct_div,ord_div,"
                "e_u,pct_u,ord_u,e_p,pct_p,ord_p")
 LOCKING_COLUMNS = "nu,n,total_dofs,e_sigma,e_u"
 
+#: Default material of every study.
+DEFAULT_PARAMS = LameParams(mu=79.3, lam=123.0)
+
 #: Default Poisson-ratio sweep for the locking study.
 LOCKING_NUS = (0.3, 0.49, 0.499, 0.4999)
 
@@ -68,8 +71,7 @@ class RunConfig:
     mesh_family: str = "square"
     distortion: float = 1.0 / 6.0
     levels: tuple = (2, 4, 8, 16, 32, 64)
-    params: LameParams = field(default_factory=lambda: LameParams(mu=79.3,
-                                                                  lam=123.0))
+    params: LameParams = DEFAULT_PARAMS
     quad: int | None = None
     fmt: str = "csv"
     out: str | None = None
@@ -239,18 +241,14 @@ class Diagnostic:
 
 def _corrupt_edge_sign(space):
     """Flip one shared-edge dof sign in one element (fault-injection hook)."""
-    mesh = space.mesh
-    interior = np.setdiff1d(np.arange(mesh.n_edges), mesh.boundary_edges())
+    slots = space.mesh.edge_slots
+    interior = np.flatnonzero(slots[:, 1] >= 0)
     if interior.size == 0:
         raise ConfigError("sign corruption needs a mesh with interior edges")
-    target = int(interior[0])
+    quad, local = divmod(int(slots[interior[0], 0]), 4)
     signs = space.row_signs.copy()
-    for q in range(mesh.n_quads):
-        for j in range(4):
-            if int(mesh.quad_edges[q, j, 0]) == target:
-                signs[q, space.element.edge_dofs[j][0]] *= -1.0
-                return replace(space, row_signs=signs)
-    raise AssertionError("interior edge not found in incidence table")
+    signs[quad, space.element.edge_dofs[local][0]] *= -1.0
+    return replace(space, row_signs=signs)
 
 
 def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
@@ -408,7 +406,7 @@ def _resolve_params(args) -> LameParams:
         if args.E is None or args.nu is None:
             raise ConfigError("--E and --nu must be given together")
         return LameParams.from_young_poisson(args.E, args.nu)
-    return LameParams(mu=79.3, lam=123.0)
+    return DEFAULT_PARAMS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,9 @@ kinds:
   for the rotation multiplier.
 
 Multi-component spaces (matrix-valued stress, vector displacement) store one
-dof block per row: global dof = row * n_row_dofs + row-local dof.
+dof block per row: global dof = row * n_row_dofs + row-local dof, which
+``FESpace.dofs`` tabulates for every element; :func:`scatter` sums
+per-element blocks into global matrices through it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import QuadMesh
 from .mapping import geometry_at
@@ -47,6 +50,7 @@ __all__ = [
     "build_displacement_space",
     "build_rotation_space",
     "build_elasticity_spaces",
+    "scatter",
     "evaluate_batch",
     "evaluate_div_batch",
     "unmapped_monomials",
@@ -104,6 +108,15 @@ class FESpace:
     def local_dim(self) -> int:
         return self.row_dofs.shape[1]
 
+    @property
+    def dofs(self) -> np.ndarray:
+        """Global dof of every local basis function of every row.
+
+        Shape (components, nq, local_dim): ``rho * n_row_dofs + row_dofs``.
+        """
+        rows = np.arange(self.components)[:, None, None] * self.n_row_dofs
+        return rows + self.row_dofs
+
     def local_coefficients(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-element, per-row coefficients including orientation signs.
 
@@ -114,11 +127,7 @@ class FESpace:
             raise ValueError(
                 f"expected {self.n_dofs} coefficients, got {coefficients.shape}"
             )
-        out = np.empty((self.components, self.mesh.n_quads, self.local_dim))
-        for rho in range(self.components):
-            block = coefficients[rho * self.n_row_dofs:(rho + 1) * self.n_row_dofs]
-            out[rho] = block[self.row_dofs] * self.row_signs
-        return out
+        return coefficients[self.dofs] * self.row_signs
 
 
 @dataclass
@@ -144,51 +153,42 @@ def build_stress_space(mesh: QuadMesh, family: str) -> FESpace:
     r = elem.n_edge_dofs
     n_int = len(elem.interior_dofs)
     nq, ne = mesh.n_quads, mesh.n_edges
+    edge, orient = mesh.quad_edges[..., :1], mesh.quad_edges[..., 1:]
+    m = np.arange(r)  # edge_dofs[j] lists local edge j's dofs by degree m
     row_dofs = np.empty((nq, elem.dim), dtype=np.int64)
     row_signs = np.ones((nq, elem.dim))
-    for q in range(nq):
-        for j in range(4):
-            edge, orient = mesh.quad_edges[q, j]
-            for dof_i in elem.edge_dofs[j]:
-                deg = elem.dofs[dof_i].degree
-                row_dofs[q, dof_i] = edge * r + deg
-                if orient == -1:
-                    row_signs[q, dof_i] = (-1.0) ** (deg + 1)
-        for k, dof_i in enumerate(elem.interior_dofs):
-            row_dofs[q, dof_i] = ne * r + q * n_int + k
+    row_dofs[:, elem.edge_dofs] = edge * r + m
+    row_signs[:, elem.edge_dofs] = np.where(orient == -1, (-1.0) ** (m + 1), 1.0)
+    row_dofs[:, list(elem.interior_dofs)] = (
+        ne * r + np.arange(nq * n_int).reshape(nq, n_int))
     return FESpace(mesh, elem, PIOLA, 2, row_dofs, row_signs,
                    n_row_dofs=ne * r + nq * n_int)
 
 
-def _discontinuous_dofs(nq: int, dim: int):
+def _discontinuous_space(mesh: QuadMesh, elem, kind, components, **extra):
+    nq, dim = mesh.n_quads, elem.dim
     row_dofs = np.arange(nq * dim, dtype=np.int64).reshape(nq, dim)
-    return row_dofs, np.ones((nq, dim))
+    return FESpace(mesh, elem, kind, components, row_dofs, np.ones((nq, dim)),
+                   n_row_dofs=nq * dim, **extra)
 
 
 def build_displacement_space(mesh: QuadMesh, r: int) -> FESpace:
     """Vector displacement space, Q_{r-1} per component, mapped by composition."""
     if r < 1:
         raise ValueError("family order r must be >= 1")
-    elem = q_element(r - 1)
-    row_dofs, row_signs = _discontinuous_dofs(mesh.n_quads, elem.dim)
-    return FESpace(mesh, elem, COMPOSE, 2, row_dofs, row_signs,
-                   n_row_dofs=mesh.n_quads * elem.dim)
+    return _discontinuous_space(mesh, q_element(r - 1), COMPOSE, 2)
 
 
 def build_rotation_space(mesh: QuadMesh, r: int) -> FESpace:
     """Scalar rotation space, unmapped P_{r-1} in scaled element coordinates."""
     if r < 1:
         raise ValueError("family order r must be >= 1")
-    elem = p_element(r - 1)
-    row_dofs, row_signs = _discontinuous_dofs(mesh.n_quads, elem.dim)
-    p = mesh.element_corners()
-    centers = p.mean(axis=1)
-    scales = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=-1).max(axis=(1, 2))
     exponents = np.array([(i, j) for i in range(r) for j in range(r - i)],
                          dtype=np.int64)
-    return FESpace(mesh, elem, UNMAPPED, 1, row_dofs, row_signs,
-                   n_row_dofs=mesh.n_quads * elem.dim,
-                   centers=centers, scales=scales, exponents=exponents)
+    return _discontinuous_space(mesh, p_element(r - 1), UNMAPPED, 1,
+                                centers=mesh.element_corners().mean(axis=1),
+                                scales=mesh.diameters,
+                                exponents=exponents)
 
 
 def build_elasticity_spaces(mesh: QuadMesh, family: str):
@@ -199,6 +199,23 @@ def build_elasticity_spaces(mesh: QuadMesh, family: str):
         build_displacement_space(mesh, r),
         build_rotation_space(mesh, r),
     )
+
+
+def scatter(blocks, shape) -> sp.csr_matrix:
+    """Sum per-element dense blocks into one sparse matrix.
+
+    ``blocks`` holds ``(values, rows, cols)`` triples: ``values[e, i, j]``
+    is added at global ``(rows[e, i], cols[e, j])``.
+    """
+    data, ii, jj = [], [], []
+    for values, rows, cols in blocks:
+        data.append(values.ravel())
+        ii.append(np.broadcast_to(rows[:, :, None], values.shape).ravel())
+        jj.append(np.broadcast_to(cols[:, None, :], values.shape).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(ii), np.concatenate(jj))),
+        shape=shape,
+    ).tocsr()
 
 
 def unmapped_monomials(space: FESpace, X: np.ndarray) -> np.ndarray:

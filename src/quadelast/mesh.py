@@ -38,13 +38,10 @@ def corner_jacobians(vertices: np.ndarray, quads: np.ndarray) -> np.ndarray:
     Returns an array of shape (n_quads, 4).
     """
     p = vertices[quads]  # (nq, 4, 2)
-    jac = np.empty((len(quads), 4))
-    for c in range(4):
-        # At corner c the two Jacobian columns are the edge vectors leaving it.
-        e_next = p[:, (c + 1) % 4] - p[:, c]
-        e_prev = p[:, (c + 3) % 4] - p[:, c]
-        jac[:, c] = e_next[:, 0] * e_prev[:, 1] - e_next[:, 1] * e_prev[:, 0]
-    return jac
+    # at corner c the two Jacobian columns are the edge vectors leaving it
+    e_next = np.roll(p, -1, axis=1) - p
+    e_prev = np.roll(p, 1, axis=1) - p
+    return e_next[..., 0] * e_prev[..., 1] - e_next[..., 1] * e_prev[..., 0]
 
 
 @dataclass(frozen=True)
@@ -52,16 +49,22 @@ class QuadMesh:
     """Conforming mesh of strictly convex quadrilaterals.
 
     Vertices and quads are given; edge topology is derived on construction.
-    Edges are keyed by their sorted vertex pair and directed lo -> hi, so a
-    shared edge has one well-defined global direction.  ``quad_edges`` stores,
-    per quad, four ``(edge index, orientation)`` pairs where orientation is +1
-    when the quad's counterclockwise traversal runs lo -> hi and -1 otherwise.
+    Edges are keyed by their sorted vertex pair, directed lo -> hi and
+    numbered by first use, so a shared edge has one well-defined global
+    direction.  ``quad_edges`` stores, per quad, four ``(edge index,
+    orientation)`` pairs where orientation is +1 when the quad's
+    counterclockwise traversal runs lo -> hi and -1 otherwise.
+    ``edge_slots`` lists, per edge, the local edge slots ``4 * quad + j``
+    that use it in increasing order, with -1 as the second slot of a
+    boundary edge.
     """
 
     vertices: np.ndarray  # (nv, 2) float
     quads: np.ndarray  # (nq, 4) int, counterclockwise
     edges: np.ndarray = field(init=False)  # (ne, 2) int, lo < hi
     quad_edges: np.ndarray = field(init=False)  # (nq, 4, 2) int: (edge, +-1)
+    edge_slots: np.ndarray = field(init=False)  # (ne, 2) int, -1 on boundary
+    diameters: np.ndarray = field(init=False)  # (nq,) float
     h: float = field(init=False)
 
     def __post_init__(self):
@@ -73,6 +76,10 @@ class QuadMesh:
             raise ValueError("quads must have shape (nq, 4)")
         if not np.all(np.isfinite(vertices)):
             raise ValueError("vertex coordinates must be finite")
+        if quads.size and (quads.min() < 0 or quads.max() >= len(vertices)):
+            raise ValueError(
+                f"vertex indices must lie in [0, {len(vertices)}); "
+                f"got {quads.min()} to {quads.max()}")
 
         jac = corner_jacobians(vertices, quads)
         if not np.all(jac > 0.0):
@@ -82,37 +89,39 @@ class QuadMesh:
                 f"(corner Jacobians {jac[bad]})"
             )
 
-        edge_ids: dict[tuple[int, int], int] = {}
-        quad_edges = np.empty((len(quads), 4, 2), dtype=np.int64)
-        edge_count: list[int] = []
-        for q, quad in enumerate(quads):
-            for j, (a, b) in enumerate(LOCAL_EDGES):
-                va, vb = int(quad[a]), int(quad[b])
-                key = (va, vb) if va < vb else (vb, va)
-                e = edge_ids.setdefault(key, len(edge_ids))
-                if e == len(edge_count):
-                    edge_count.append(0)
-                edge_count[e] += 1
-                quad_edges[q, j] = (e, 1 if va < vb else -1)
-        edges = np.array(list(edge_ids.keys()), dtype=np.int64)
+        pairs = quads[:, LOCAL_EDGES].reshape(-1, 2)  # one row per slot
+        keys = np.sort(pairs, axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        # number the edges by first use: edge k opens at slot first_slot[k]
+        edge = np.argsort(np.argsort(first))[inverse.ravel()]
+        first_slot = np.sort(first)
+        edges = keys[first_slot]
+        orient = np.where(pairs[:, 0] < pairs[:, 1], 1, -1)
+        quad_edges = np.stack([edge, orient], axis=-1).reshape(-1, 4, 2)
 
-        counts = np.asarray(edge_count)
-        if counts.max(initial=0) > 2:
+        if np.bincount(edge).max(initial=0) > 2:
             raise ValueError("non-manifold mesh: an edge is shared by >2 quads")
         if len(vertices) - len(edges) + len(quads) != 1:
             raise ValueError("Euler count check failed; mesh is not a simply "
                              "connected quad partition")
+        edge_slots = np.full((len(edges), 2), -1, dtype=np.int64)
+        edge_slots[:, 0] = first_slot
+        later = np.ones(len(edge), dtype=bool)
+        later[first_slot] = False
+        edge_slots[edge[later], 1] = np.flatnonzero(later)
 
         p = vertices[quads]
-        diams = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=-1)
-        h = float(diams.max())
+        diameters = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :],
+                                   axis=-1).max(axis=(1, 2))
 
         for name, value in (("vertices", vertices), ("quads", quads),
-                            ("edges", edges), ("quad_edges", quad_edges)):
+                            ("edges", edges), ("quad_edges", quad_edges),
+                            ("edge_slots", edge_slots),
+                            ("diameters", diameters)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "_edge_use", counts)
+        object.__setattr__(self, "h", float(diameters.max()))
 
     @property
     def n_vertices(self) -> int:
@@ -128,7 +137,7 @@ class QuadMesh:
 
     def boundary_edges(self) -> np.ndarray:
         """Indices of edges adjacent to exactly one quad."""
-        return np.flatnonzero(self._edge_use == 1)
+        return np.flatnonzero(self.edge_slots[:, 1] < 0)
 
     def element_corners(self) -> np.ndarray:
         """Corner coordinates per element, shape (nq, 4, 2)."""
@@ -159,27 +168,20 @@ def mesh_quality(mesh: QuadMesh) -> MeshQuality:
     rho_K is the smallest inscribed-circle diameter among the four triangles
     obtained by dropping one vertex of the quadrilateral.
     """
-    p = mesh.element_corners()
-    diam = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=-1).max(axis=(1, 2))
-    rho = np.full(mesh.n_quads, np.inf)
-    for drop in range(4):
-        keep = [k for k in range(4) if k != drop]
-        d = _incircle_diameter(p[:, keep[0]], p[:, keep[1]], p[:, keep[2]])
-        rho = np.minimum(rho, d)
-    return MeshQuality(h_max=float(diam.max()),
-                       shape_regularity=float((diam / rho).max()))
+    # corners of the triangle left by dropping corner k, for k = 0..3
+    tri = mesh.element_corners()[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]
+    rho = _incircle_diameter(tri[..., 0, :], tri[..., 1, :],
+                             tri[..., 2, :]).min(axis=1)
+    return MeshQuality(h_max=mesh.h,
+                       shape_regularity=float((mesh.diameters / rho).max()))
 
 
 def _grid_quads(n: int) -> np.ndarray:
     """Counterclockwise quads for an (n+1) x (n+1) vertex grid, row-major."""
-    idx = lambda i, j: j * (n + 1) + i
-    quads = np.empty((n * n, 4), dtype=np.int64)
-    q = 0
-    for j in range(n):
-        for i in range(n):
-            quads[q] = (idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1))
-            q += 1
-    return quads
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    corner = j * (n + 1) + i
+    return np.stack([corner, corner + 1, corner + n + 2, corner + n + 1],
+                    axis=1)
 
 
 def generate_square_mesh(n: int) -> QuadMesh:
@@ -222,10 +224,8 @@ def write_mesh(mesh: QuadMesh, path) -> None:
     """Write the plain-text format: header, vertex lines, quad lines."""
     with open(path, "w") as fh:
         fh.write(f"quadmesh {mesh.n_vertices} {mesh.n_quads}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for quad in mesh.quads:
-            fh.write("{} {} {} {}\n".format(*quad))
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
+        np.savetxt(fh, mesh.quads, fmt="%d")
 
 
 def read_mesh(path) -> QuadMesh:

@@ -14,7 +14,7 @@ from quadelast.fe_space import (
     evaluate_batch,
 )
 from quadelast.problem import Compliance, LameParams, linear_solution, trig_solution
-from quadelast.assembly import BlockSystem, assemble
+from quadelast.assembly import BlockSystem, assemble, default_quad
 from quadelast.solver import solve
 from quadelast.analysis import (
     INFSUP_CAP,
@@ -249,6 +249,16 @@ def test_discrete_equilibrium(family, mesh_fn):
     sol = trig_solution(PARAMS)
     sh, uh, _, system = solve_triple(mesh_fn(4), family, sol)
     assert equilibrium_residual(sh, uh.space, sol.f) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
+def test_equilibrium_residual_uses_assembly_quadrature(family):
+    sol = trig_solution(PARAMS)
+    sh, uh, _, _ = solve_triple(generate_trapezoidal_mesh(4), family, sol)
+    quad = default_quad(sh.space.element)
+    assert quad == sh.space.element.n_edge_dofs + 6
+    assert (equilibrium_residual(sh, uh.space, sol.f)
+            == equilibrium_residual(sh, uh.space, sol.f, quad=quad))
 
 
 def test_discrete_asymmetry_orthogonality():

@@ -250,9 +250,16 @@ def test_runconfig_defaults_validate():
     config = RunConfig()
     assert config.levels[-1] == 64
     assert config.params.lam == 123.0 and config.params.mu == 79.3
+    assert config.params is cli.DEFAULT_PARAMS
     with pytest.raises(ConfigError, match="powers of 2"):
         RunConfig(levels=(2, 6))
     with pytest.raises(ConfigError, match="increasing"):
         RunConfig(levels=(4, 4))
     with pytest.raises(ConfigError, match="element"):
         RunConfig(element="p2")
+
+
+def test_material_flags_default_to_the_config_default():
+    args = cli.build_parser().parse_args(["convergence"])
+    assert cli._resolve_params(args) is cli.DEFAULT_PARAMS
+    assert cli._config_from_args(args).params == RunConfig().params

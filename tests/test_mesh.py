@@ -153,3 +153,30 @@ def test_mesh_io_rejects_garbage(tmp_path):
     path.write_text("trimesh 3 1\n")
     with pytest.raises(ValueError):
         read_mesh(path)
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("quad", [[0, 1, 2, -1], [0, 1, 2, 4], [7, 1, 2, 3]])
+def test_vertex_index_out_of_range_rejected(quad):
+    with pytest.raises(ValueError, match="vertex indices"):
+        QuadMesh(UNIT_SQUARE, np.array([quad]))
+
+
+@pytest.mark.parametrize("bad", ["0 1 2 -1", "0 1 2 4"])
+def test_read_mesh_rejects_vertex_index_out_of_range(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text("quadmesh 4 1\n0 0\n1 0\n1 1\n0 1\n" + bad + "\n")
+    with pytest.raises(ValueError, match="vertex indices"):
+        read_mesh(path)
+
+
+def test_cell_diameters():
+    mesh = generate_trapezoidal_mesh(3, 1.0 / 6.0)
+    p = mesh.element_corners()
+    expected = [max(np.linalg.norm(a - b) for a in cell for b in cell)
+                for cell in p]
+    np.testing.assert_allclose(mesh.diameters, expected, rtol=1e-15)
+    assert mesh.h == max(mesh.diameters)
+    assert mesh_quality(mesh).h_max == mesh.h
