@@ -79,7 +79,22 @@ class ConvergenceTable:
             raise ValueError("rows must be ordered by decreasing h")
 
     def orders(self) -> dict:
-        return convergence_orders(self)
+        """Observed orders log2(e(2h)/e(h)) between successive rows.
+
+        The mesh sizes must halve from row to row; anything else is
+        rejected because the log2 quotient would not be an order.
+        """
+        if len(self.rows) < 2:
+            raise ValueError("need at least two rows to compute orders")
+        hs = np.array([row.h for row in self.rows])
+        if not np.allclose(hs[:-1] / hs[1:], 2.0, rtol=1e-9, atol=0.0):
+            raise ValueError("mesh sizes must halve between successive rows")
+        out = {}
+        for name in QUANTITIES:
+            errs = np.array([row.errors()[name] for row in self.rows])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[name] = np.log2(errs[:-1] / errs[1:])
+        return out
 
 
 def _pct(err: float, exact: float) -> float:
@@ -132,27 +147,6 @@ def compute_errors(sigma: FEFunction, u: FEFunction, p: FEFunction,
         pct_u=_pct(e_u, norm(np.sum(u_ex ** 2, axis=-1))),
         pct_p=_pct(e_p, norm(p_ex ** 2)),
     )
-
-
-def convergence_orders(table) -> dict:
-    """Observed orders log2(e(2h)/e(h)) between successive rows.
-
-    Accepts a ConvergenceTable or a sequence of ErrorReport rows.  The
-    mesh sizes must halve from row to row; anything else is rejected
-    because the log2 quotient would not be an order.
-    """
-    rows = list(table.rows if isinstance(table, ConvergenceTable) else table)
-    if len(rows) < 2:
-        raise ValueError("need at least two rows to compute orders")
-    hs = np.array([row.h for row in rows])
-    if not np.allclose(hs[:-1] / hs[1:], 2.0, rtol=1e-9, atol=0.0):
-        raise ValueError("mesh sizes must halve between successive rows")
-    out = {}
-    for name in QUANTITIES:
-        errs = np.array([row.errors()[name] for row in rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[name] = np.log2(errs[:-1] / errs[1:])
-    return out
 
 
 def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,

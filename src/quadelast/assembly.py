@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_monomials
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
-from .problem import Compliance
+from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
 __all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad"]
@@ -88,7 +88,7 @@ def assemble(
     stress: FESpace,
     disp: FESpace,
     rot: FESpace,
-    compliance: Compliance,
+    params: LameParams,
     f=None,
     g=None,
     quad: int | None = None,
@@ -131,43 +131,27 @@ def assemble(
     # Unscaled Piola values DF @ phi; the true values carry an extra 1/J
     UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)  # (E, dimS, q, 2)
 
-    # ---- M block: (A s, t).  With s = e_rho (x) v, t = e_rho' (x) w:
-    #   (A s):t = (1/4mu + a/2) d_{rho rho'} v.w + (1/4mu - a/2) v_rho' w_rho
-    #             - (c/2mu) v_rho w_rho'
-    # where a is the skew factor and c = lambda/(2mu+2lambda).  Each Piola
-    # factor contributes 1/J, the volume element J, so the net weight is w/J.
-    mu = compliance.params.mu
-    lam = compliance.params.lam
-    alpha = compliance.skew_factor
-    c_tr = lam / (2.0 * mu + 2.0 * lam)
+    # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j the
+    # integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C on
+    # vec(tau).  Each Piola factor contributes 1/J, the volume element J,
+    # so the net weight is w/J.
     w_over_J = w[None, :] / J  # (E, q)
-
     UPVw = UPV * w_over_J[:, None, :, None]
-    # T[e, a, b, i, j] = sum_q (w/J) UPV[e,i,q,a] UPV[e,j,q,b]
+    # T[e, i, a, j, b] = sum_q (w/J) UPV[e,i,q,a] UPV[e,j,q,b]
     Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
     Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
-    Tflat = Bflat @ Aflat.transpose(0, 2, 1)  # (E, dimS*2, dimS*2)
+    T = (Bflat @ Aflat.transpose(0, 2, 1)).reshape(nq, dimS, 2, dimS, 2)
     del UPVw, Aflat, Bflat  # freed before the scatters to lower peak memory
-    T = Tflat.reshape(nq, dimS, 2, dimS, 2).transpose(0, 2, 4, 1, 3)
-    S0 = T[:, 0, 0] + T[:, 1, 1]  # (E, dimS, dimS): sum_q (w/J) v.w
-
-    c_iso = 1.0 / (4.0 * mu)
-    sign_outer = np.einsum("ei,ej->eij", sgn, sgn)
-    blocks = []
-    # only the upper component blocks are computed; the lower ones are
-    # their exact transposes, which keeps M symmetric to the last bit
-    for rho in range(2):
-        for rho2 in range(rho, 2):
-            block = (c_iso - alpha / 2.0) * T[:, rho2, rho] \
-                - (c_tr / (2.0 * mu)) * T[:, rho, rho2]
-            if rho == rho2:
-                block = block + (c_iso + alpha / 2.0) * S0
-                block = 0.5 * (block + block.transpose(0, 2, 1))
-            blocks.append((sign_outer * block, sdof[rho], sdof[rho2]))
-            if rho != rho2:
-                blocks.append((sign_outer * block.transpose(0, 2, 1),
-                               sdof[rho2], sdof[rho]))
-    M = scatter(blocks, (stress.n_dofs, stress.n_dofs))
+    C = compliance_matrix(params).reshape(2, 2, 2, 2)
+    # optimize=True contracts through BLAS: 7.5 ms against 23 ms for a
+    # plain einsum at rt2 n = 32 (1,024 cells, 2 vCPUs)
+    L = np.einsum("xayb,eiajb->exiyj", C, T, optimize=True).reshape(
+        nq, 2 * dimS, 2 * dimS)
+    L = 0.5 * (L + L.transpose(0, 2, 1))  # keeps M symmetric to the last bit
+    sgn2 = np.tile(sgn, 2)
+    L *= sgn2[:, :, None] * sgn2[:, None, :]
+    sdof2 = np.concatenate(sdof, axis=1)  # (E, 2 dimS), rows stacked
+    M = scatter([(L, sdof2, sdof2)], (stress.n_dofs, stress.n_dofs))
 
     # ---- Bd block: (u, div t).  J cancels: the local matrix is the fixed
     # reference integral int divphi_i psi_m, identical on every element.

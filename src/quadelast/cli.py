@@ -32,7 +32,7 @@ from .mesh import (
     mesh_quality,
     write_mesh,
 )
-from .problem import Compliance, LameParams, trig_solution
+from .problem import LameParams, trig_solution
 from .solver import SolverError, solve
 
 __all__ = [
@@ -102,6 +102,14 @@ class RunConfig:
             if not 0.0 <= nu < 0.5:
                 raise ConfigError(
                     f"Poisson ratio must lie in [0, 1/2), got {nu}")
+            # rejects a Young modulus that is not finite and positive, and
+            # a pair whose lambda overflows as nu -> 1/2
+            try:
+                LameParams.from_young_poisson(self.young, nu)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"Young modulus {self.young:g} with Poisson ratio {nu:g} "
+                    f"is not an admissible material: {exc}") from None
 
 
 def build_mesh(config: RunConfig, n: int):
@@ -113,7 +121,7 @@ def build_mesh(config: RunConfig, n: int):
 def _solve_level(config: RunConfig, n: int, solution):
     mesh = build_mesh(config, n)
     spaces = build_elasticity_spaces(mesh, config.element)
-    system = assemble(*spaces, Compliance(solution.params),
+    system = assemble(*spaces, solution.params,
                       f=solution.f, g=solution.g, quad=config.quad)
     report = solve(system)
     sh, uh, ph = system.split(report.solution)
@@ -300,7 +308,7 @@ def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
 
     estimates = []
     for sp_n in levels:
-        system = assemble(*sp_n, Compliance(config.params), quad=config.quad)
+        system = assemble(*sp_n, config.params, quad=config.quad)
         estimates.append(infsup_estimate(system, ynorm_gram(*sp_n)))
     lo, hi = min(estimates), max(estimates)
     variation = (hi - lo) / lo if lo > 0 else float("inf")

@@ -4,9 +4,11 @@ The compliance tensor is the isotropic plane-strain law
 
     A tau = (1/2mu) (tau - lambda/(2mu+2lambda) tr(tau) I)
 
-on symmetric matrices, extended to skew-symmetric matrices as a positive
-multiple of the identity (``skew_factor``, by default 1/2mu so the one
-formula above covers all of M).  The benchmark displacement
+on all 2x2 matrices: the weakly symmetric method applies it to a discrete
+stress that is not symmetric, so the skew part is scaled by 1/2mu like the
+deviatoric part (Arnold, Falk & Winther, Math. Comp. 76, 2007).
+:func:`compliance_matrix` is the one place the law is written.  The
+benchmark displacement
 
     u1 = cos(pi x) sin(2 pi y),    u2 = sin(pi x) cos(pi y)
 
@@ -18,6 +20,7 @@ weak form's consistent boundary term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,9 +28,7 @@ import numpy as np
 
 __all__ = [
     "LameParams",
-    "Compliance",
     "ManufacturedSolution",
-    "compliance_apply",
     "compliance_matrix",
     "trig_solution",
 ]
@@ -35,7 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LameParams:
-    """Lame constants with the admissible range mu > 0, lambda >= 0."""
+    """Lame constants with the admissible range mu > 0, lambda >= 0.
+
+    Both must be finite, and so must 2(mu + lambda) and 1/(2 mu), which the
+    compliance law divides by and multiplies with.
+    """
 
     mu: float
     lam: float
@@ -45,6 +50,11 @@ class LameParams:
             raise ValueError("mu must be positive")
         if not self.lam >= 0:
             raise ValueError("lambda must be nonnegative")
+        mu, lam = float(self.mu), float(self.lam)
+        if not (math.isfinite(2.0 * (mu + lam))
+                and math.isfinite(1.0 / (2.0 * mu))):
+            raise ValueError("mu and lambda must be finite, and neither "
+                             "2(mu + lambda) nor 1/(2 mu) may overflow")
 
     @classmethod
     def from_young_poisson(cls, E: float, nu: float) -> "LameParams":
@@ -55,39 +65,16 @@ class LameParams:
                    lam=E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu)))
 
 
-@dataclass(frozen=True)
-class Compliance:
-    """Compliance operator on 2x2 matrices, SPD for mu > 0, lambda >= 0."""
+def compliance_matrix(params: LameParams) -> np.ndarray:
+    """4x4 matrix of the compliance on vec(tau) = (t11, t12, t21, t22).
 
-    params: LameParams
-    skew_factor: float | None = None  # default 1/(2 mu)
-
-    def __post_init__(self):
-        if self.skew_factor is None:
-            object.__setattr__(self, "skew_factor",
-                               1.0 / (2.0 * self.params.mu))
-        if not self.skew_factor > 0:
-            raise ValueError("skew_factor must be positive")
-
-
-def compliance_apply(A: Compliance, tau: np.ndarray) -> np.ndarray:
-    """Apply the compliance to matrices of shape (..., 2, 2)."""
-    tau = np.asarray(tau, dtype=float)
-    mu, lam = A.params.mu, A.params.lam
-    sym = 0.5 * (tau + np.swapaxes(tau, -1, -2))
-    skw = tau - sym
-    tr = sym[..., 0, 0] + sym[..., 1, 1]
-    out = (sym - (lam / (2.0 * mu + 2.0 * lam)) * tr[..., None, None] * np.eye(2))
-    return out / (2.0 * mu) + A.skew_factor * skw
-
-
-def compliance_matrix(A: Compliance) -> np.ndarray:
-    """4x4 matrix of the compliance on vec(tau) = (t11, t12, t21, t22)."""
-    out = np.empty((4, 4))
-    basis = np.eye(4).reshape(4, 2, 2)
-    for j in range(4):
-        out[:, j] = compliance_apply(A, basis[j]).reshape(4)
-    return out
+    (I - c vec(I) vec(I)^T) / (2 mu) with c = lambda/(2mu+2lambda): the
+    eigenvalue is 1/(2(mu+lambda)) on multiples of the identity and 1/(2mu)
+    on their orthogonal complement, skew-symmetric matrices included.
+    """
+    vec_i = np.eye(2).reshape(4)
+    c = params.lam / (2.0 * params.mu + 2.0 * params.lam)
+    return (np.eye(4) - c * np.outer(vec_i, vec_i)) / (2.0 * params.mu)
 
 
 @dataclass(frozen=True)
@@ -109,39 +96,6 @@ class ManufacturedSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "g", self.u)
-
-
-def linear_solution(params: LameParams,
-                    grad: np.ndarray | None = None) -> ManufacturedSolution:
-    """Linear displacement with constant stress and zero body force.
-
-    The patch-test problem: every field lies in the coarsest discrete
-    spaces, so a working method reproduces the triple to solver accuracy
-    on any admissible mesh.
-    """
-    U = np.array([[0.3, 0.1], [0.2, -0.4]]) if grad is None else np.asarray(grad)
-    mu, lam = params.mu, params.lam
-    eps = 0.5 * (U + U.T)
-    sig = 2.0 * mu * eps + lam * np.trace(U) * np.eye(2)
-    rot = 0.5 * (U[0, 1] - U[1, 0])
-
-    def u(x):
-        return np.asarray(x) @ U.T
-
-    def grad_u(x):
-        return np.broadcast_to(U, np.asarray(x).shape[:-1] + (2, 2))
-
-    def p(x):
-        return np.broadcast_to(rot, np.asarray(x).shape[:-1])
-
-    def sigma(x):
-        return np.broadcast_to(sig, np.asarray(x).shape[:-1] + (2, 2))
-
-    def f(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (2,))
-
-    return ManufacturedSolution(params=params, u=u, grad_u=grad_u, p=p,
-                                sigma=sigma, f=f)
 
 
 def trig_solution(params: LameParams) -> ManufacturedSolution:

@@ -213,16 +213,6 @@ class ReferenceElement:
         """
         return _dof_points(order), _dof_weights(self.dofs, self.ncomp, order)
 
-    def interpolate(self, field, order: int = 10) -> np.ndarray:
-        """Canonical interpolation: apply every dof functional to ``field``.
-
-        ``order`` sets the quadrature used inside the functionals; exact for
-        polynomial fields, and the knob to turn for rational pullbacks.
-        """
-        points, W = self.interpolation_matrix(order)
-        vals = np.asarray(field(points)).reshape(len(points), self.ncomp)
-        return np.einsum("ipc,pc->i", W, vals)
-
 
 def _legendre_product(i: int, j: int, shape: tuple[int, int]) -> np.ndarray:
     """Coefficient array of P_i(2x-1) P_j(2y-1), zero-padded to ``shape``."""

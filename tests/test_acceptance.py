@@ -41,12 +41,7 @@ from quadelast.fe_space import (
 )
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
-from quadelast.problem import (
-    Compliance,
-    LameParams,
-    linear_solution,
-    trig_solution,
-)
+from quadelast.problem import LameParams, trig_solution
 from quadelast.reference_elements import (
     EDGE_DIRS,
     EDGE_NORMALS,
@@ -57,6 +52,8 @@ from quadelast.reference_elements import (
     rt_element,
 )
 from quadelast.solver import solve
+
+from helpers import interpolate, linear_solution
 
 STATED = LameParams(mu=79.3, lam=123.0)
 #: Assignment that reproduces the reference magnitudes (module docstring).
@@ -74,7 +71,7 @@ def make_mesh(mesh_family, n):
 def solve_one(element, mesh_family, n, solution):
     mesh = make_mesh(mesh_family, n)
     spaces = build_elasticity_spaces(mesh, element)
-    system = assemble(*spaces, Compliance(solution.params),
+    system = assemble(*spaces, solution.params,
                       f=solution.f, g=solution.g)
     report = solve(system)
     parts = system.split(report.solution)
@@ -292,7 +289,7 @@ def _unisolvence_residual(elem):
             return np.stack([npoly.polyval2d(x, y, c[0]),
                              npoly.polyval2d(x, y, c[1])], axis=-1)
 
-        D[:, j] = elem.interpolate(f, order=elem.degree + 4)
+        D[:, j] = interpolate(elem, f, order=elem.degree + 4)
     return float(np.abs(D - np.eye(elem.dim)).max())
 
 
@@ -372,7 +369,7 @@ def test_criterion_6_property_suite(sweeps, record_criterion):
             for n in (2, 4, 8):
                 mesh = make_mesh(mesh_family, n)
                 spaces = build_elasticity_spaces(mesh, family)
-                system = assemble(*spaces, Compliance(STATED))
+                system = assemble(*spaces, STATED)
                 estimates.append(infsup_estimate(system,
                                                  ynorm_gram(*spaces)))
             lowest = min(lowest, min(estimates))

@@ -5,12 +5,11 @@ from quadelast.mesh import QuadMesh, generate_square_mesh, generate_trapezoidal_
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import EDGE_DIRS, EDGE_STARTS
 from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate_batch, evaluate_div_batch
-from quadelast.problem import Compliance, LameParams
+from quadelast.problem import LameParams
 from quadelast.assembly import assemble, boundary_term
 from quadelast.analysis import interpolate_stress
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
-A = Compliance(PARAMS)
 
 
 def sheared_mesh(n, s=0.35):
@@ -30,7 +29,7 @@ def random_quad_mesh(seed=0, amplitude=0.2):
 
 def spaces_and_system(mesh, family, **kw):
     S, V, Q = build_elasticity_spaces(mesh, family)
-    return S, V, Q, assemble(S, V, Q, A, **kw)
+    return S, V, Q, assemble(S, V, Q, PARAMS, **kw)
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1"])
@@ -80,8 +79,8 @@ def test_bd_entries_are_reference_integrals(family):
 def test_quadrature_doubling_parallelogram(family):
     mesh = sheared_mesh(3)
     S, V, Q = build_elasticity_spaces(mesh, family)
-    K1 = assemble(S, V, Q, A).full_matrix()
-    K2 = assemble(S, V, Q, A, quad=2 * (S.element.degree + 6)).full_matrix()
+    K1 = assemble(S, V, Q, PARAMS).full_matrix()
+    K2 = assemble(S, V, Q, PARAMS, quad=2 * (S.element.degree + 6)).full_matrix()
     assert abs(K1 - K2).max() <= 1e-12 * abs(K1).max()
 
 
@@ -89,8 +88,8 @@ def test_quadrature_doubling_parallelogram(family):
 def test_quadrature_doubling_trapezoid(family):
     mesh = generate_trapezoidal_mesh(3)
     S, V, Q = build_elasticity_spaces(mesh, family)
-    K1 = assemble(S, V, Q, A).full_matrix()
-    K2 = assemble(S, V, Q, A, quad=2 * (S.element.degree + 6)).full_matrix()
+    K1 = assemble(S, V, Q, PARAMS).full_matrix()
+    K2 = assemble(S, V, Q, PARAMS, quad=2 * (S.element.degree + 6)).full_matrix()
     assert abs(K1 - K2).max() <= 1e-10 * abs(K1).max()
 
 
@@ -98,15 +97,15 @@ def test_low_quadrature_order_warns():
     mesh = generate_square_mesh(1)
     S, V, Q = build_elasticity_spaces(mesh, "rt2")
     with pytest.warns(UserWarning, match="exactness floor"):
-        assemble(S, V, Q, A, quad=2)
+        assemble(S, V, Q, PARAMS, quad=2)
 
 
 def test_assembly_deterministic():
     mesh = generate_trapezoidal_mesh(2)
     S, V, Q = build_elasticity_spaces(mesh, "rt2")
     sol_f = lambda x: np.stack([x[..., 0], x[..., 1] ** 2], axis=-1)
-    s1 = assemble(S, V, Q, A, f=sol_f)
-    s2 = assemble(S, V, Q, A, f=sol_f)
+    s1 = assemble(S, V, Q, PARAMS, f=sol_f)
+    s2 = assemble(S, V, Q, PARAMS, f=sol_f)
     assert (s1.full_matrix() - s2.full_matrix()).nnz == 0
     assert np.array_equal(s1.rhs, s2.rhs)
 
@@ -116,15 +115,15 @@ def test_rhs_block_structure():
     S, V, Q = build_elasticity_spaces(mesh, "rt2")
     nS, nV = S.n_dofs, V.n_dofs
 
-    zero = assemble(S, V, Q, A)
+    zero = assemble(S, V, Q, PARAMS)
     assert np.all(zero.rhs == 0.0)
 
-    f_only = assemble(S, V, Q, A, f=lambda x: np.ones(x.shape[:-1] + (2,)))
+    f_only = assemble(S, V, Q, PARAMS, f=lambda x: np.ones(x.shape[:-1] + (2,)))
     assert abs(f_only.rhs[:nS]).max() == 0.0
     assert abs(f_only.rhs[nS:nS + nV]).max() > 0.0
     assert abs(f_only.rhs[nS + nV:]).max() == 0.0
 
-    g_only = assemble(S, V, Q, A, g=lambda x: x)
+    g_only = assemble(S, V, Q, PARAMS, g=lambda x: x)
     assert abs(g_only.rhs[:nS]).max() > 0.0
     assert abs(g_only.rhs[nS:]).max() == 0.0
 
@@ -206,4 +205,4 @@ def test_mismatched_meshes_rejected():
     S = build_elasticity_spaces(generate_square_mesh(2), "rt2")[0]
     _, V, Q = build_elasticity_spaces(generate_square_mesh(3), "rt2")
     with pytest.raises(ValueError, match="same mesh"):
-        assemble(S, V, Q, A)
+        assemble(S, V, Q, PARAMS)

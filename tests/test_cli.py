@@ -99,6 +99,30 @@ def test_config_errors_exit_2(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("convergence", "--mu", "inf", "--lambda", "1"),
+    ("convergence", "--lambda", "inf", "--mu", "1"),
+    ("convergence", "--E", "inf", "--nu", "0.3"),
+    ("convergence", "--lambda", "1e308", "--mu", "1e308"),
+    ("convergence", "--lambda", "1", "--mu", "1e-310"),
+    ("diagnostics", "--mu", "nan", "--lambda", "1"),
+    ("locking", "--E", "-5"),
+    ("locking", "--E", "0"),
+    ("locking", "--E", "nan"),
+    ("locking", "--E", "inf"),
+    ("locking", "--E", "1e308", "--nu", "0.4999"),
+])
+def test_bad_material_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad material")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, *argv, "--levels", "2")
+    assert code == 2
+    assert "configuration error" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_unknown_element_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--element", "ned1"])

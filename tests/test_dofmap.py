@@ -4,7 +4,7 @@ Edge numbering, stress dof numbering, the boundary term and the global
 matrices used to be built by per-cell Python loops and hand-written COO
 lists.  Those constructions live on here as oracles: the array-built
 tables and the matrices summed by ``scatter`` must match them bit for bit
-(the boundary term to 1e-14, since its summation order changed).
+(the boundary term and M to 1e-14, since their summation order changed).
 """
 
 import numpy as np
@@ -27,13 +27,15 @@ from quadelast.mesh import (
     generate_square_mesh,
     generate_trapezoidal_mesh,
 )
-from quadelast.problem import Compliance, LameParams
+from quadelast.problem import LameParams
 from quadelast.reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
 from test_assembly import random_quad_mesh
 
 FAMILIES = ["rt2", "rt3", "bdm1"]
-A = Compliance(LameParams(mu=79.3, lam=123.0))
+PARAMS = LameParams(mu=79.3, lam=123.0)
+#: The default material and the most nearly incompressible locking case.
+MATERIALS = (PARAMS, LameParams.from_young_poisson(1000.0, 0.4999))
 
 
 def perturbed_mesh(n, seed, amplitude=0.2):
@@ -125,7 +127,7 @@ def coo(rows, cols, data, shape):
     ).tocsr()
 
 
-def listed_blocks(stress, disp, rot, compliance, quad):
+def listed_blocks(stress, disp, rot, params, quad):
     """M, Bd and Ba through per-block COO lists indexed by
     ``rho * n_row_dofs + row_dofs``."""
     rule = gauss_rule(quad)
@@ -141,8 +143,8 @@ def listed_blocks(stress, disp, rot, compliance, quad):
     vdof, qdof = disp.row_dofs, rot.row_dofs
     UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)
 
-    mu, lam = compliance.params.mu, compliance.params.lam
-    alpha = compliance.skew_factor
+    mu, lam = params.mu, params.lam
+    alpha = 1.0 / (2.0 * mu)
     c_tr = lam / (2.0 * mu + 2.0 * lam)
     UPVw = UPV * (w[None, :] / J)[:, None, :, None]
     Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
@@ -235,6 +237,17 @@ def assert_same_sparse(a, b):
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
+
+
+def assert_close_sparse(a, b, rtol):
+    """Same pattern, values within ``rtol`` of the largest entry of b."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    a.sort_indices()
+    b.sort_indices()
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.abs(a.data - b.data).max() <= rtol * np.abs(b.data).max()
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +345,23 @@ def test_boundary_term_matches_loop(family, mesh_name, g):
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 def test_matrices_match_listed_blocks(family, mesh_name):
     spaces = build_elasticity_spaces(MESHES[mesh_name](), family)
-    system = assemble(*spaces, A)
     quad = spaces[0].element.n_edge_dofs + 6
-    for got, expected in zip((system.M, system.Bd, system.Ba),
-                             listed_blocks(*spaces, A, quad)):
-        assert_same_sparse(got, expected)
+    for params in MATERIALS:
+        system = assemble(*spaces, params)
+        M, Bd, Ba = listed_blocks(*spaces, params, quad)
+        # M is one contraction with the compliance matrix, summed in
+        # another order than the hand-expanded law of the oracle
+        assert_close_sparse(system.M, M, rtol=1e-14)
+        assert abs(system.M - system.M.T).max() == 0.0
+        assert_same_sparse(system.Bd, Bd)
+        assert_same_sparse(system.Ba, Ba)
     assert_same_sparse(ynorm_gram(*spaces), block_diagonal_gram(*spaces))
 
 
 def test_load_lands_on_displacement_dofs():
     S, V, Q = build_elasticity_spaces(perturbed_mesh(3, seed=4), "rt2")
     f = lambda x: np.stack([np.cos(x[..., 0]), x[..., 1] ** 2], axis=-1)
-    rhs = assemble(S, V, Q, A, f=f).rhs
+    rhs = assemble(S, V, Q, PARAMS, f=f).rhs
     rule = gauss_rule(S.element.n_edge_dofs + 6)
     X, _, J = geometry_at(S.mesh.element_corners(), rule.points)
     psi = V.element.basis.eval(rule.points)[..., 0]

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from quadelast.problem import (
-    Compliance,
     LameParams,
     ManufacturedSolution,
-    compliance_apply,
     compliance_matrix,
     trig_solution,
 )
+
+from helpers import compliance_apply
 
 MATERIAL = LameParams(mu=79.3, lam=123.0)
 
@@ -19,6 +19,13 @@ def test_lame_validation():
     with pytest.raises(ValueError):
         LameParams(mu=1.0, lam=-0.1)
     LameParams(mu=1.0, lam=0.0)  # boundary of the admissible range is fine
+    inf, nan = float("inf"), float("nan")
+    for mu, lam in ((inf, 1.0), (1.0, inf), (nan, 1.0), (1.0, nan),
+                    (1e308, 1e308), (1e-310, 1.0)):
+        with pytest.raises(ValueError):
+            LameParams(mu=mu, lam=lam)
+    with pytest.raises(ValueError):
+        LameParams.from_young_poisson(E=inf, nu=0.3)
 
 
 def test_from_young_poisson():
@@ -34,35 +41,29 @@ def test_from_young_poisson():
 
 
 def test_compliance_identity_simple():
-    A = Compliance(LameParams(mu=0.5, lam=0.0))
+    A = LameParams(mu=0.5, lam=0.0)
     np.testing.assert_allclose(compliance_apply(A, np.eye(2)), np.eye(2))
 
 
 def test_compliance_identity_benchmark_material():
-    A = Compliance(MATERIAL)
-    out = compliance_apply(A, np.eye(2))
+    out = compliance_apply(MATERIAL, np.eye(2))
     # (1/158.6) * (1 - 246/404.6) = 1/404.6 on each diagonal entry
     np.testing.assert_allclose(out, np.eye(2) / 404.6)
     assert np.isclose(out[0, 0], 0.0024716, atol=1e-7)
 
 
 def test_compliance_skew_part():
-    A = Compliance(MATERIAL)
     skw = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(compliance_apply(A, skw), skw / (2 * 79.3))
-    A2 = Compliance(MATERIAL, skew_factor=3.0)
-    np.testing.assert_allclose(compliance_apply(A2, skw), 3.0 * skw)
-    with pytest.raises(ValueError):
-        Compliance(MATERIAL, skew_factor=-1.0)
+    np.testing.assert_allclose(compliance_apply(MATERIAL, skw),
+                               skw / (2 * 79.3))
 
 
 def test_compliance_symmetry():
-    A = Compliance(MATERIAL)
     rng = np.random.RandomState(0)
     for _ in range(20):
         t, e = rng.randn(2, 2), rng.randn(2, 2)
-        lhs = np.sum(compliance_apply(A, t) * e)
-        rhs = np.sum(t * compliance_apply(A, e))
+        lhs = np.sum(compliance_apply(MATERIAL, t) * e)
+        rhs = np.sum(t * compliance_apply(MATERIAL, e))
         assert np.isclose(lhs, rhs, atol=1e-14)
 
 
@@ -72,14 +73,22 @@ def test_compliance_symmetry():
     LameParams.from_young_poisson(1000.0, 0.4999),
 ])
 def test_compliance_positivity(params):
-    A4 = compliance_matrix(Compliance(params))
-    np.testing.assert_allclose(A4, A4.T, atol=1e-15)
+    A4 = compliance_matrix(params)
+    assert np.array_equal(A4, A4.T)
     ev = np.linalg.eigvalsh(A4)
     assert ev.min() > 0
     mu, lam = params.mu, params.lam
-    # spectrum: 1/(2(mu+lam)) on traces, 1/(2mu) elsewhere (default skew)
+    # spectrum: 1/(2(mu+lam)) on traces, 1/(2mu) elsewhere, skew included
     expect = sorted([1 / (2 * (mu + lam)), 1 / (2 * mu), 1 / (2 * mu), 1 / (2 * mu)])
     np.testing.assert_allclose(sorted(ev), expect, rtol=1e-12)
+
+
+def test_compliance_floor_at_default_material():
+    # the smallest eigenvalue is the floor the inf-sup estimate returns
+    # at the default material
+    ev = np.linalg.eigvalsh(compliance_matrix(MATERIAL))
+    assert np.isclose(ev.min(), 2.471577e-03, rtol=1e-6)
+    assert np.isclose(ev.min(), 1 / (2 * (79.3 + 123.0)), rtol=1e-14)
 
 
 def test_solution_point_values():
@@ -114,13 +123,12 @@ def test_grad_u_against_fd():
 def test_constitutive_residual():
     # A sigma + [[0, p], [-p, 0]] = grad u pointwise
     sol = trig_solution(MATERIAL)
-    A = Compliance(MATERIAL)
     x = np.random.RandomState(3).uniform(0, 1, size=(1000, 2))
     p = sol.p(x)
     skw = np.zeros(x.shape[:-1] + (2, 2))
     skw[..., 0, 1] = p
     skw[..., 1, 0] = -p
-    resid = compliance_apply(A, sol.sigma(x)) + skw - sol.grad_u(x)
+    resid = compliance_apply(MATERIAL, sol.sigma(x)) + skw - sol.grad_u(x)
     assert np.abs(resid).max() < 1e-12
 
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, geometry_at
 from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate_batch
-from quadelast.problem import Compliance, LameParams, linear_solution, trig_solution
+from quadelast.problem import LameParams, trig_solution
 from quadelast.assembly import BlockSystem, assemble
 from quadelast.solver import (
     ResidualTooLarge,
@@ -16,8 +16,9 @@ from quadelast.solver import (
 )
 from quadelast.analysis import compute_errors
 
+from helpers import linear_solution
+
 PARAMS = LameParams(mu=79.3, lam=123.0)
-A = Compliance(PARAMS)
 TRIG = trig_solution(PARAMS)
 
 
@@ -25,7 +26,7 @@ def assembled(mesh, family="rt2", sol=TRIG, **kw):
     S, V, Q = build_elasticity_spaces(mesh, family)
     f = sol.f if sol is not None else None
     g = sol.g if sol is not None else None
-    return (S, V, Q), assemble(S, V, Q, A, f=f, g=g, **kw)
+    return (S, V, Q), assemble(S, V, Q, PARAMS, f=f, g=g, **kw)
 
 
 def dense_solve(system):
@@ -65,7 +66,7 @@ ORACLE_IDS.append("bdm1-trapezoidal-n8-nu0.4999")
 def test_solve_matches_dense_oracle(family, mesh_fn, n, params):
     S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
     sol = trig_solution(params)
-    system = assemble(S, V, Q, Compliance(params), f=sol.f, g=sol.g)
+    system = assemble(S, V, Q, params, f=sol.f, g=sol.g)
     x = solve(system).solution
     xd = dense_solve(system)
     assert abs(x - xd).max() <= 1e-10 * abs(xd).max()
@@ -132,7 +133,7 @@ def test_scaling_equivariance():
     s = -2.5
     sol = TRIG
     (S, V, Q), system = assembled(generate_square_mesh(3), "rt2")
-    scaled = assemble(S, V, Q, A,
+    scaled = assemble(S, V, Q, PARAMS,
                       f=lambda x: s * sol.f(x), g=lambda x: s * sol.g(x))
     x = solve(system).solution
     xs = solve(scaled).solution
