@@ -28,6 +28,7 @@ from .fe_space import (
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
+from .solver import spd_factor
 
 #: Quadrature order used for error norms; high enough that the measured
 #: errors are quadrature-converged for every element family in scope.
@@ -187,25 +188,6 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,
                     (Mq, qdof, qdof)], (n, n))
 
 
-def _check_positive_definite(N: sp.csc_matrix):
-    """Raise ValueError unless the symmetric sparse matrix N is SPD.
-
-    A symmetric matrix is positive definite exactly when its LDL^T pivots
-    are positive.  Symmetric-mode SuperLU with a zero pivot threshold keeps
-    every diagonal pivot it can, so the pivots are the diagonal of U unless
-    a zero pivot forced a row exchange (perm_r differs from perm_c).
-    """
-    message = "Gram matrix is not positive definite"
-    try:
-        lu = spla.splu(N, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
-        raise ValueError(message) from None
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > 0.0)):
-        raise ValueError(message)
-
-
 def infsup_estimate(system, gram) -> float:
     """Smallest singular value of the system in the solution norm.
 
@@ -222,7 +204,8 @@ def infsup_estimate(system, gram) -> float:
             f"system has {system.n}"
         )
     N = sp.csc_matrix(gram)
-    _check_positive_definite(N)
+    if spd_factor(N) is None:
+        raise ValueError("Gram matrix is not positive definite")
     K = system.full_matrix()
     try:
         lu = spla.splu(K)

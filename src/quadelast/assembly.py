@@ -5,10 +5,16 @@ The bilinear form couples stress, displacement and rotation:
     B(s,u,p; t,v,q) = (A s, t) + (u, div t) + (p, as t)
                     + (div s, v) + (as s, q),
 
-stored as blocks M (stress mass under the compliance), Bd (divergence
-moments) and Ba (asymmetry moments) of the symmetric matrix
+whose symmetric matrix has the blocks M (stress mass under the
+compliance), Bd (divergence moments) and Ba (asymmetry moments):
 
     [[M, Bd^T, Ba^T], [Bd, 0, 0], [Ba, 0, 0]].
+
+Displacement and rotation are discontinuous, so every cell contributes one
+dense matrix [[L, B^T], [B, 0]] over its own dofs, L its share of M and
+B = [Bd; Ba] its rows.  The system stores these cell matrices with their
+global dofs; the solver condenses them cell by cell, and the global blocks
+are summed from them only when asked for.
 
 All integrals are pulled back to the reference square.  Two blocks simplify
 there: in (u, div t) the Jacobian cancels exactly (the block is the same
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,20 +56,62 @@ def default_quad(element) -> int:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled system in block form; unknowns ordered stress, displacement,
-    rotation."""
+    """Assembled system as one dense matrix per cell; unknowns ordered
+    stress, displacement, rotation.
+
+    ``cell_matrices[e]`` is cell e's [[L, B^T], [B, 0]] in the signed global
+    basis, its local unknowns ordered stress row 0, stress row 1,
+    displacement components 0 and 1, rotation; ``cell_dofs[e]`` lists their
+    global dofs.  The global matrix is the sum of the cell matrices over
+    ``cell_dofs``; its blocks M, Bd and Ba are derived from them.
+    """
 
     n_sigma: int
     n_v: int
     n_q: int
-    M: sp.csr_matrix
-    Bd: sp.csr_matrix
-    Ba: sp.csr_matrix
+    cell_matrices: np.ndarray  # (E, k, k)
+    cell_dofs: np.ndarray  # (E, k) int
     rhs: np.ndarray
 
     @property
     def n(self) -> int:
         return self.n_sigma + self.n_v + self.n_q
+
+    @cached_property
+    def _local_blocks(self):
+        """Local slices of stress row 0, stress row 1, displacement 0,
+        displacement 1 and rotation, read off the global dof ranges."""
+        first = self.cell_dofs[:1]
+        s = int(np.sum(first < self.n_sigma))
+        v = int(np.sum(first < self.n_sigma + self.n_v)) - s
+        cuts = (0, s // 2, s, s + v // 2, s + v, self.cell_dofs.shape[1])
+        return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
+
+    def _scatter(self, pairs, row_offset, shape):
+        A, D = self.cell_matrices, self.cell_dofs
+        return scatter([(A[:, i, j], D[:, i] - row_offset, D[:, j])
+                        for i, j in pairs], shape)
+
+    @cached_property
+    def M(self) -> sp.csr_matrix:
+        """Compliance block (A s, t)."""
+        s = slice(0, self._local_blocks[1].stop)
+        return self._scatter([(s, s)], 0, (self.n_sigma, self.n_sigma))
+
+    @cached_property
+    def Bd(self) -> sp.csr_matrix:
+        """Divergence block (div s, v): displacement row rho against stress
+        row rho."""
+        s0, s1, v0, v1, _ = self._local_blocks
+        return self._scatter([(v0, s0), (v1, s1)], self.n_sigma,
+                             (self.n_v, self.n_sigma))
+
+    @cached_property
+    def Ba(self) -> sp.csr_matrix:
+        """Asymmetry block (as s, q)."""
+        s0, s1, _, _, q = self._local_blocks
+        return self._scatter([(q, s0), (q, s1)], self.n_sigma + self.n_v,
+                             (self.n_q, self.n_sigma))
 
     def full_matrix(self) -> sp.csc_matrix:
         """The symmetric indefinite matrix [[M, Bd^T, Ba^T], [Bd,], [Ba,]]."""
@@ -141,7 +190,7 @@ def assemble(
     Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
     Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
     T = (Bflat @ Aflat.transpose(0, 2, 1)).reshape(nq, dimS, 2, dimS, 2)
-    del UPVw, Aflat, Bflat  # freed before the scatters to lower peak memory
+    del UPVw, Aflat, Bflat  # freed early to lower peak memory
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
     # optimize=True contracts through BLAS: 7.5 ms against 23 ms for a
     # plain einsum at rt2 n = 32 (1,024 cells, 2 vCPUs)
@@ -150,24 +199,31 @@ def assemble(
     L = 0.5 * (L + L.transpose(0, 2, 1))  # keeps M symmetric to the last bit
     sgn2 = np.tile(sgn, 2)
     L *= sgn2[:, :, None] * sgn2[:, None, :]
-    sdof2 = np.concatenate(sdof, axis=1)  # (E, 2 dimS), rows stacked
-    M = scatter([(L, sdof2, sdof2)], (stress.n_dofs, stress.n_dofs))
 
-    # ---- Bd block: (u, div t).  J cancels: the local matrix is the fixed
-    # reference integral int divphi_i psi_m, identical on every element.
+    # ---- cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows
+    # displacement 0, displacement 1, rotation; columns stress rows 0, 1.
+    dimV, dimQ = Psi.shape[0], Q.shape[0]
+    s2 = 2 * dimS
+    k = s2 + 2 * dimV + dimQ
+    cell_matrices = np.zeros((nq, k, k))
+    cell_matrices[:, :s2, :s2] = L
+    B = cell_matrices[:, s2:, :s2]  # a view, filled in place
+    # (u, div t): J cancels, so the local matrix is the fixed reference
+    # integral int divphi_i psi_m, identical on every element up to signs
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
-    blk = np.einsum("ek,mk->emk", sgn, D0)  # (E, dimV, dimS)
-    Bd = scatter([(blk, disp.dofs[rho], sdof[rho]) for rho in range(2)],
-                 (disp.n_dofs, stress.n_dofs))
-
-    # ---- Ba block: (p, as t).  as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1;
-    # the Piola 1/J cancels the volume J, leaving weight w alone.
-    blocks = []
+    # (p, as t): as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1; the Piola 1/J
+    # cancels the volume J, leaving weight w alone
     for rho, (comp, s_as) in enumerate([(1, 1.0), (0, -1.0)]):
-        blk = s_as * np.einsum("meq,ekq,q->emk", Q, UPV[..., comp], w)
-        blk *= sgn[:, None, :]
-        blocks.append((blk, rot.dofs[0], sdof[rho]))
-    Ba = scatter(blocks, (rot.n_dofs, stress.n_dofs))
+        cols = slice(rho * dimS, (rho + 1) * dimS)
+        B[:, rho * dimV:(rho + 1) * dimV, cols] = np.einsum(
+            "ek,mk->emk", sgn, D0)
+        B[:, 2 * dimV:, cols] = s_as * np.einsum(
+            "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
+    cell_matrices[:, :s2, s2:] = B.transpose(0, 2, 1)
+    del L
+    cell_dofs = np.concatenate(
+        [*sdof, *(stress.n_dofs + disp.dofs),
+         stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
 
     # ---- right-hand side
     rhs = np.zeros(stress.n_dofs + disp.n_dofs + rot.n_dofs)
@@ -180,7 +236,7 @@ def assemble(
         rhs[: stress.n_dofs] = boundary_term(stress, g, n1d=quad)
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
-        M=M, Bd=Bd, Ba=Ba, rhs=rhs,
+        cell_matrices=cell_matrices, cell_dofs=cell_dofs, rhs=rhs,
     )
 
 

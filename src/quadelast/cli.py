@@ -94,6 +94,8 @@ class RunConfig:
                 raise ConfigError(f"mesh levels must be powers of 2, got {n}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError("mesh levels must be strictly increasing")
+        if self.mesh_family == "trapezoid" and self.levels[0] < 2:
+            raise ConfigError("the trapezoidal family needs levels n >= 2")
         if not 0.0 <= self.distortion < 0.5:
             raise ConfigError("distortion must lie in [0, 1/2)")
         if self.quad is not None and self.quad < 1:

@@ -1,11 +1,19 @@
-"""Direct solution of the assembled saddle-point system.
+"""Hybridized direct solution of the assembled saddle-point system.
 
-The matrix is symmetric indefinite, and scipy has no sparse
-symmetric-indefinite factorization, so every system goes through one
-SuperLU factorization with COLAMD ordering and partial pivoting.  A pivot
-check flags a (numerically) singular system, and every solve is verified
-a posteriori against a relative-residual threshold, which catches the
-conditioning failures a Bunch--Kaufman pivot test would.
+Stress, displacement and rotation are coupled across cells only through
+the dofs that two cells share: the normal moments on interior edges.  Each
+such dof is broken into one copy per cell, and the copies are tied by one
+Lagrange multiplier (Arnold & Brezzi, 1985).  Every cell system is then
+eliminated at once by one batched dense solve, which leaves the small
+symmetric positive definite multiplier ("trace") system
+
+    S = sum_K C_K K_K^{-1} C_K^T,
+
+with C_K the signed selection of cell K's shared dofs.  S is factored by
+symmetric-mode SuperLU with no pivoting; a positive pivot everywhere is the
+SPD and singularity check.  The cell unknowns are recovered locally, and
+every solution is verified a posteriori against the relative residual of
+the global system, applied cell by cell.
 """
 
 from __future__ import annotations
@@ -13,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
+from .fe_space import scatter
 
 __all__ = ["SolveReport", "SolverError", "SingularSystem", "ResidualTooLarge",
-           "solve"]
+           "solve", "spd_factor"]
 
 RESIDUAL_TOL = 1e-10
 PIVOT_TOL = 1e-13
@@ -42,11 +52,54 @@ class SolveReport:
     solution: np.ndarray
     residual: float  # ||Kx - b|| / ||b||  (or absolute for b = 0)
     factorization: str  # always "sparse"
+    multipliers: int  # size of the factored trace system
+    factor_nnz: int  # nnz of its L + U factors; 0 when nothing is factored
 
 
-def _check_residual(K, x, b) -> SolveReport:
+def _multipliers(cell_dofs: np.ndarray, n: int):
+    """Multiplier numbering of the dofs that two cells list.
+
+    Returns the listing count of every global dof and, per cell, the
+    multiplier of each local dof and its sign: +1 in the first listing,
+    -1 in the second, 0 for a dof listed once.
+    """
+    flat = cell_dofs.ravel()
+    count = np.bincount(flat, minlength=n)
+    if count.max(initial=0) > 2:
+        raise ValueError("a dof is listed by three or more cells; "
+                         "only pairs can be tied by one multiplier")
+    shared = count == 2
+    number = np.cumsum(shared) - 1
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    sign = np.where(shared[flat], np.where(first, 1.0, -1.0), 0.0)
+    return count, number[cell_dofs], sign.reshape(cell_dofs.shape)
+
+
+def spd_factor(N: sp.csc_matrix, tol: float = 0.0):
+    """Symmetric-mode SuperLU factor of the symmetric sparse matrix N, or
+    None unless N is numerically positive definite.
+
+    A symmetric matrix is positive definite exactly when its LDL^T pivots
+    are positive.  With a zero pivot threshold SuperLU keeps every diagonal
+    pivot it can, so the pivots are the diagonal of U unless a zero pivot
+    forced a row exchange (perm_r differs from perm_c).  Every pivot must
+    exceed ``tol`` times the largest diagonal entry of N.
+    """
+    try:
+        lu = spla.splu(N, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > tol * N.diagonal().max())):
+        return None
+    return lu
+
+
+def _check_residual(Kx, b) -> float:
     bnorm = np.linalg.norm(b)
-    residual = float(np.linalg.norm(K @ x - b))
+    residual = float(np.linalg.norm(Kx - b))
     if bnorm == 0.0:
         if residual > 1e-12:
             raise ResidualTooLarge(
@@ -56,26 +109,65 @@ def _check_residual(K, x, b) -> SolveReport:
         if residual > RESIDUAL_TOL:
             raise ResidualTooLarge(
                 f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return SolveReport(solution=x, residual=residual, factorization="sparse")
+    return residual
 
 
 def solve(system: BlockSystem) -> SolveReport:
-    """Solve the block system by one sparse LU factorization.
+    """Solve the block system by hybridization.
 
-    Raises SingularSystem on a vanished pivot and ResidualTooLarge when the
-    verified residual exceeds tolerance.
+    Raises SingularSystem when a cell matrix is singular or the trace
+    system is not numerically positive definite, ResidualTooLarge when the
+    verified residual exceeds tolerance, and ValueError when a dof is
+    listed by more than two cells.
     """
-    K = system.full_matrix()
-    b = system.rhs
+    A, D, b, n = system.cell_matrices, system.cell_dofs, system.rhs, system.n
+    count, mult, sign = _multipliers(D, n)
+    if np.any(count == 0):
+        raise SingularSystem("a dof belongs to no cell; the system is singular")
+    n_mult = int(np.count_nonzero(count == 2))
+
+    # slot j of cell e holds its j-th shared dof; padding slots point at a
+    # phantom multiplier n_mult with a zero column
+    shared = sign != 0.0
+    m = int(shared.sum(axis=1).max(initial=0))
+    E, k = D.shape
+    slot = np.cumsum(shared, axis=1) - 1
+    e, i = np.nonzero(shared)
+    R = np.zeros((E, k, m + 1))
+    R[e, i, slot[e, i]] = sign[e, i]
+    R[..., m] = b[D] / count[D]
+    slot_mult = np.full((E, m), n_mult)
+    slot_mult[e, slot[e, i]] = mult[e, i]
+
     try:
-        lu = spla.splu(K, permc_spec="COLAMD")
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularSystem(str(exc)) from exc
-    piv = np.abs(lu.U.diagonal())
-    if piv.min() < PIVOT_TOL * np.abs(K.diagonal()).max():
-        raise SingularSystem(
-            f"pivot {piv.min():.3e} below tolerance; system nearly singular")
-    x = lu.solve(b)
+        Y = np.linalg.solve(A, R)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"singular cell matrix: {exc}") from exc
+    T = R[..., :m].transpose(0, 2, 1) @ Y  # (E, m, m + 1)
+    Se = T[..., :m]
+    Se = 0.5 * (Se + Se.transpose(0, 2, 1))
+    g = np.bincount(slot_mult.ravel(), T[..., m].ravel(),
+                    minlength=n_mult + 1)
+
+    lam = np.zeros(n_mult + 1)
+    factor_nnz = 0
+    if n_mult:
+        S = scatter([(Se, slot_mult, slot_mult)],
+                    (n_mult + 1, n_mult + 1))[:n_mult, :n_mult]
+        lu = spd_factor(S.tocsc(), PIVOT_TOL)
+        if lu is None:
+            raise SingularSystem(
+                "trace system not positive definite beyond tolerance; "
+                "system nearly singular")
+        lam[:n_mult] = lu.solve(g[:n_mult])
+        factor_nnz = int(lu.nnz)
+
+    local = Y[..., m] - np.einsum("ekj,ej->ek", Y[..., :m], lam[slot_mult])
+    x = np.bincount(D.ravel(), local.ravel(), minlength=n) / count
     if not np.all(np.isfinite(x)):
-        raise SingularSystem("non-finite entries in sparse solution")
-    return _check_residual(K, x, b)
+        raise SingularSystem("non-finite entries in the solution")
+    Kx = np.bincount(D.ravel(), np.einsum("ekl,el->ek", A, x[D]).ravel(),
+                     minlength=n)
+    return SolveReport(solution=x, residual=_check_residual(Kx, b),
+                       factorization="sparse", multipliers=n_mult,
+                       factor_nnz=factor_nnz)

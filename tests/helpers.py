@@ -1,10 +1,15 @@
 """Helpers that only the tests use: patch-test data, the canonical
-interpolant of one reference element, and the compliance applied to a
-stack of matrices."""
+interpolant of one reference element, the compliance applied to a stack of
+matrices, the monolithic sparse LU oracle of the solver, and a system with
+its asymmetry block removed."""
+
+import dataclasses
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
+from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
 
 
 def linear_solution(params: LameParams,
@@ -57,3 +62,29 @@ def compliance_apply(params: LameParams, tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     vec = tau.reshape(tau.shape[:-2] + (4,))
     return (vec @ compliance_matrix(params).T).reshape(tau.shape)
+
+
+def monolithic_solve(system) -> np.ndarray:
+    """Oracle: one SuperLU factorization (COLAMD, partial pivoting) of the
+    whole indefinite matrix, with a pivot check and a verified residual."""
+    K = system.full_matrix()
+    b = system.rhs
+    try:
+        lu = spla.splu(K, permc_spec="COLAMD")
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularSystem(str(exc)) from exc
+    piv = np.abs(lu.U.diagonal())
+    if piv.min() < PIVOT_TOL * np.abs(K.diagonal()).max():
+        raise SingularSystem(f"pivot {piv.min():.3e} below tolerance")
+    x = lu.solve(b)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(K @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
+    return x
+
+
+def without_asymmetry(system):
+    """The system with the rotation rows and columns of every cell matrix
+    zeroed: its asymmetry block Ba keeps its pattern, with zero values."""
+    keep = system.cell_dofs < system.n_sigma + system.n_v
+    A = system.cell_matrices * keep[:, :, None] * keep[:, None, :]
+    return dataclasses.replace(system, cell_matrices=A)

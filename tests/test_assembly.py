@@ -39,6 +39,21 @@ def test_full_matrix_symmetric(family):
     assert (K - K.T).nnz == 0
 
 
+@pytest.mark.parametrize("family", ["bdm1", "rt2", "rt3"])
+def test_blocks_are_the_summed_cell_matrices(family):
+    # the derived blocks lose nothing of the cell matrices: summing the
+    # whole cell matrices over cell_dofs gives the same global matrix
+    _, _, _, system = spaces_and_system(generate_trapezoidal_mesh(3), family)
+    A, D = system.cell_matrices, system.cell_dofs
+    k = {"bdm1": 19, "rt2": 35, "rt3": 72}[family]  # 2 dimS + 2 dimV + dimQ
+    assert A.shape == (9, k, k) and D.shape == (9, k)
+    assert np.array_equal(A, A.transpose(0, 2, 1))
+    summed = np.zeros((system.n, system.n))
+    np.add.at(summed, (D[:, :, None], D[:, None, :]), A)
+    K = system.full_matrix().toarray()
+    assert np.abs(summed - K).max() <= 1e-14 * np.abs(K).max()
+
+
 def test_single_element_bdm1_system_order():
     S, V, Q, system = spaces_and_system(generate_square_mesh(1), "bdm1")
     assert (system.n_sigma, system.n_v, system.n_q) == (16, 2, 1)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,8 @@ from quadelast.cli import (
 )
 from quadelast.mesh import generate_trapezoidal_mesh, read_mesh
 from quadelast.solver import SolverError
+
+from helpers import without_asymmetry
 
 CSV_HEADER = ("h,e_sigma,pct_sigma,ord_sigma,e_div,pct_div,ord_div,"
               "e_u,pct_u,ord_u,e_p,pct_p,ord_p")
@@ -123,6 +123,23 @@ def test_bad_material_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("convergence", "--mesh", "trapezoid", "--levels", "1,2"),
+    ("locking", "--levels", "1,2"),
+    ("diagnostics", "--mesh", "trapezoid", "--levels", "1"),
+    ("mesh", "--mesh", "trapezoid", "--levels", "1"),
+])
+def test_trapezoid_level_1_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad level")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "configuration error" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_unknown_element_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--element", "ned1"])
@@ -204,7 +221,7 @@ def test_diagnostics_singular_system_fails_variation(capsys, monkeypatch):
 
     def assemble_without_ba(*args, **kwargs):
         system = original(*args, **kwargs)
-        return dataclasses.replace(system, Ba=0.0 * system.Ba)
+        return without_asymmetry(system)
 
     monkeypatch.setattr(cli, "assemble", assemble_without_ba)
     code, out, _ = run_cli(capsys, "diagnostics", "--element", "bdm1",

@@ -1,7 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, geometry_at
@@ -16,7 +17,7 @@ from quadelast.solver import (
 )
 from quadelast.analysis import compute_errors
 
-from helpers import linear_solution
+from helpers import linear_solution, monolithic_solve
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 TRIG = trig_solution(PARAMS)
@@ -70,6 +71,58 @@ def test_solve_matches_dense_oracle(family, mesh_fn, n, params):
     x = solve(system).solution
     xd = dense_solve(system)
     assert abs(x - xd).max() <= 1e-10 * abs(xd).max()
+
+
+MONOLITHIC_CASES = [(family, mesh_fn, n, params)
+                    for family in ("bdm1", "rt2", "rt3")
+                    for mesh_fn in (generate_square_mesh,
+                                    generate_trapezoidal_mesh)
+                    for n in (2, 4, 16)
+                    for params in (PARAMS, LameParams.from_young_poisson(
+                        1000.0, 0.4999))]
+# one cell: no dof is shared, so there is no trace system
+MONOLITHIC_CASES += [(family, generate_square_mesh, 1, PARAMS)
+                     for family in ("bdm1", "rt2", "rt3")]
+MONOLITHIC_IDS = [f"{f}-{m.__name__.split('_')[1]}-n{n}-lam{p.lam:.4g}"
+                  for f, m, n, p in MONOLITHIC_CASES]
+
+
+@pytest.mark.parametrize("family,mesh_fn,n,params", MONOLITHIC_CASES,
+                         ids=MONOLITHIC_IDS)
+def test_solve_matches_monolithic_oracle(family, mesh_fn, n, params):
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    sol = trig_solution(params)
+    system = assemble(S, V, Q, params, f=sol.f, g=sol.g)
+    report = solve(system)
+    xm = monolithic_solve(system)
+    assert abs(report.solution - xm).max() <= 1e-10 * abs(xm).max()
+    assert np.isclose(report.residual,
+                      relative_residual(system, report.solution), rtol=1e-6)
+    assert (report.multipliers == 0) == (n == 1)
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt2"])
+def test_load_on_shared_dofs_matches_monolithic_oracle(family):
+    # assembled loads vanish on the shared edge moments; a load on every
+    # dof checks that each shared dof's load is split between its cells
+    _, system = assembled(generate_trapezoidal_mesh(4), family)
+    rhs = np.random.RandomState(3).standard_normal(system.n)
+    system = dataclasses.replace(system, rhs=rhs)
+    x = solve(system).solution
+    xm = monolithic_solve(system)
+    assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
+
+
+def test_report_counts_multipliers_and_factor_fill():
+    # rt2 on 4 x 4 cells: 24 interior edges, 2 moments per edge and stress
+    # row, so 96 normal moments are shared and tied by a multiplier
+    _, system = assembled(generate_trapezoidal_mesh(4), "rt2")
+    report = solve(system)
+    assert report.multipliers == 96
+    assert report.factor_nnz > 0
+    _, single = assembled(generate_square_mesh(1), "rt2")
+    assert solve(single).multipliers == 0
+    assert solve(single).factor_nnz == 0
 
 
 def test_residual_verified_on_report():
@@ -141,17 +194,40 @@ def test_scaling_equivariance():
 
 
 def singular_system():
-    # zero row in the divergence block makes the full matrix singular
-    M = sp.identity(2, format="csr")
-    Bd = sp.csr_matrix((1, 2))
-    Ba = sp.csr_matrix(np.array([[1.0, 0.5]]))
-    return BlockSystem(n_sigma=2, n_v=1, n_q=1, M=M, Bd=Bd, Ba=Ba,
-                       rhs=np.ones(4))
+    # zero row in the divergence block makes the full matrix singular; one
+    # cell lists every dof, so the cell solve meets the zero row directly
+    K = np.zeros((4, 4))
+    K[:2, :2] = np.identity(2)
+    K[3, :2] = K[:2, 3] = [1.0, 0.5]
+    return BlockSystem(n_sigma=2, n_v=1, n_q=1, cell_matrices=K[None],
+                       cell_dofs=np.arange(4)[None], rhs=np.ones(4))
 
 
 def test_singular_system_raises_sparse():
     with pytest.raises(SingularSystem):
         solve(singular_system())
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt2", "rt3"])
+@pytest.mark.parametrize("mesh_fn,n", [(generate_square_mesh, 2),
+                                       (generate_trapezoidal_mesh, 4),
+                                       (generate_trapezoidal_mesh, 8)])
+def test_negated_cell_compliance_makes_trace_system_indefinite(family,
+                                                               mesh_fn, n):
+    _, system = assembled(mesh_fn(n), family)
+    k_sigma = int(np.sum(system.cell_dofs[0] < system.n_sigma))
+    A = system.cell_matrices.copy()
+    A[0, :k_sigma, :k_sigma] *= -1.0
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        solve(dataclasses.replace(system, cell_matrices=A))
+
+
+def test_dof_listed_by_three_cells_rejected():
+    _, system = assembled(generate_square_mesh(2), "bdm1", sol=None)
+    D = system.cell_dofs.copy()
+    D[2, 0] = D[0, 0] = D[1, 0]
+    with pytest.raises(ValueError, match="three or more cells"):
+        solve(dataclasses.replace(system, cell_dofs=D))
 
 
 def test_exception_hierarchy():
