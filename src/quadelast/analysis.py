@@ -25,7 +25,7 @@ from .fe_space import (
     scatter,
     unmapped_monomials,
 )
-from .mapping import gauss_rule, gauss_rule_1d, geometry_at
+from .mapping import gauss_rule, gauss_rule_1d, geometry_at, piola_values
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 from .solver import spd_factor
@@ -166,7 +166,7 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace,
 
     Phi = stress.element.basis.eval(rule.points)
     dPhi = stress.element.basis.div(rule.points)
-    UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)
+    UPV = piola_values(DF[:, None], Phi)
     woJ = w[None, :] / J
     G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
     G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
@@ -234,7 +234,14 @@ def _reference_rows(sigma, mesh, xhat: np.ndarray):
     adj = np.stack([np.stack([DF[..., 1, 1], -DF[..., 0, 1]], axis=-1),
                     np.stack([-DF[..., 1, 0], DF[..., 0, 0]], axis=-1)],
                    axis=-2)
-    return np.einsum("epck,eprk->eprc", adj, vals), J
+    return piola_values(adj[:, :, None], vals), J
+
+
+def _reference_dofs(W: np.ndarray, sighat: np.ndarray) -> np.ndarray:
+    """Apply the reference dofs ``W`` (dim, npts, 2) of an interpolation
+    matrix to pulled-back rows ``sighat`` (E, npts, 2, 2): one BLAS
+    contraction, shape (E, 2, dim)."""
+    return np.einsum("ipc,eprc->eri", W, sighat, optimize=True)
 
 
 def interpolate_stress(space: FESpace, sigma, quad: int = 10) -> FEFunction:
@@ -249,7 +256,8 @@ def interpolate_stress(space: FESpace, sigma, quad: int = 10) -> FEFunction:
     points, W = space.element.interpolation_matrix(quad)
     sighat, _ = _reference_rows(sigma, space.mesh, points)
     coef = np.zeros(space.n_dofs)
-    coef[space.dofs] = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
+    coef[space.dofs] = (_reference_dofs(W, sighat).transpose(1, 0, 2)
+                        * space.row_signs)
     return FEFunction(space, coef)
 
 
@@ -284,7 +292,7 @@ def check_commuting_projection(space: FESpace, sigma, quad: int = 10) -> float:
     psi_edge = psi_basis.eval(points[:n_edge])[..., 0].reshape(-1, 4, quad)
 
     sighat, J = _reference_rows(sigma, space.mesh, points)
-    coef = np.einsum("ipc,eprc->eri", W, sighat)
+    coef = _reference_dofs(W, sighat)
     # projection moments of div(interpolant): the reference divergence
     # integrates against psi without any Jacobian (the 1/J of the
     # divergence transform cancels the volume factor)

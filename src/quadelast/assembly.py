@@ -37,7 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_monomials
-from .mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
+from .mapping import (gauss_rule, gauss_rule_1d, geometry_at, piola_values,
+                      ref_shape)
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
@@ -178,7 +179,7 @@ def assemble(
     sdof = stress.dofs  # (2, E, dimS)
 
     # Unscaled Piola values DF @ phi; the true values carry an extra 1/J
-    UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)  # (E, dimS, q, 2)
+    UPV = piola_values(DF[:, None], Phi)  # (E, dimS, q, 2)
 
     # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j the
     # integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C on

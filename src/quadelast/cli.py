@@ -100,6 +100,9 @@ class RunConfig:
             raise ConfigError("distortion must lie in [0, 1/2)")
         if self.quad is not None and self.quad < 1:
             raise ConfigError("quadrature order must be >= 1")
+        # the seed range np.random.RandomState accepts
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         for nu in self.poisson:
             if not 0.0 <= nu < 0.5:
                 raise ConfigError(

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import QuadMesh
-from .mapping import geometry_at
+from .mapping import geometry_at, piola_values
 from .reference_elements import (
     ReferenceElement,
     bdm1_element,
@@ -244,13 +244,13 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
     if space.kind == COMPOSE:
-        vals = np.einsum("rek,kp->epr", C, Phi[..., 0])
+        vals = np.einsum("rek,kp->epr", C, Phi[..., 0], optimize=True)
         return vals if space.components > 1 else vals[..., 0]
 
     # Piola rows
     _, DF, J = geometry_at(corners, xhat)
-    ref = np.einsum("rek,kpc->repc", C, Phi)
-    vals = np.einsum("epck,repk->eprc", DF, ref) / J[..., None, None]
+    ref = np.einsum("rek,kpc->repc", C, Phi, optimize=True)
+    vals = (piola_values(DF, ref) / J[..., None]).transpose(1, 2, 0, 3)
     return vals if space.components > 1 else vals[:, :, 0, :]
 
 
@@ -264,6 +264,6 @@ def evaluate_div_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
     corners = space.mesh.element_corners()
     dPhi = space.element.basis.div(xhat)  # (dim, npts)
     _, _, J = geometry_at(corners, xhat)
-    ref = np.einsum("rek,kp->epr", C, dPhi)
+    ref = np.einsum("rek,kp->epr", C, dPhi, optimize=True)
     vals = ref / J[..., None]
     return vals if space.components > 1 else vals[..., 0]

@@ -5,11 +5,13 @@ reference square (integrand times Jacobian determinant); the inverse map is
 never formed.  :func:`geometry_at` evaluates, for a batch of cells at once,
 the physical points, the Jacobians DF and their determinants J at given
 reference points, from the bilinear corner shape functions of
-:func:`ref_shape`.  The field transforms built on it live with their
-users: stress rows move by the Piola map ``(1/J) DF vhat``, which keeps
-normal traces and turns the divergence into ``(1/J) divhat``
-(``fe_space.evaluate_batch`` and ``assembly.assemble``); displacements
-move by composition.
+:func:`ref_shape`.  Stress rows move by the Piola map ``(1/J) DF vhat``,
+which keeps normal traces and turns the divergence into ``(1/J) divhat``;
+:func:`piola_values` applies DF for assembly, the Gram matrix and
+``fe_space.evaluate_batch``.  Displacements move by composition.
+
+Contractions over the cell axis go through BLAS or are written out term
+by term; a plain ``np.einsum`` over the cells is up to 100x slower.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "QuadratureRule",
     "ref_shape",
     "geometry_at",
+    "piola_values",
     "gauss_rule",
     "gauss_rule_1d",
 ]
@@ -67,10 +70,29 @@ def geometry_at(corners: np.ndarray, xhat: np.ndarray):
     X : (E, q, 2), DF : (E, q, 2, 2), J : (E, q)
     """
     N, dN = ref_shape(xhat)
-    X = np.einsum("qc,ecd->eqd", N, corners)
-    DF = np.einsum("qcj,eci->eqij", dN, corners)
+    # optimize=True contracts through BLAS: at n = 32 with 144 points per
+    # cell (1,024 cells, 2 vCPUs) DF takes 0.39 ms against 36.9 ms for a
+    # plain einsum, and X 0.17 ms against 19.2 ms
+    X = np.einsum("qc,ecd->eqd", N, corners, optimize=True)
+    DF = np.einsum("qcj,eci->eqij", dN, corners, optimize=True)
     J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
     return X, DF, J
+
+
+def piola_values(DF: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+    """Unscaled contravariant Piola values ``DF vhat``; the true values
+    carry a further 1/J.
+
+    ``DF`` (..., 2, 2) and ``vhat`` (..., 2) broadcast against each other
+    over their leading axes, e.g. ``DF[:, None]`` (E, 1, q, 2, 2) against
+    reference basis values (k, q, 2) gives (E, k, q, 2).  The two-term sum
+    is written out: it is several times faster than a plain ``einsum`` and
+    gives the same bits, which a BLAS contraction does not.  Given the
+    adjugate J DF^{-1} in place of DF it is the inverse Piola map.
+    """
+    out = DF[..., 0] * vhat[..., :1]
+    out += DF[..., 1] * vhat[..., 1:]  # in place: one full-size temporary less
+    return out
 
 
 @dataclass(frozen=True)

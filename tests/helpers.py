@@ -1,13 +1,16 @@
 """Helpers that only the tests use: patch-test data, the canonical
 interpolant of one reference element, the compliance applied to a stack of
-matrices, the monolithic sparse LU oracle of the solver, and a system with
-its asymmetry block removed."""
+matrices, the monolithic sparse LU oracle of the solver, a system with
+its asymmetry block removed, and the plain-``einsum`` forms of the batched
+geometry, Piola and interpolation contractions."""
 
 import dataclasses
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from quadelast.fe_space import FEFunction
+from quadelast.mapping import ref_shape
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
 
@@ -88,3 +91,61 @@ def without_asymmetry(system):
     keep = system.cell_dofs < system.n_sigma + system.n_v
     A = system.cell_matrices * keep[:, :, None] * keep[:, None, :]
     return dataclasses.replace(system, cell_matrices=A)
+
+
+# ---------------------------------------------------------------------------
+# plain-einsum oracles of the contractions over the cell axis, which the
+# package runs through BLAS or writes out term by term
+
+
+def einsum_geometry_at(corners, xhat):
+    """``mapping.geometry_at``: X (E, q, 2), DF (E, q, 2, 2), J (E, q)."""
+    N, dN = ref_shape(xhat)
+    X = np.einsum("qc,ecd->eqd", N, corners)
+    DF = np.einsum("qcj,eci->eqij", dN, corners)
+    J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
+    return X, DF, J
+
+
+def einsum_piola_values(DF, Phi):
+    """Unscaled Piola values DF phi of reference basis values Phi (k, q, 2):
+    shape (E, k, q, 2)."""
+    return np.einsum("eqcx,kqx->ekqc", DF, Phi)
+
+
+def einsum_evaluate_piola(f, xhat):
+    """The Piola branch of ``fe_space.evaluate_batch``: (E, q, rows, 2)."""
+    space = f.space
+    C = space.local_coefficients(f.coefficients)
+    _, DF, J = einsum_geometry_at(space.mesh.element_corners(), xhat)
+    ref = np.einsum("rek,kpc->repc", C, space.element.basis.eval(xhat))
+    return np.einsum("epck,repk->eprc", DF, ref) / J[..., None, None]
+
+
+def einsum_reference_rows(sigma, mesh, xhat):
+    """``analysis._reference_rows``: the rows pulled back by the adjugate
+    of DF, (E, q, 2, 2), and J.  ``sigma`` is an FEFunction on a stress
+    space or a callable of the physical points."""
+    X, DF, J = einsum_geometry_at(mesh.element_corners(), xhat)
+    vals = (einsum_evaluate_piola(sigma, xhat)
+            if isinstance(sigma, FEFunction) else np.asarray(sigma(X)))
+    adj = np.stack([np.stack([DF[..., 1, 1], -DF[..., 0, 1]], axis=-1),
+                    np.stack([-DF[..., 1, 0], DF[..., 0, 0]], axis=-1)],
+                   axis=-2)
+    return np.einsum("epck,eprk->eprc", adj, vals), J
+
+
+def einsum_reference_dofs(W, sighat):
+    """The reference dofs W (dim, q, 2) applied to pulled-back rows, in the
+    order of ``check_commuting_projection``: (E, 2, dim)."""
+    return np.einsum("ipc,eprc->eri", W, sighat)
+
+
+def einsum_interpolate_stress(space, sigma, quad=10):
+    """Coefficients of ``analysis.interpolate_stress``, with the
+    contraction in its (row, cell, dof) order."""
+    points, W = space.element.interpolation_matrix(quad)
+    sighat, _ = einsum_reference_rows(sigma, space.mesh, points)
+    coef = np.zeros(space.n_dofs)
+    coef[space.dofs] = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
+    return coef

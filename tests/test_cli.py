@@ -123,6 +123,24 @@ def test_bad_material_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_bad_seed_exits_2_before_any_work(capsys, monkeypatch, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad seed")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, "diagnostics", "--seed", seed,
+                             "--levels", "2")
+    assert code == 2
+    assert "configuration error" in err and "seed" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_seed_range_ends_are_accepted():
+    assert RunConfig(seed=0).seed == 0
+    assert RunConfig(seed=2 ** 32 - 1).seed == 2 ** 32 - 1
+
+
 @pytest.mark.parametrize("argv", [
     ("convergence", "--mesh", "trapezoid", "--levels", "1,2"),
     ("locking", "--levels", "1,2"),
