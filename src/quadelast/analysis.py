@@ -28,17 +28,17 @@ from .fe_space import (
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at, piola_values
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
-from .solver import spd_factor
+from .solver import HybridFactor, SolverError, cell_apply, spd_factor
 
 #: Quadrature order used for error norms; high enough that the measured
 #: errors are quadrature-converged for every element family in scope.
 NORM_QUAD = 12
 
 #: Largest system size accepted by the inf-sup estimate.  On trapezoids,
-#: 2 vCPUs, scipy 1.17: 0.4 s at 7,040 unknowns (rt2 n=16), 2.8-5.1 s at
-#: 27,904 (rt2 n=32), 5.6-10.1 s and a 343-416 MB process peak at 45,568
-#: (bdm1 n=64); the ranges are host-load drift.  The cap keeps one
-#: estimate to about ten seconds and half a gigabyte.
+#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.28 s at 7,040
+#: unknowns (rt2 n=16), 0.76 s and a 135 MB process peak at 27,904 (rt2
+#: n=32), 1.7 s and 256 MB at 45,568 (bdm1 n=64).  The cap is a safety
+#: bound on one estimate's time and memory, not a measured limit.
 INFSUP_CAP = 50_000
 
 QUANTITIES = ("sigma", "div", "u", "p")
@@ -193,10 +193,11 @@ def infsup_estimate(system, gram) -> float:
 
     The discrete inf-sup constant is the smallest |lambda| of the
     generalized eigenproblem K x = lambda N x, where K is the full
-    saddle-point matrix and N the Gram matrix from :func:`ynorm_gram`
+    saddle-point operator and N the Gram matrix from :func:`ynorm_gram`
     (the numerical inf-sup test of Chapelle & Bathe, 1993).  It is found
-    by shift-invert Lanczos about zero on one sparse LU of K; an exactly
-    singular K has constant 0.
+    by shift-invert Lanczos about zero, with K applied cell by cell and
+    inverted by the solver's hybridized factor, so K is never assembled; a
+    system the factor refuses, as ``solve`` does, has constant 0.
     """
     if system.n > INFSUP_CAP:
         raise ValueError(
@@ -206,12 +207,14 @@ def infsup_estimate(system, gram) -> float:
     N = sp.csc_matrix(gram)
     if spd_factor(N) is None:
         raise ValueError("Gram matrix is not positive definite")
-    K = system.full_matrix()
+    A, D = system.cell_matrices, system.cell_dofs
     try:
-        lu = spla.splu(K)
-    except RuntimeError:  # exactly singular
+        factor = HybridFactor(A, D, system.n)
+    except SolverError:
         return 0.0
-    Kinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    K = spla.LinearOperator(N.shape, matvec=lambda x: cell_apply(A, D, x),
+                            dtype=float)
+    Kinv = spla.LinearOperator(N.shape, matvec=factor.solve, dtype=float)
     lam = spla.eigsh(K, k=1, M=N, sigma=0, which="LM", tol=0, OPinv=Kinv,
                      return_eigenvectors=False)
     return float(abs(lam[0]))

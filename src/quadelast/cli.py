@@ -8,6 +8,7 @@ errors.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -100,6 +101,11 @@ class RunConfig:
             raise ConfigError("distortion must lie in [0, 1/2)")
         if self.quad is not None and self.quad < 1:
             raise ConfigError("quadrature order must be >= 1")
+        # written only after the whole study has run
+        if self.out is not None and not os.path.isdir(
+                os.path.dirname(self.out) or "."):
+            raise ConfigError(f"output directory of {self.out!r} does not "
+                              "exist or is not a directory")
         # the seed range np.random.RandomState accepts
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")

@@ -11,9 +11,9 @@ symmetric positive definite multiplier ("trace") system
 
 with C_K the signed selection of cell K's shared dofs.  S is factored by
 symmetric-mode SuperLU with no pivoting; a positive pivot everywhere is the
-SPD and singularity check.  The cell unknowns are recovered locally, and
-every solution is verified a posteriori against the relative residual of
-the global system, applied cell by cell.
+SPD and singularity check.  :class:`HybridFactor` keeps that factor, so
+K^{-1} applies to any later right-hand side; :func:`cell_apply` applies K
+cell by cell, and every solution is verified against its residual.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import scipy.sparse.linalg as spla
 from .assembly import BlockSystem
 from .fe_space import scatter
 
-__all__ = ["SolveReport", "SolverError", "SingularSystem", "ResidualTooLarge",
-           "solve", "spd_factor"]
+__all__ = ["HybridFactor", "SolveReport", "SolverError", "SingularSystem",
+           "ResidualTooLarge", "cell_apply", "solve", "spd_factor"]
 
 RESIDUAL_TOL = 1e-10
 PIVOT_TOL = 1e-13
@@ -112,62 +112,104 @@ def _check_residual(Kx, b) -> float:
     return residual
 
 
-def solve(system: BlockSystem) -> SolveReport:
-    """Solve the block system by hybridization.
+class HybridFactor:
+    """K^{-1} by hybridization, for K the sum of the cell matrices (E, k, k)
+    on the ``n`` global dofs ``cell_dofs`` (E, k).
 
-    Raises SingularSystem when a cell matrix is singular or the trace
-    system is not numerically positive definite, ResidualTooLarge when the
-    verified residual exceeds tolerance, and ValueError when a dof is
-    listed by more than two cells.
+    A load ``rhs`` rides in the one batched cell solve, and ``solution`` is
+    K^{-1} rhs; :meth:`solve` takes any later right-hand side.  Raises
+    SingularSystem when a dof belongs to no cell, a cell matrix is singular
+    or the trace system is not numerically positive definite, and
+    ValueError when a dof is listed by three or more cells.
     """
-    A, D, b, n = system.cell_matrices, system.cell_dofs, system.rhs, system.n
-    count, mult, sign = _multipliers(D, n)
-    if np.any(count == 0):
-        raise SingularSystem("a dof belongs to no cell; the system is singular")
-    n_mult = int(np.count_nonzero(count == 2))
 
-    # slot j of cell e holds its j-th shared dof; padding slots point at a
-    # phantom multiplier n_mult with a zero column
-    shared = sign != 0.0
-    m = int(shared.sum(axis=1).max(initial=0))
-    E, k = D.shape
-    slot = np.cumsum(shared, axis=1) - 1
-    e, i = np.nonzero(shared)
-    R = np.zeros((E, k, m + 1))
-    R[e, i, slot[e, i]] = sign[e, i]
-    R[..., m] = b[D] / count[D]
-    slot_mult = np.full((E, m), n_mult)
-    slot_mult[e, slot[e, i]] = mult[e, i]
-
-    try:
-        Y = np.linalg.solve(A, R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"singular cell matrix: {exc}") from exc
-    T = R[..., :m].transpose(0, 2, 1) @ Y  # (E, m, m + 1)
-    Se = T[..., :m]
-    Se = 0.5 * (Se + Se.transpose(0, 2, 1))
-    g = np.bincount(slot_mult.ravel(), T[..., m].ravel(),
-                    minlength=n_mult + 1)
-
-    lam = np.zeros(n_mult + 1)
-    factor_nnz = 0
-    if n_mult:
-        S = scatter([(Se, slot_mult, slot_mult)],
-                    (n_mult + 1, n_mult + 1))[:n_mult, :n_mult]
-        lu = spd_factor(S.tocsc(), PIVOT_TOL)
-        if lu is None:
+    def __init__(self, cell_matrices, cell_dofs, n: int, rhs=None):
+        A = self.cell_matrices = cell_matrices
+        D = self.cell_dofs = cell_dofs
+        count, mult, sign = _multipliers(D, n)
+        if np.any(count == 0):
             raise SingularSystem(
-                "trace system not positive definite beyond tolerance; "
-                "system nearly singular")
-        lam[:n_mult] = lu.solve(g[:n_mult])
-        factor_nnz = int(lu.nnz)
+                "a dof belongs to no cell; the system is singular")
+        n_mult = int(np.count_nonzero(count == 2))
 
-    local = Y[..., m] - np.einsum("ekj,ej->ek", Y[..., :m], lam[slot_mult])
-    x = np.bincount(D.ravel(), local.ravel(), minlength=n) / count
+        # slot j of cell e holds its j-th shared dof; padding slots point at a
+        # phantom multiplier n_mult with a zero column
+        shared = sign != 0.0
+        m = int(shared.sum(axis=1).max(initial=0))
+        slot = np.cumsum(shared, axis=1) - 1
+        e, i = np.nonzero(shared)
+        R = np.zeros(D.shape + (m + (rhs is not None),))
+        R[e, i, slot[e, i]] = sign[e, i]
+        if rhs is not None:
+            R[..., m] = rhs[D] / count[D]
+        slot_mult = np.full((len(D), m), n_mult)
+        slot_mult[e, slot[e, i]] = mult[e, i]
+
+        try:
+            Y = np.linalg.solve(A, R)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"singular cell matrix: {exc}") from exc
+        T = R[..., :m].transpose(0, 2, 1) @ Y  # (E, m, m [+ 1])
+        Se = T[..., :m]
+        Se = 0.5 * (Se + Se.transpose(0, 2, 1))
+
+        self.count, self.multipliers, self.slot_mult = count, n_mult, slot_mult
+        self.C, self.Y = R[..., :m], Y[..., :m]
+        self.lu = self._inverses = None
+        if n_mult:
+            S = scatter([(Se, slot_mult, slot_mult)],
+                        (n_mult + 1, n_mult + 1))[:n_mult, :n_mult]
+            self.lu = spd_factor(S.tocsc(), PIVOT_TOL)
+            if self.lu is None:
+                raise SingularSystem(
+                    "trace system not positive definite beyond tolerance; "
+                    "system nearly singular")
+        self.solution = (None if rhs is None
+                         else self._recover(Y[..., m], T[..., m]))
+
+    def _recover(self, y, Cy):
+        """K^{-1} b from the cell solves ``y`` (E, k) of b's cell loads and
+        their shared entries ``Cy`` (E, m): multipliers, then cell by cell."""
+        g = np.bincount(self.slot_mult.ravel(), Cy.ravel(),
+                        minlength=self.multipliers + 1)
+        lam = np.zeros(self.multipliers + 1)
+        if self.lu is not None:
+            lam[:-1] = self.lu.solve(g[:-1])
+        local = y - np.einsum("ekj,ej->ek", self.Y, lam[self.slot_mult])
+        return (np.bincount(self.cell_dofs.ravel(), local.ravel(),
+                            minlength=self.count.size) / self.count)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K^{-1} b; each shared dof's load is split between its cells."""
+        # formed once, at ~1.5x the cost of the batched solve, the inverses
+        # make each later cell solve a matrix-vector product
+        if self._inverses is None:
+            self._inverses = np.linalg.inv(self.cell_matrices)
+        load = b[self.cell_dofs] / self.count[self.cell_dofs]
+        y = np.einsum("ekl,el->ek", self._inverses, load)
+        return self._recover(y, np.einsum("ekj,ek->ej", self.C, y))
+
+
+def cell_apply(cell_matrices, cell_dofs, x: np.ndarray) -> np.ndarray:
+    """K x, applied cell by cell without assembling K."""
+    Ax = np.einsum("ekl,el->ek", cell_matrices, x[cell_dofs])
+    return np.bincount(cell_dofs.ravel(), Ax.ravel(), minlength=x.size)
+
+
+def solve(system: BlockSystem) -> SolveReport:
+    """Solve the block system by one :class:`HybridFactor`, with the load
+    in the factor's batched cell solve.
+
+    Raises the factor's SingularSystem and ValueError, SingularSystem on a
+    non-finite solution, and ResidualTooLarge when the residual, verified
+    against the whole operator, exceeds tolerance.
+    """
+    A, D, b = system.cell_matrices, system.cell_dofs, system.rhs
+    factor = HybridFactor(A, D, system.n, rhs=b)
+    x = factor.solution
     if not np.all(np.isfinite(x)):
         raise SingularSystem("non-finite entries in the solution")
-    Kx = np.bincount(D.ravel(), np.einsum("ekl,el->ek", A, x[D]).ravel(),
-                     minlength=n)
-    return SolveReport(solution=x, residual=_check_residual(Kx, b),
-                       factorization="sparse", multipliers=n_mult,
-                       factor_nnz=factor_nnz)
+    return SolveReport(
+        solution=x, residual=_check_residual(cell_apply(A, D, x), b),
+        factorization="sparse", multipliers=factor.multipliers,
+        factor_nnz=0 if factor.lu is None else int(factor.lu.nnz))

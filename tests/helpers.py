@@ -1,8 +1,9 @@
 """Helpers that only the tests use: patch-test data, the canonical
 interpolant of one reference element, the compliance applied to a stack of
-matrices, the monolithic sparse LU oracle of the solver, a system with
-its asymmetry block removed, and the plain-``einsum`` forms of the batched
-geometry, Piola and interpolation contractions."""
+matrices, the monolithic sparse LU oracle of the solver, a system with one
+cell's compliance negated, a system with its asymmetry block removed, and
+the plain-``einsum`` forms of the batched geometry, Piola and
+interpolation contractions."""
 
 import dataclasses
 
@@ -83,6 +84,16 @@ def monolithic_solve(system) -> np.ndarray:
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(K @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
     return x
+
+
+def negated_cell_compliance(system, cell: int = 0):
+    """The system with the compliance block of one cell matrix negated: the
+    cell stays invertible, but the trace system is no longer positive
+    definite, so the solver refuses it."""
+    k_sigma = int(np.sum(system.cell_dofs[cell] < system.n_sigma))
+    A = system.cell_matrices.copy()
+    A[cell, :k_sigma, :k_sigma] *= -1.0
+    return dataclasses.replace(system, cell_matrices=A)
 
 
 def without_asymmetry(system):

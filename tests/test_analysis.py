@@ -15,7 +15,8 @@ from quadelast.fe_space import (
 )
 from quadelast.problem import LameParams, trig_solution
 from quadelast.assembly import BlockSystem, assemble, default_quad
-from quadelast.solver import solve
+from quadelast.solver import SingularSystem, solve
+from quadelast.cli import RunConfig, run_diagnostics
 from quadelast.analysis import (
     INFSUP_CAP,
     ConvergenceTable,
@@ -39,7 +40,8 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import linear_solution, without_asymmetry
+from helpers import (linear_solution, negated_cell_compliance,
+                     without_asymmetry)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 # the reference error magnitudes for the trigonometric benchmark were
@@ -503,17 +505,54 @@ def test_batched_jump_matches_percell(family, mesh_fn, n):
     assert percell_jump(functions["corrupted"]) > 1e-3
 
 
-INFSUP_CASES = [("bdm1", generate_square_mesh, 1)] + ORACLE_CASES
-INFSUP_IDS = ["bdm1-square-n1"] + ORACLE_IDS
+# the soft material lifts the compliance floor to 25, so the constraint
+# blocks set the smallest singular value
+SOFT = LameParams(mu=0.01, lam=0.01)
+INFSUP_CASES = ([("bdm1", generate_square_mesh, 1, PARAMS)]
+                + [case + (PARAMS,) for case in ORACLE_CASES]
+                + [case + (SOFT,) for case in ORACLE_CASES])
+INFSUP_IDS = (["bdm1-square-n1"] + ORACLE_IDS
+              + [f"{name}-soft" for name in ORACLE_IDS])
 
 
-@pytest.mark.parametrize("family,mesh_fn,n", INFSUP_CASES, ids=INFSUP_IDS)
-def test_infsup_matches_dense_oracle(family, mesh_fn, n):
+@pytest.mark.parametrize("family,mesh_fn,n,params", INFSUP_CASES,
+                         ids=INFSUP_IDS)
+def test_infsup_matches_dense_oracle(family, mesh_fn, n, params):
     S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
-    system = assemble(S, V, Q, PARAMS)
+    system = assemble(S, V, Q, params)
     gram = ynorm_gram(S, V, Q)
     ref = dense_infsup(system, gram)
     assert abs(infsup_estimate(system, gram) - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", ORACLE_CASES, ids=ORACLE_IDS)
+def test_infsup_nearly_incompressible_is_compliance_floor(family, mesh_fn, n):
+    # the dense oracle itself is off by up to 3.7e-9 relative here, so the
+    # estimate is held to the closed-form floor 1/(2(mu + lambda)) instead
+    params = LameParams.from_young_poisson(1000.0, 0.4999)
+    floor = 1.0 / (2.0 * (params.mu + params.lam))
+    assert abs(floor - 2.9998e-07) <= 1e-12 * floor
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    estimate = infsup_estimate(assemble(S, V, Q, params), ynorm_gram(S, V, Q))
+    assert abs(estimate - floor) <= 1e-10 * floor
+
+
+def test_infsup_is_zero_where_solve_refuses():
+    # order-2 quadrature under-integrates rt2 and leaves a trace system
+    # that is not positive definite: solve refuses it, so the inf-sup
+    # diagnostic must fail instead of passing on round-off estimates
+    with pytest.warns(UserWarning, match="exactness floor"):
+        results = run_diagnostics(RunConfig(element="rt2", quad=2,
+                                            levels=(2, 4)))
+    record = next(r for r in results if r.name.startswith("inf-sup"))
+    assert not record.passed
+    assert record.note == "estimates 0.000000e+00, 0.000000e+00"
+
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
+    negated = negated_cell_compliance(assemble(S, V, Q, PARAMS))
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        solve(negated)
+    assert infsup_estimate(negated, ynorm_gram(S, V, Q)) == 0.0
 
 
 def test_infsup_rejects_indefinite_gram():

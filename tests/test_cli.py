@@ -158,6 +158,31 @@ def test_trapezoid_level_1_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("parent", ["missing", "regular-file"])
+@pytest.mark.parametrize("command", ["convergence", "mesh"])
+def test_out_without_directory_exits_2_before_any_work(capsys, monkeypatch,
+                                                       tmp_path, command,
+                                                       parent):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for an unwritable --out")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    base = tmp_path / "missing" if parent == "missing" else plain
+    target = base / "x.csv"
+    code, out, err = run_cli(capsys, command, "--levels", "2",
+                             "--out", str(target))
+    assert code == 2
+    assert "configuration error" in err and "output directory" in err
+    assert "Traceback" not in err and out == ""
+    assert not target.exists()
+
+
+def test_out_in_working_directory_is_accepted():
+    assert RunConfig(out="table.csv").out == "table.csv"
+
+
 def test_unknown_element_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--element", "ned1"])

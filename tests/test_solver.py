@@ -10,14 +10,17 @@ from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate_bat
 from quadelast.problem import LameParams, trig_solution
 from quadelast.assembly import BlockSystem, assemble
 from quadelast.solver import (
+    HybridFactor,
     ResidualTooLarge,
     SingularSystem,
     SolverError,
+    cell_apply,
     solve,
 )
 from quadelast.analysis import compute_errors
 
-from helpers import linear_solution, monolithic_solve
+from helpers import (linear_solution, monolithic_solve,
+                     negated_cell_compliance)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 TRIG = trig_solution(PARAMS)
@@ -111,6 +114,25 @@ def test_load_on_shared_dofs_matches_monolithic_oracle(family):
     x = solve(system).solution
     xm = monolithic_solve(system)
     assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt2"])
+def test_one_factor_solves_several_right_hand_sides(family):
+    _, system = assembled(generate_trapezoidal_mesh(4), family)
+    A, D = system.cell_matrices, system.cell_dofs
+    factor = HybridFactor(A, D, system.n)
+    assert factor.solution is None
+    rng = np.random.RandomState(5)
+    for _ in range(3):
+        rhs = rng.standard_normal(system.n)
+        x = factor.solve(rhs)
+        xm = monolithic_solve(dataclasses.replace(system, rhs=rhs))
+        assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
+        assert (np.linalg.norm(cell_apply(A, D, x) - rhs)
+                <= 1e-10 * np.linalg.norm(rhs))
+        # the load carried in the factor's own cell solve gives the same x
+        carried = HybridFactor(A, D, system.n, rhs=rhs).solution
+        assert abs(carried - xm).max() <= 1e-10 * abs(xm).max()
 
 
 def test_report_counts_multipliers_and_factor_fill():
@@ -215,11 +237,8 @@ def test_singular_system_raises_sparse():
 def test_negated_cell_compliance_makes_trace_system_indefinite(family,
                                                                mesh_fn, n):
     _, system = assembled(mesh_fn(n), family)
-    k_sigma = int(np.sum(system.cell_dofs[0] < system.n_sigma))
-    A = system.cell_matrices.copy()
-    A[0, :k_sigma, :k_sigma] *= -1.0
     with pytest.raises(SingularSystem, match="not positive definite"):
-        solve(dataclasses.replace(system, cell_matrices=A))
+        solve(negated_cell_compliance(system))
 
 
 def test_dof_listed_by_three_cells_rejected():
