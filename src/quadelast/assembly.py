@@ -46,7 +46,14 @@ __all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad"]
 
 
 def default_quad(element) -> int:
-    """Default tensor-Gauss order for a stress element of order r: r + 6.
+    """Gauss order for a stress element of order r: r + 6.
+
+    The quadrature policy has two rules.  Every integral over discrete
+    fields uses this order, per direction or per edge: assembly, the
+    boundary term, the Gram matrix, interpolation and every diagnostic.
+    Only :func:`analysis.compute_errors` uses the higher
+    ``analysis.NORM_QUAD``, so the error tables are quadrature-converged.
+    ``assemble(quad=)`` overrides the first rule for one assembly.
 
     On non-parallelogram cells the mass-block integrand carries a rational
     1/J factor, and r + 6 pushes its quadrature tail below 1e-11 relative
@@ -241,14 +248,17 @@ def assemble(
     )
 
 
-def boundary_term(stress: FESpace, g, n1d: int = 6) -> np.ndarray:
+def boundary_term(stress: FESpace, g, n1d: int | None = None) -> np.ndarray:
     """Stress-block vector of the consistent Dirichlet term ``int g.(t n) ds``.
 
     By the normal-trace identity of the Piola transform the physical edge
     integral equals the reference one: for each boundary edge,
     ``int_ehat g(F(t)) . nhat phi(t) dt`` accumulated into the edge dofs.
+    ``n1d`` is the Gauss order on each edge, by default :func:`default_quad`.
     """
     mesh = stress.mesh
+    if n1d is None:
+        n1d = default_quad(stress.element)
     t, w = gauss_rule_1d(n1d)
     edge_pts = EDGE_STARTS[:, None, :] + t[:, None] * EDGE_DIRS[:, None, :]
     phi = stress.element.basis.eval(edge_pts)  # (dim, 4, n1d, 2)

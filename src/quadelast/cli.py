@@ -10,7 +10,7 @@ errors.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .analysis import (
     normal_jump_norm,
     ynorm_gram,
 )
-from .assembly import assemble
+from .assembly import assemble, default_quad
 from .fe_space import FEFunction, build_elasticity_spaces, evaluate_batch
 from .mapping import gauss_rule, geometry_at
 from .mesh import (
@@ -258,26 +258,12 @@ class Diagnostic:
     note: str = ""
 
 
-def _corrupt_edge_sign(space):
-    """Flip one shared-edge dof sign in one element (fault-injection hook)."""
-    slots = space.mesh.edge_slots
-    interior = np.flatnonzero(slots[:, 1] >= 0)
-    if interior.size == 0:
-        raise ConfigError("sign corruption needs a mesh with interior edges")
-    quad, local = divmod(int(slots[interior[0], 0]), 4)
-    signs = space.row_signs.copy()
-    signs[quad, space.element.edge_dofs[local][0]] *= -1.0
-    return replace(space, row_signs=signs)
-
-
-def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
+def run_diagnostics(config: RunConfig) -> tuple:
     """Structure checks on the smallest level plus an inf-sup sweep.
 
-    ``corrupt_sign`` deliberately flips one shared-edge dof orientation
-    before the conformity check; it exists so tests can confirm the jump
-    diagnostic actually detects a broken space.  Failures are reported in
-    the returned records, never raised.  A level above the inf-sup size cap
-    is a ConfigError, raised before any diagnostic runs.
+    Failures are reported in the returned records, never raised.  A level
+    above the inf-sup size cap is a ConfigError, raised before any
+    diagnostic runs.  The output is deterministic for a given config.
     """
     levels = []
     for n in config.levels:
@@ -299,9 +285,8 @@ def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
                               1e-10, s5 <= 1e-10,
                               f"{config.element} on n={n0}"))
 
-    jump_space = _corrupt_edge_sign(stress) if corrupt_sign else stress
     rng = np.random.RandomState(config.seed)
-    fn = FEFunction(jump_space, rng.standard_normal(jump_space.n_dofs))
+    fn = FEFunction(stress, rng.standard_normal(stress.n_dofs))
     jump = normal_jump_norm(fn)
     results.append(Diagnostic("interior-edge normal jump", jump,
                               1e-10, jump <= 1e-10,
@@ -309,7 +294,7 @@ def run_diagnostics(config: RunConfig, corrupt_sign: bool = False) -> tuple:
 
     ident = interpolate_stress(
         stress, lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
-    rule = gauss_rule(8)
+    rule = gauss_rule(default_quad(stress.element))
     _, _, jac = geometry_at(mesh.element_corners(), rule.points)
     diff = evaluate_batch(ident, rule.points) - np.eye(2)
     ierr = float(np.sqrt(np.sum(rule.weights[None, :] * jac
@@ -452,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stability and conformity checks")
     _add_shared_flags(diag, (2, 4))
     _add_material_flags(diag)
-    diag.add_argument("--corrupt-sign", action="store_true",
-                      help=argparse.SUPPRESS)
 
     mesh = subs.add_parser("mesh", help="generate and inspect a mesh")
     mesh.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES,
@@ -508,8 +491,7 @@ def main(argv=None) -> int:
             text = (format_locking_csv(rows) if config.fmt == "csv"
                     else format_locking_md(rows))
         elif args.command == "diagnostics":
-            results = run_diagnostics(config,
-                                      corrupt_sign=args.corrupt_sign)
+            results = run_diagnostics(config)
             text = format_diagnostics(results)
         else:
             text = run_mesh(config)

@@ -21,9 +21,6 @@ __all__ = [
     "read_mesh",
 ]
 
-# Corners of the reference square in counterclockwise order.
-_REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
 # Local edges of a quad as (start, end) vertex slots, counterclockwise.
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
 

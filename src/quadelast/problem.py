@@ -81,14 +81,12 @@ def compliance_matrix(params: LameParams) -> np.ndarray:
 class ManufacturedSolution:
     """Closed-form solution fields of the elasticity system.
 
-    ``grad_u[..., i, j]`` is du_i/dx_j; ``g`` is the Dirichlet displacement
-    trace (here simply u restricted to the boundary).  All closures accept
-    points of shape (..., 2).
+    ``g`` is the Dirichlet displacement trace (here simply u restricted to
+    the boundary).  All closures accept points of shape (..., 2).
     """
 
     params: LameParams
     u: Callable[[np.ndarray], np.ndarray]
-    grad_u: Callable[[np.ndarray], np.ndarray]
     p: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
@@ -108,16 +106,6 @@ def trig_solution(params: LameParams) -> ManufacturedSolution:
         x1, x2 = x[..., 0], x[..., 1]
         return np.stack([np.cos(pi * x1) * np.sin(2 * pi * x2),
                          np.sin(pi * x1) * np.cos(pi * x2)], axis=-1)
-
-    def grad_u(x):
-        x = np.asarray(x)
-        x1, x2 = x[..., 0], x[..., 1]
-        d11 = -pi * np.sin(pi * x1) * np.sin(2 * pi * x2)
-        d12 = 2 * pi * np.cos(pi * x1) * np.cos(2 * pi * x2)
-        d21 = pi * np.cos(pi * x1) * np.cos(pi * x2)
-        d22 = -pi * np.sin(pi * x1) * np.sin(pi * x2)
-        return np.stack([np.stack([d11, d12], axis=-1),
-                         np.stack([d21, d22], axis=-1)], axis=-2)
 
     def p(x):
         x = np.asarray(x)
@@ -145,5 +133,4 @@ def trig_solution(params: LameParams) -> ManufacturedSolution:
                                          + (3 * mu + lam) * np.cos(pi * x2))
         return np.stack([f1, f2], axis=-1)
 
-    return ManufacturedSolution(params=params, u=u, grad_u=grad_u, p=p,
-                                sigma=sigma, f=f)
+    return ManufacturedSolution(params=params, u=u, p=p, sigma=sigma, f=f)

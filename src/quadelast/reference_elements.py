@@ -204,7 +204,7 @@ class ReferenceElement:
     def n_edge_dofs(self) -> int:
         return len(self.edge_dofs[0])
 
-    def interpolation_matrix(self, order: int = 10):
+    def interpolation_matrix(self, order: int):
         """Sampling points and dof weights for a quadrature order.
 
         Returns ``(points, W)`` from :func:`_dof_points` and the weight array

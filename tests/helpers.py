@@ -1,18 +1,24 @@
 """Helpers that only the tests use: patch-test data, the canonical
 interpolant of one reference element, the compliance applied to a stack of
 matrices, the monolithic sparse LU oracle of the solver, a system with one
-cell's compliance negated, a system with its asymmetry block removed, and
-the plain-``einsum`` forms of the batched geometry, Piola and
-interpolation contractions."""
+cell's compliance negated, a system with its asymmetry block removed, a
+stress space with one edge orientation flipped, a recorder of the
+quadrature orders the package integrates at, and the plain-``einsum``
+forms of the batched geometry, Piola and interpolation contractions."""
 
 import dataclasses
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+import quadelast.analysis
+import quadelast.assembly
+import quadelast.cli
+from quadelast.assembly import default_quad
 from quadelast.fe_space import FEFunction
 from quadelast.mapping import ref_shape
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
+from quadelast.reference_elements import ReferenceElement
 from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
 
 
@@ -33,9 +39,6 @@ def linear_solution(params: LameParams,
     def u(x):
         return np.asarray(x) @ U.T
 
-    def grad_u(x):
-        return np.broadcast_to(U, np.asarray(x).shape[:-1] + (2, 2))
-
     def p(x):
         return np.broadcast_to(rot, np.asarray(x).shape[:-1])
 
@@ -45,8 +48,7 @@ def linear_solution(params: LameParams,
     def f(x):
         return np.zeros(np.asarray(x).shape[:-1] + (2,))
 
-    return ManufacturedSolution(params=params, u=u, grad_u=grad_u, p=p,
-                                sigma=sigma, f=f)
+    return ManufacturedSolution(params=params, u=u, p=p, sigma=sigma, f=f)
 
 
 def interpolate(elem, field, order: int = 10) -> np.ndarray:
@@ -104,6 +106,43 @@ def without_asymmetry(system):
     return dataclasses.replace(system, cell_matrices=A)
 
 
+def flip_edge_sign(space):
+    """The stress space with the orientation sign of one shared-edge dof
+    flipped in one cell: the first dof of the first interior edge, in the
+    first cell that uses it.  Its functions have O(1) normal jumps."""
+    slots = space.mesh.edge_slots
+    interior = np.flatnonzero(slots[:, 1] >= 0)
+    quad, local = divmod(int(slots[interior[0], 0]), 4)
+    signs = space.row_signs.copy()
+    signs[quad, space.element.edge_dofs[local][0]] *= -1.0
+    return dataclasses.replace(space, row_signs=signs)
+
+
+def record_quadrature_orders(monkeypatch) -> list:
+    """Record every order that ``analysis``, ``assembly`` and ``cli`` ask
+    ``gauss_rule``, ``gauss_rule_1d`` or ``interpolation_matrix`` for.
+
+    The functions are wrapped where those modules look them up, for the
+    rest of the test; the returned list fills as they are called.
+    """
+    orders = []
+
+    def recording(fn):
+        def wrapper(*args):
+            orders.append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    for module in (quadelast.analysis, quadelast.assembly, quadelast.cli):
+        for name in ("gauss_rule", "gauss_rule_1d"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recording(getattr(module, name)))
+    monkeypatch.setattr(ReferenceElement, "interpolation_matrix",
+                        recording(ReferenceElement.interpolation_matrix))
+    return orders
+
+
 # ---------------------------------------------------------------------------
 # plain-einsum oracles of the contractions over the cell axis, which the
 # package runs through BLAS or writes out term by term
@@ -152,10 +191,10 @@ def einsum_reference_dofs(W, sighat):
     return np.einsum("ipc,eprc->eri", W, sighat)
 
 
-def einsum_interpolate_stress(space, sigma, quad=10):
+def einsum_interpolate_stress(space, sigma):
     """Coefficients of ``analysis.interpolate_stress``, with the
     contraction in its (row, cell, dof) order."""
-    points, W = space.element.interpolation_matrix(quad)
+    points, W = space.element.interpolation_matrix(default_quad(space.element))
     sighat, _ = einsum_reference_rows(sigma, space.mesh, points)
     coef = np.zeros(space.n_dofs)
     coef[space.dofs] = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -12,13 +10,15 @@ from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
     evaluate_batch,
+    stress_element,
 )
 from quadelast.problem import LameParams, trig_solution
 from quadelast.assembly import BlockSystem, assemble, default_quad
 from quadelast.solver import SingularSystem, solve
-from quadelast.cli import RunConfig, run_diagnostics
+from quadelast.cli import RunConfig, run_convergence, run_diagnostics
 from quadelast.analysis import (
     INFSUP_CAP,
+    NORM_QUAD,
     ConvergenceTable,
     ErrorReport,
     asymmetry_norm,
@@ -40,7 +40,8 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import (linear_solution, negated_cell_compliance,
+from helpers import (flip_edge_sign, linear_solution,
+                     negated_cell_compliance, record_quadrature_orders,
                      without_asymmetry)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -68,7 +69,7 @@ def report(h=0.5, **kw):
 def test_patch_test_errors_vanish():
     patch = linear_solution(PARAMS)
     sh, uh, ph, _ = solve_triple(generate_trapezoidal_mesh(4), "rt2", patch)
-    r = compute_errors(sh, uh, ph, patch, quad=8)
+    r = compute_errors(sh, uh, ph, patch)
     assert max(r.e_sigma, r.e_div, r.e_u, r.e_p) <= 1e-9
 
 
@@ -157,6 +158,23 @@ def test_commuting_residual_smooth_field_rt2():
     space = build_stress_space(generate_trapezoidal_mesh(4), "rt2")
     sol = trig_solution(PARAMS)
     assert check_commuting_projection(space, sol.sigma) <= 1e-10
+
+
+def test_commuting_residual_is_relative_at_rt2_n64():
+    # the absolute residual is 1.2e-10 here, from round-off alone
+    space = build_stress_space(generate_trapezoidal_mesh(64), "rt2")
+    sol = trig_solution(PARAMS)
+    assert check_commuting_projection(space, sol.sigma) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["rt2", "bdm1"])
+def test_commuting_residual_detects_flipped_sign(family):
+    # the interpolant goes through the global dofs, so one edge
+    # orientation the two cells disagree on is an O(1) relative residual
+    space = flip_edge_sign(build_stress_space(generate_trapezoidal_mesh(4),
+                                              family))
+    sol = trig_solution(PARAMS)
+    assert check_commuting_projection(space, sol.sigma) > 1e-2
 
 
 def test_commuting_residual_quadratic_field_bdm1():
@@ -256,13 +274,30 @@ def test_discrete_equilibrium(family, mesh_fn):
 
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
-def test_equilibrium_residual_uses_assembly_quadrature(family):
+def test_equilibrium_residual_uses_assembly_quadrature(family, monkeypatch):
     sol = trig_solution(PARAMS)
     sh, uh, _, _ = solve_triple(generate_trapezoidal_mesh(4), family, sol)
     quad = default_quad(sh.space.element)
     assert quad == sh.space.element.n_edge_dofs + 6
-    assert (equilibrium_residual(sh, uh.space, sol.f)
-            == equilibrium_residual(sh, uh.space, sol.f, quad=quad))
+    orders = record_quadrature_orders(monkeypatch)
+    equilibrium_residual(sh, uh.space, sol.f)
+    asymmetry_norm(sh)
+    assert orders == [quad, quad]
+
+
+@pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
+def test_quadrature_policy(family, monkeypatch):
+    # one convergence level integrates at the assembly default and, for
+    # the error norms only, at NORM_QUAD; the diagnostics at the default
+    config = RunConfig(element=family, mesh_family="trapezoid", levels=(2,))
+    quad = default_quad(stress_element(family))
+    orders = record_quadrature_orders(monkeypatch)
+    run_convergence(config)
+    assert set(orders) == {quad, NORM_QUAD}
+    assert orders.count(NORM_QUAD) == 1
+    orders.clear()
+    run_diagnostics(config)
+    assert orders and set(orders) == {quad}
 
 
 def test_discrete_asymmetry_orthogonality():
@@ -363,7 +398,8 @@ def percell_rows(sigma, corners, elem):
     return sighat
 
 
-def percell_interpolate(space, sigma, quad=10):
+def percell_interpolate(space, sigma):
+    quad = default_quad(space.element)
     corners = space.mesh.element_corners()
     coef = np.zeros(space.n_dofs)
     for e in range(space.mesh.n_quads):
@@ -376,8 +412,9 @@ def percell_interpolate(space, sigma, quad=10):
     return coef
 
 
-def percell_commuting(space, sigma, quad=10):
+def percell_commuting(space, sigma):
     elem = space.element
+    quad = default_quad(elem)
     psi_basis = q_element(elem.degree - 1).basis
     rule = gauss_rule(quad)
     t1, w1 = gauss_rule_1d(quad)
@@ -391,7 +428,7 @@ def percell_commuting(space, sigma, quad=10):
     div_phi = elem.basis.div(rule.points)
     edge_pts = [EDGE_STARTS[j] + t1[:, None] * EDGE_DIRS[j] for j in range(4)]
     psi_edge = [psi_basis.eval(pts)[..., 0] for pts in edge_pts]
-    total = 0.0
+    total = scale = 0.0
     for e in range(space.mesh.n_quads):
         sighat = percell_rows(sigma, corners[e], e)
         coef = np.stack([apply_dofs(elem, lambda xh, r=rho: sighat(xh)[..., r, :],
@@ -406,10 +443,12 @@ def percell_commuting(space, sigma, quad=10):
         mass = np.einsum("iq,jq,q->ij", psi, psi, rule.weights * J[0])
         diff = m1 - m2
         total += float(np.sum(diff * la.solve(mass, diff.T, assume_a="pos").T))
-    return float(np.sqrt(max(total, 0.0)))
+        scale += float(np.sum(m2 * la.solve(mass, m2.T, assume_a="pos").T))
+    return float(np.sqrt(max(total, 0.0)) / max(np.sqrt(scale), 1.0))
 
 
-def percell_jump(sigma, n1d=8):
+def percell_jump(sigma):
+    n1d = default_quad(sigma.space.element)
     mesh = sigma.space.mesh
     t, w = gauss_rule_1d(n1d)
     incidence = {}
@@ -494,10 +533,7 @@ def test_batched_jump_matches_percell(family, mesh_fn, n):
         "identity": interpolate_stress(space, identity_field),
     }
     # one flipped shared-edge sign makes the jump O(1)
-    signs = space.row_signs.copy()
-    signs[0, space.element.edge_dofs[1][0]] *= -1.0
-    broken = dataclasses.replace(space, row_signs=signs)
-    functions["corrupted"] = FEFunction(broken,
+    functions["corrupted"] = FEFunction(flip_edge_sign(space),
                                         fields["fefunction"].coefficients)
     for name, fn in functions.items():
         ref = percell_jump(fn)
@@ -553,6 +589,12 @@ def test_infsup_is_zero_where_solve_refuses():
     with pytest.raises(SingularSystem, match="not positive definite"):
         solve(negated)
     assert infsup_estimate(negated, ynorm_gram(S, V, Q)) == 0.0
+
+
+def test_infsup_estimate_is_deterministic():
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(8), "bdm1")
+    system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
+    assert infsup_estimate(system, gram) == infsup_estimate(system, gram)
 
 
 def test_infsup_rejects_indefinite_gram():

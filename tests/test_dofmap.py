@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from quadelast.analysis import ynorm_gram
-from quadelast.assembly import assemble, boundary_term
+from quadelast.assembly import assemble, boundary_term, default_quad
 from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
@@ -201,7 +201,7 @@ def listed_blocks(stress, disp, rot, params, quad):
 
 def block_diagonal_gram(stress, disp, rot):
     """The Gram matrix as five per-row blocks joined by ``block_diag``."""
-    rule = gauss_rule(stress.element.degree + 3)
+    rule = gauss_rule(default_quad(stress.element))
     X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
     w = rule.weights
 

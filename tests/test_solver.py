@@ -166,7 +166,7 @@ def test_patch_test_reproduced_exactly(method):
     x = solve(system).solution if method == "sparse" else dense_solve(system)
     sh, uh, ph = system.split(x)
     errs = compute_errors(FEFunction(S, sh), FEFunction(V, uh),
-                          FEFunction(Q, ph), patch, quad=8)
+                          FEFunction(Q, ph), patch)
     assert errs.e_sigma <= 1e-9
     assert errs.e_div <= 1e-9
     assert errs.e_u <= 1e-9
