@@ -4,16 +4,16 @@ Everything here consumes solved fields (or exact callables) and produces
 numbers: L2 errors with relative percentages, observed orders between
 dyadic mesh levels, the commuting-interpolation residual for the stress
 interpolant, a sparse shift-invert inf-sup estimate for the saddle-point
-system, and the asymmetry norm of a computed stress.  Every diagnostic
-works on all cells at once: fields are pulled back in one batch and the
-reference dofs are applied as one weight array.
+system in the norm of :func:`assembly.ynorm_gram`, and the asymmetry norm
+of a computed stress.  Every diagnostic works on all cells at once: fields
+are pulled back in one batch and the reference dofs are applied as one
+weight array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import default_quad
@@ -23,12 +23,11 @@ from .fe_space import (
     evaluate_batch,
     evaluate_div_batch,
     scatter,
-    unmapped_monomials,
 )
 from .mapping import gauss_rule, gauss_rule_1d, geometry_at, piola_values
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
-from .solver import HybridFactor, SolverError, cell_apply, spd_factor
+from .solver import HybridFactor, SolverError, cell_apply
 
 #: Quadrature order of :func:`compute_errors` alone (the policy is in
 #: :func:`assembly.default_quad`); high enough that the measured errors are
@@ -36,9 +35,9 @@ from .solver import HybridFactor, SolverError, cell_apply, spd_factor
 NORM_QUAD = 12
 
 #: Largest system size accepted by the inf-sup estimate.  On trapezoids,
-#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.28 s at 7,040
-#: unknowns (rt2 n=16), 0.76 s and a 135 MB process peak at 27,904 (rt2
-#: n=32), 1.7 s and 256 MB at 45,568 (bdm1 n=64).  The cap is a safety
+#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.15 s at 7,040
+#: unknowns (rt2 n=16), 0.69 s and a 141 MB process peak at 27,904 (rt2
+#: n=32), 1.8 s and 264 MB at 45,568 (bdm1 n=64).  The cap is a safety
 #: bound on one estimate's time and memory, not a measured limit.
 INFSUP_CAP = 50_000
 
@@ -150,62 +149,36 @@ def compute_errors(sigma: FEFunction, u: FEFunction, p: FEFunction,
     )
 
 
-def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> sp.csr_matrix:
-    """Block-diagonal Gram matrix of the H(div) x L2 x L2 solution norm.
-
-    The stress block carries (tau, tau) + (div tau, div tau), evaluated
-    with the same pullbacks as assembly; the displacement and rotation
-    blocks are plain L2 mass matrices.
-    """
-    mesh = stress.mesh
-    rule = gauss_rule(default_quad(stress.element))
-    X, DF, J = geometry_at(mesh.element_corners(), rule.points)
-    w = rule.weights
-
-    Phi = stress.element.basis.eval(rule.points)
-    dPhi = stress.element.basis.div(rule.points)
-    UPV = piola_values(DF[:, None], Phi)
-    woJ = w[None, :] / J
-    G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-    G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
-    G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
-
-    wJ = w[None, :] * J
-    psi = disp.element.basis.eval(rule.points)[..., 0]
-    Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-
-    mono = unmapped_monomials(rot, X)
-    Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
-
-    sdof = stress.dofs
-    vdof = stress.n_dofs + disp.dofs
-    qdof = stress.n_dofs + disp.n_dofs + rot.dofs[0]
-    n = stress.n_dofs + disp.n_dofs + rot.n_dofs
-    return scatter([(G, sdof[0], sdof[0]), (G, sdof[1], sdof[1]),
-                    (Mv, vdof[0], vdof[0]), (Mv, vdof[1], vdof[1]),
-                    (Mq, qdof, qdof)], (n, n))
-
-
 def infsup_estimate(system, gram) -> float:
     """Smallest singular value of the system in the solution norm.
 
-    The discrete inf-sup constant is the smallest |lambda| of the
-    generalized eigenproblem K x = lambda N x, where K is the full
-    saddle-point operator and N the Gram matrix from :func:`ynorm_gram`
-    (the numerical inf-sup test of Chapelle & Bathe, 1993).  It is found
-    by shift-invert Lanczos about zero, with K applied cell by cell and
-    inverted by the solver's hybridized factor, so K is never assembled; a
-    system the factor refuses, as ``solve`` does, has constant 0.
+    The discrete inf-sup constant is the smallest |lambda| of K x =
+    lambda N x, K the saddle-point operator and N the Gram matrix summed
+    from the cell blocks of :func:`assembly.ynorm_gram` (the numerical
+    inf-sup test of Chapelle & Bathe, 1993).  Shift-invert Lanczos about
+    zero finds it, with K applied cell by cell and inverted by the solver's
+    hybridized factor; a system the factor refuses, as ``solve`` does, has
+    constant 0.  Raises ValueError unless N is positive definite.
     """
     if system.n > INFSUP_CAP:
         raise ValueError(
             f"inf-sup estimate is capped at {INFSUP_CAP} unknowns; "
             f"system has {system.n}"
         )
-    N = sp.csc_matrix(gram)
-    if spd_factor(N) is None:
-        raise ValueError("Gram matrix is not positive definite")
     A, D = system.cell_matrices, system.cell_dofs
+    if gram.shape != A.shape:
+        raise ValueError(f"Gram blocks have shape {gram.shape}; "
+                         f"the cell matrices have {A.shape}")
+    # N sums the five diagonal blocks of the block-diagonal Gram matrix; it
+    # is positive definite if every block is and its diagonal has no zero
+    N = scatter([(gram[:, b, b], D[:, b], D[:, b])
+                 for b in system.local_blocks], (system.n, system.n))
+    try:
+        np.linalg.cholesky(gram)
+        if not np.all(N.diagonal() > 0.0):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise ValueError("Gram matrix is not positive definite") from None
     try:
         factor = HybridFactor(A, D, system.n)
     except SolverError:
@@ -347,14 +320,15 @@ def equilibrium_residual(sigma: FEFunction, disp: FESpace, f) -> float:
     X, _, J = geometry_at(mesh.element_corners(), rule.points)
     wJ = rule.weights[None, :] * J
 
-    diff = evaluate_div_batch(sigma, rule.points) - np.asarray(f(X))
+    fx = np.asarray(f(X))
+    diff = evaluate_div_batch(sigma, rule.points) - fx
     psi = disp.element.basis.eval(rule.points)[..., 0]
     r = np.einsum("eq,eqr,jq->ejr", wJ, diff, psi)
     mass = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
     sol = np.linalg.solve(mass, r)
     val = float(np.sqrt(max(np.sum(r * sol), 0.0)))
 
-    fnorm = float(np.sqrt(np.sum(wJ * np.sum(np.asarray(f(X)) ** 2, axis=-1))))
+    fnorm = float(np.sqrt(np.sum(wJ * np.sum(fx ** 2, axis=-1))))
     return val / fnorm if fnorm > 0.0 else val
 
 

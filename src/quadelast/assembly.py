@@ -24,7 +24,8 @@ Only M retains the rational 1/J factor on non-parallelogram elements.
 
 The right-hand side carries (f, v) in the displacement block and, for
 inhomogeneous Dirichlet data g, the consistent boundary term
-``int_e g . (t n) ds`` in the stress block.
+``int_e g . (t n) ds`` in the stress block.  :func:`ynorm_gram` builds
+the solution norm's Gram matrix from the same tables, one block per cell.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .mapping import (gauss_rule, gauss_rule_1d, geometry_at, piola_values,
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
-__all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad"]
+__all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad",
+           "ynorm_gram"]
 
 
 def default_quad(element) -> int:
@@ -86,14 +88,10 @@ class BlockSystem:
         return self.n_sigma + self.n_v + self.n_q
 
     @cached_property
-    def _local_blocks(self):
+    def local_blocks(self) -> tuple:
         """Local slices of stress row 0, stress row 1, displacement 0,
-        displacement 1 and rotation, read off the global dof ranges."""
-        first = self.cell_dofs[:1]
-        s = int(np.sum(first < self.n_sigma))
-        v = int(np.sum(first < self.n_sigma + self.n_v)) - s
-        cuts = (0, s // 2, s, s + v // 2, s + v, self.cell_dofs.shape[1])
-        return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
+        displacement 1 and rotation."""
+        return _local_slices(self.cell_dofs, self.n_sigma, self.n_v)
 
     def _scatter(self, pairs, row_offset, shape):
         A, D = self.cell_matrices, self.cell_dofs
@@ -103,42 +101,65 @@ class BlockSystem:
     @cached_property
     def M(self) -> sp.csr_matrix:
         """Compliance block (A s, t)."""
-        s = slice(0, self._local_blocks[1].stop)
+        s = slice(0, self.local_blocks[1].stop)
         return self._scatter([(s, s)], 0, (self.n_sigma, self.n_sigma))
 
     @cached_property
     def Bd(self) -> sp.csr_matrix:
         """Divergence block (div s, v): displacement row rho against stress
         row rho."""
-        s0, s1, v0, v1, _ = self._local_blocks
+        s0, s1, v0, v1, _ = self.local_blocks
         return self._scatter([(v0, s0), (v1, s1)], self.n_sigma,
                              (self.n_v, self.n_sigma))
 
     @cached_property
     def Ba(self) -> sp.csr_matrix:
         """Asymmetry block (as s, q)."""
-        s0, s1, _, _, q = self._local_blocks
+        s0, s1, _, _, q = self.local_blocks
         return self._scatter([(q, s0), (q, s1)], self.n_sigma + self.n_v,
                              (self.n_q, self.n_sigma))
 
     def full_matrix(self) -> sp.csc_matrix:
         """The symmetric indefinite matrix [[M, Bd^T, Ba^T], [Bd,], [Ba,]]."""
-        return sp.bmat(
-            [
-                [self.M, self.Bd.T, self.Ba.T],
-                [self.Bd, None, None],
-                [self.Ba, None, None],
-            ],
-            format="csc",
-        )
+        return sp.bmat([[self.M, self.Bd.T, self.Ba.T], [self.Bd, None, None],
+                        [self.Ba, None, None]], format="csc")
 
     def split(self, x: np.ndarray):
         """Split a solution vector into (stress, displacement, rotation)."""
-        return (
-            x[: self.n_sigma],
-            x[self.n_sigma: self.n_sigma + self.n_v],
-            x[self.n_sigma + self.n_v:],
-        )
+        a, b = self.n_sigma, self.n_sigma + self.n_v
+        return x[:a], x[a:b], x[b:]
+
+
+def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, quad: int):
+    """The per-cell tables of one Gauss rule: w, X, w J, w / J, the unscaled
+    Piola values DF phi (E, dimS, q, 2), the reference divergences, the
+    displacement basis and the rotation monomials (dimQ, E, q)."""
+    rule = gauss_rule(quad)
+    w = rule.weights
+    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
+    basis = stress.element.basis
+    return (w, X, w[None, :] * J, w[None, :] / J,
+            piola_values(DF[:, None], basis.eval(rule.points)),
+            basis.div(rule.points),
+            disp.element.basis.eval(rule.points)[..., 0],
+            unmapped_monomials(rot, X))
+
+
+def _local_slices(cell_dofs: np.ndarray, n_sigma: int, n_v: int) -> tuple:
+    """Local slices of stress row 0, stress row 1, displacement 0,
+    displacement 1 and rotation, read off the global dof ranges."""
+    s, sv = (int(np.sum(cell_dofs[:1] < n)) for n in (n_sigma, n_sigma + n_v))
+    cuts = (0, s // 2, s, (s + sv) // 2, sv, cell_dofs.shape[1])
+    return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
+
+
+def _layout(stress: FESpace, disp: FESpace, rot: FESpace):
+    """Every cell's global dofs (E, k) in the local order of the cell
+    matrices, and that order's five slices (:func:`_local_slices`)."""
+    cell_dofs = np.concatenate(
+        [*stress.dofs, *(stress.n_dofs + disp.dofs),
+         stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
+    return cell_dofs, _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
 
 
 def assemble(
@@ -170,29 +191,15 @@ def assemble(
             stacklevel=2,
         )
 
-    rule = gauss_rule(quad)
-    w = rule.weights
+    w, X, wJ, w_over_J, UPV, dPhi, Psi, Q = _tabulate(stress, disp, rot, quad)
     nq = mesh.n_quads
-    X, DF, J = geometry_at(mesh.element_corners(), rule.points)
-    wJ = w[None, :] * J  # (E, q)
-
-    Phi = stress.element.basis.eval(rule.points)  # (dimS, q, 2)
-    dPhi = stress.element.basis.div(rule.points)  # (dimS, q)
-    Psi = disp.element.basis.eval(rule.points)[..., 0]  # (dimV, q)
-    Q = unmapped_monomials(rot, X)  # (dimQ, E, q)
-
-    dimS = Phi.shape[0]
+    dimS = dPhi.shape[0]
     sgn = stress.row_signs  # (E, dimS)
-    sdof = stress.dofs  # (2, E, dimS)
-
-    # Unscaled Piola values DF @ phi; the true values carry an extra 1/J
-    UPV = piola_values(DF[:, None], Phi)  # (E, dimS, q, 2)
 
     # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j the
     # integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C on
     # vec(tau).  Each Piola factor contributes 1/J, the volume element J,
     # so the net weight is w/J.
-    w_over_J = w[None, :] / J  # (E, q)
     UPVw = UPV * w_over_J[:, None, :, None]
     # T[e, i, a, j, b] = sum_q (w/J) UPV[e,i,q,a] UPV[e,j,q,b]
     Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
@@ -210,28 +217,21 @@ def assemble(
 
     # ---- cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows
     # displacement 0, displacement 1, rotation; columns stress rows 0, 1.
-    dimV, dimQ = Psi.shape[0], Q.shape[0]
-    s2 = 2 * dimS
-    k = s2 + 2 * dimV + dimQ
-    cell_matrices = np.zeros((nq, k, k))
-    cell_matrices[:, :s2, :s2] = L
-    B = cell_matrices[:, s2:, :s2]  # a view, filled in place
+    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
+    s, b = slice(0, s1.stop), slice(s1.stop, None)
+    cell_matrices = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
+    cell_matrices[:, s, s] = L
+    del L
     # (u, div t): J cancels, so the local matrix is the fixed reference
     # integral int divphi_i psi_m, identical on every element up to signs
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
     # (p, as t): as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1; the Piola 1/J
     # cancels the volume J, leaving weight w alone
-    for rho, (comp, s_as) in enumerate([(1, 1.0), (0, -1.0)]):
-        cols = slice(rho * dimS, (rho + 1) * dimS)
-        B[:, rho * dimV:(rho + 1) * dimV, cols] = np.einsum(
-            "ek,mk->emk", sgn, D0)
-        B[:, 2 * dimV:, cols] = s_as * np.einsum(
+    for v, cols, comp, s_as in ((v0, s0, 1, 1.0), (v1, s1, 0, -1.0)):
+        cell_matrices[:, v, cols] = np.einsum("ek,mk->emk", sgn, D0)
+        cell_matrices[:, q, cols] = s_as * np.einsum(
             "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
-    cell_matrices[:, :s2, s2:] = B.transpose(0, 2, 1)
-    del L
-    cell_dofs = np.concatenate(
-        [*sdof, *(stress.n_dofs + disp.dofs),
-         stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
+    cell_matrices[:, s, b] = cell_matrices[:, b, s].transpose(0, 2, 1)
 
     # ---- right-hand side
     rhs = np.zeros(stress.n_dofs + disp.n_dofs + rot.n_dofs)
@@ -239,13 +239,35 @@ def assemble(
         fx = np.asarray(f(X))  # (E, q, 2)
         load = [np.einsum("eq,mq->em", wJ * fx[..., rho], Psi)
                 for rho in range(2)]
-        np.add.at(rhs, stress.n_dofs + disp.dofs, load)
+        rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(),
+                          np.ravel(load), minlength=rhs.size)
     if g is not None:
         rhs[: stress.n_dofs] = boundary_term(stress, g, n1d=quad)
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
         cell_matrices=cell_matrices, cell_dofs=cell_dofs, rhs=rhs,
     )
+
+
+def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> np.ndarray:
+    """Gram matrix of the H(div) x L2 x L2 solution norm as (E, k, k) cell
+    blocks, signs included, in the local order of the cell matrices: the
+    global matrix is their sum over ``cell_dofs``, like K.  Each block holds
+    (tau, tau) + (div tau, div tau) on both stress rows and L2 mass matrices
+    on the displacement components and the rotation."""
+    _, _, wJ, woJ, UPV, dPhi, psi, mono = _tabulate(
+        stress, disp, rot, default_quad(stress.element))
+    G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+    G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
+    G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
+    Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+    Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
+
+    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
+    gram = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
+    for sl, block in ((s0, G), (s1, G), (v0, Mv), (v1, Mv), (q, Mq)):
+        gram[:, sl, sl] = block
+    return gram
 
 
 def boundary_term(stress: FESpace, g, n1d: int | None = None) -> np.ndarray:
@@ -272,6 +294,5 @@ def boundary_term(stress: FESpace, g, n1d: int | None = None) -> np.ndarray:
     gx = np.asarray(g(X))  # (nb, n1d, 2)
     vals = np.einsum("p,bkp,bpr->rbk", w, trace, gx)
     vals *= stress.row_signs[quad[:, None], dof]
-    out = np.zeros(stress.n_dofs)
-    np.add.at(out, stress.dofs[:, quad[:, None], dof], vals)
-    return out
+    return np.bincount(stress.dofs[:, quad[:, None], dof].ravel(),
+                       vals.ravel(), minlength=stress.n_dofs)

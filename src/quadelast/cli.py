@@ -22,9 +22,8 @@ from .analysis import (
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
-    ynorm_gram,
 )
-from .assembly import assemble, default_quad
+from .assembly import assemble, default_quad, ynorm_gram
 from .fe_space import FEFunction, build_elasticity_spaces, evaluate_batch
 from .mapping import gauss_rule, geometry_at
 from .mesh import (
@@ -357,20 +356,18 @@ def run_mesh(config: RunConfig) -> str:
 # argument parsing
 
 
-def _parse_levels(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"levels must be comma-separated integers, got {text!r}")
+def _parse_list(kind, what: str, kinds: str):
+    """An argparse type: a tuple of comma-separated ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be comma-separated {kinds}, got {text!r}")
+    return parse
 
 
-def _parse_nus(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"Poisson ratios must be comma-separated floats, got {text!r}")
+_parse_levels = _parse_list(int, "levels", "integers")
 
 
 def _add_shared_flags(sub, levels_default):
@@ -429,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(lock, (2, 4, 8, 16, 32))
     lock.set_defaults(element="bdm1", mesh_family="trapezoid")
     lock.add_argument("--E", type=float, default=1000.0, help="Young modulus")
-    lock.add_argument("--nu", type=_parse_nus,
+    lock.add_argument("--nu", type=_parse_list(float, "Poisson ratios",
+                                                "floats"),
                       default=LOCKING_NUS,
                       help="comma-separated Poisson ratios")
 

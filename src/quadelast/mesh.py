@@ -226,17 +226,18 @@ def write_mesh(mesh: QuadMesh, path) -> None:
 
 
 def read_mesh(path) -> QuadMesh:
-    """Read the plain-text format written by :func:`write_mesh`."""
+    """Read the plain-text format written by :func:`write_mesh`; a file
+    that does not hold what its header promises raises ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "quadmesh":
             raise ValueError("not a quadmesh file")
         nv, nq = int(header[1]), int(header[2])
-        vertices = np.array(
-            [[float(t) for t in fh.readline().split()] for _ in range(nv)]
-        )
-        quads = np.array(
-            [[int(t) for t in fh.readline().split()] for _ in range(nq)],
-            dtype=np.int64,
-        )
+        if nv < 0 or nq < 0:
+            raise ValueError(f"negative count in the header: {nv} {nq}")
+        vertices = np.loadtxt(fh, ndmin=2, max_rows=nv)
+        quads = np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=nq)
+    # loadtxt reads a truncated file without error; QuadMesh checks columns
+    if (len(vertices), len(quads)) != (nv, nq):
+        raise ValueError(f"the header promises {nv} vertices and {nq} quads")
     return QuadMesh(vertices, quads)

@@ -116,9 +116,9 @@ def trig_solution(params: LameParams) -> ManufacturedSolution:
     def sigma(x):
         x = np.asarray(x)
         x1, x2 = x[..., 0], x[..., 1]
-        s1, s2 = np.sin(2 * pi * x2), np.sin(pi * x2)
-        s11 = -pi * np.sin(pi * x1) * ((2 * mu + lam) * s1 + lam * s2)
-        s22 = -pi * np.sin(pi * x1) * (lam * s1 + (2 * mu + lam) * s2)
+        s1, s2, sx = np.sin(2 * pi * x2), np.sin(pi * x2), np.sin(pi * x1)
+        s11 = -pi * sx * ((2 * mu + lam) * s1 + lam * s2)
+        s22 = -pi * sx * (lam * s1 + (2 * mu + lam) * s2)
         s12 = mu * pi * np.cos(pi * x1) * (2 * np.cos(2 * pi * x2)
                                            + np.cos(pi * x2))
         return np.stack([np.stack([s11, s12], axis=-1),

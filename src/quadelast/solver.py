@@ -76,7 +76,7 @@ def _multipliers(cell_dofs: np.ndarray, n: int):
     return count, number[cell_dofs], sign.reshape(cell_dofs.shape)
 
 
-def spd_factor(N: sp.csc_matrix, tol: float = 0.0):
+def spd_factor(N: sp.csc_matrix):
     """Symmetric-mode SuperLU factor of the symmetric sparse matrix N, or
     None unless N is numerically positive definite.
 
@@ -84,7 +84,7 @@ def spd_factor(N: sp.csc_matrix, tol: float = 0.0):
     are positive.  With a zero pivot threshold SuperLU keeps every diagonal
     pivot it can, so the pivots are the diagonal of U unless a zero pivot
     forced a row exchange (perm_r differs from perm_c).  Every pivot must
-    exceed ``tol`` times the largest diagonal entry of N.
+    exceed ``PIVOT_TOL`` times the largest diagonal entry of N.
     """
     try:
         lu = spla.splu(N, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -92,7 +92,7 @@ def spd_factor(N: sp.csc_matrix, tol: float = 0.0):
     except RuntimeError:  # exactly singular
         return None
     if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > tol * N.diagonal().max())):
+            and np.all(lu.U.diagonal() > PIVOT_TOL * N.diagonal().max())):
         return None
     return lu
 
@@ -159,7 +159,7 @@ class HybridFactor:
         if n_mult:
             S = scatter([(Se, slot_mult, slot_mult)],
                         (n_mult + 1, n_mult + 1))[:n_mult, :n_mult]
-            self.lu = spd_factor(S.tocsc(), PIVOT_TOL)
+            self.lu = spd_factor(S.tocsc())
             if self.lu is None:
                 raise SingularSystem(
                     "trace system not positive definite beyond tolerance; "

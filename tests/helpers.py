@@ -3,7 +3,8 @@ interpolant of one reference element, the compliance applied to a stack of
 matrices, the monolithic sparse LU oracle of the solver, a system with one
 cell's compliance negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, a recorder of the
-quadrature orders the package integrates at, and the plain-``einsum``
+quadrature orders the package integrates at, the Gram matrix summed from
+its cell blocks, and the plain-``einsum``
 forms of the batched geometry, Piola and interpolation contractions."""
 
 import dataclasses
@@ -15,7 +16,7 @@ import quadelast.analysis
 import quadelast.assembly
 import quadelast.cli
 from quadelast.assembly import default_quad
-from quadelast.fe_space import FEFunction
+from quadelast.fe_space import FEFunction, scatter
 from quadelast.mapping import ref_shape
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.reference_elements import ReferenceElement
@@ -104,6 +105,13 @@ def without_asymmetry(system):
     keep = system.cell_dofs < system.n_sigma + system.n_v
     A = system.cell_matrices * keep[:, :, None] * keep[:, None, :]
     return dataclasses.replace(system, cell_matrices=A)
+
+
+def gram_matrix(system, gram):
+    """The global Gram matrix: the cell blocks ``gram`` summed over the
+    system's cell dofs, like K."""
+    D = system.cell_dofs
+    return scatter([(gram, D, D)], (system.n, system.n))
 
 
 def flip_edge_sign(space):

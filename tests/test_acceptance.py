@@ -30,9 +30,8 @@ from quadelast.analysis import (
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
-    ynorm_gram,
 )
-from quadelast.assembly import assemble
+from quadelast.assembly import assemble, ynorm_gram
 from quadelast.fe_space import (
     FEFunction,
     build_elasticity_spaces,

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.fe_space import (
@@ -13,8 +15,8 @@ from quadelast.fe_space import (
     stress_element,
 )
 from quadelast.problem import LameParams, trig_solution
-from quadelast.assembly import BlockSystem, assemble, default_quad
-from quadelast.solver import SingularSystem, solve
+from quadelast.assembly import BlockSystem, assemble, default_quad, ynorm_gram
+from quadelast.solver import HybridFactor, SingularSystem, solve
 from quadelast.cli import RunConfig, run_convergence, run_diagnostics
 from quadelast.analysis import (
     INFSUP_CAP,
@@ -28,7 +30,6 @@ from quadelast.analysis import (
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
-    ynorm_gram,
 )
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import (
@@ -40,9 +41,10 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import (flip_edge_sign, linear_solution,
+from helpers import (flip_edge_sign, gram_matrix, linear_solution,
                      negated_cell_compliance, record_quadrature_orders,
                      without_asymmetry)
+from test_assembly import random_quad_mesh
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 # the reference error magnitudes for the trigonometric benchmark were
@@ -252,15 +254,41 @@ def test_infsup_dimension_cap():
                          cell_dofs=np.zeros((0, 0), dtype=np.int64),
                          rhs=np.zeros(n))
     with pytest.raises(ValueError, match="capped"):
-        infsup_estimate(system, sp.identity(n, format="csr"))
+        infsup_estimate(system, np.zeros((0, 0, 0)))
 
 
 def test_ynorm_gram_positive_definite():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "rt2")
-    N = ynorm_gram(S, V, Q)
+    system = assemble(S, V, Q, PARAMS)
+    gram = ynorm_gram(S, V, Q)
+    assert gram.shape == system.cell_matrices.shape
+    N = gram_matrix(system, gram)
     assert N.shape == (S.n_dofs + V.n_dofs + Q.n_dofs,) * 2
     w = np.linalg.eigvalsh(N.toarray())
     assert w.min() > 0.0
+
+
+@pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
+def test_gram_cell_blocks_are_positive_definite(family):
+    for seed in range(24):
+        S, V, Q = build_elasticity_spaces(random_quad_mesh(seed), family)
+        for block in ynorm_gram(S, V, Q):
+            assert np.linalg.eigvalsh(block).min() > 0.0, seed
+
+
+def test_gram_blocks_lie_on_the_cell_layout():
+    # the blocks are block-diagonal in the order of the cell matrices:
+    # stress rows against themselves, displacement components, rotation
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "bdm1")
+    gram = ynorm_gram(S, V, Q)
+    cuts = np.cumsum([0, S.dofs.shape[2], S.dofs.shape[2], V.dofs.shape[2],
+                      V.dofs.shape[2], Q.dofs.shape[2]])
+    inside = np.zeros(gram.shape[1:], dtype=bool)
+    for a, b in zip(cuts, cuts[1:]):
+        inside[a:b, a:b] = True
+    assert np.all(gram[:, ~inside] == 0.0)
+    assert np.array_equal(gram[:, cuts[0]:cuts[1], cuts[0]:cuts[1]],
+                          gram[:, cuts[1]:cuts[2], cuts[1]:cuts[2]])
 
 
 # -------------------------------------------- solution-level residuals
@@ -305,7 +333,8 @@ def test_discrete_asymmetry_orthogonality():
     sol = trig_solution(PARAMS)
     sh, _, _, system = solve_triple(generate_trapezoidal_mesh(4), "rt2", sol)
     S, V, Q = build_elasticity_spaces(sh.space.mesh, "rt2")
-    qnorms = np.sqrt(ynorm_gram(sh.space, V, Q).diagonal()[-Q.n_dofs:])
+    N = gram_matrix(system, ynorm_gram(sh.space, V, Q))
+    qnorms = np.sqrt(N.diagonal()[-Q.n_dofs:])
     resid = np.abs(system.Ba @ sh.coefficients)
     assert np.all(resid <= 1e-9 * qnorms)
 
@@ -351,7 +380,7 @@ def test_asymmetry_decreases_under_refinement():
 def dense_infsup(system, gram):
     """Smallest |eigenvalue| of N^(-1/2) K N^(-1/2), dense."""
     K = system.full_matrix().toarray()
-    N = gram.toarray() if sp.issparse(gram) else np.asarray(gram)
+    N = gram_matrix(system, gram).toarray()
     w, U = la.eigh(N)
     if w.min() <= 0.0:
         raise ValueError("Gram matrix is not positive definite")
@@ -602,6 +631,67 @@ def test_infsup_rejects_indefinite_gram():
     system = assemble(S, V, Q, PARAMS)
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, -ynorm_gram(S, V, Q))
+
+
+def test_infsup_factors_only_the_trace_system(monkeypatch):
+    # the Gram check is a batched Cholesky of the cell blocks: the one
+    # sparse factorization left is the hybrid solver's trace system
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "bdm1")
+    system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
+    shapes, splu = [], spla.splu
+
+    def recording(A, **kw):
+        shapes.append(A.shape)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    assert infsup_estimate(system, gram) > 0.0
+    (shape,) = shapes
+    factor = HybridFactor(system.cell_matrices, system.cell_dofs, system.n)
+    assert shape == (factor.multipliers,) * 2
+
+
+def test_infsup_rejects_one_negated_gram_block():
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
+    system = assemble(S, V, Q, PARAMS)
+    gram = ynorm_gram(S, V, Q)
+    gram[5] *= -1.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        infsup_estimate(system, gram)
+
+
+def test_infsup_rejects_an_indefinite_block_with_positive_diagonal():
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
+    system = assemble(S, V, Q, PARAMS)
+    gram = ynorm_gram(S, V, Q)
+    d = gram[5].diagonal()
+    gram[5, 0, 1] = gram[5, 1, 0] = 2.0 * np.sqrt(d[0] * d[1])
+    with pytest.raises(ValueError, match="not positive definite"):
+        infsup_estimate(system, gram)
+
+
+def test_infsup_rejects_a_dof_in_no_cell():
+    # every block is positive definite, but the last rotation dof has no
+    # cell: the summed Gram matrix has a zero row
+    S, V, Q = build_elasticity_spaces(generate_square_mesh(2), "bdm1")
+    system = assemble(S, V, Q, PARAMS)
+    wider = dataclasses.replace(system, n_q=system.n_q + 1,
+                                rhs=np.zeros(system.n + 1))
+    with pytest.raises(ValueError, match="not positive definite"):
+        infsup_estimate(wider, ynorm_gram(S, V, Q))
+
+
+@pytest.mark.parametrize("gram", [
+    lambda g: g[:, :-1, :-1],  # one local dof short
+    lambda g: np.concatenate([g, g]),  # one cell too many
+    lambda g: g[0],  # one block, not a stack
+], ids=["dof", "cell", "flat"])
+def test_infsup_rejects_gram_of_another_shape(gram):
+    # one cell: a stack of two blocks would broadcast against its dofs
+    S, V, Q = build_elasticity_spaces(random_quad_mesh(0), "bdm1")
+    system = assemble(S, V, Q, PARAMS)
+    with pytest.raises(ValueError, match="shape"):
+        infsup_estimate(system, gram(ynorm_gram(S, V, Q)))
 
 
 def test_infsup_of_singular_system_is_zero():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from quadelast.analysis import ynorm_gram
-from quadelast.assembly import assemble, boundary_term, default_quad
+from quadelast.assembly import (assemble, boundary_term, default_quad,
+                                ynorm_gram)
 from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
@@ -355,7 +355,13 @@ def test_matrices_match_listed_blocks(family, mesh_name):
         assert abs(system.M - system.M.T).max() == 0.0
         assert_same_sparse(system.Bd, Bd)
         assert_same_sparse(system.Ba, Ba)
-    assert_same_sparse(ynorm_gram(*spaces), block_diagonal_gram(*spaces))
+    # the Gram cell blocks, each of their five diagonal blocks summed over
+    # the system's cell dofs, are the oracle's matrix to the last bit
+    gram, D = ynorm_gram(*spaces), system.cell_dofs
+    assert_same_sparse(
+        scatter([(gram[:, sl, sl], D[:, sl], D[:, sl])
+                 for sl in system.local_blocks], (system.n, system.n)),
+        block_diagonal_gram(*spaces))
 
 
 def test_load_lands_on_displacement_dofs():

@@ -155,6 +155,36 @@ def test_mesh_io_rejects_garbage(tmp_path):
         read_mesh(path)
 
 
+SQUARE_FILE = "quadmesh 4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n"
+
+
+def test_read_mesh_reads_the_square(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE_FILE)
+    mesh = read_mesh(path)
+    assert mesh.vertices.dtype == np.float64 and mesh.quads.dtype == np.int64
+    np.testing.assert_array_equal(mesh.vertices, UNIT_SQUARE)
+    np.testing.assert_array_equal(mesh.quads, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("text,match", [
+    (SQUARE_FILE[:-len("0 1 2 3\n")], "header promises"),  # no quad line
+    ("quadmesh 4 1\n0 0\n1 0\n", "header promises"),  # truncated
+    (SQUARE_FILE.replace("1 1\n", "1\n"), "columns"),  # short vertex line
+    (SQUARE_FILE.replace("0 1 2 3", "0 1 2"), "shape"),  # short quad
+    (SQUARE_FILE.replace("1 1\n", "1 x\n"), "convert"),  # not a number
+    (SQUARE_FILE.replace("0 1 2 3", "0 1 2 3.5"), "convert"),  # not an int
+    (SQUARE_FILE.replace("4 1", "-4 1"), "negative count"),
+    (SQUARE_FILE.replace("4 1", "4 -1"), "negative count"),
+], ids=["no-quads", "truncated", "short-vertex", "short-quad", "token",
+        "float-index", "negative-vertices", "negative-quads"])
+def test_read_mesh_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_mesh(path)
+
+
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
