@@ -7,7 +7,9 @@ interpolant, a sparse shift-invert inf-sup estimate for the saddle-point
 system in the norm of :func:`assembly.ynorm_gram`, and the asymmetry norm
 of a computed stress.  Every diagnostic works on all cells at once: fields
 are pulled back in one batch and the reference dofs are applied as one
-weight array.
+weight array.  :func:`compute_errors`, which runs on every level of a
+study at the finest rule, works one batch of :func:`mapping.cell_chunks`
+at a time instead, so its memory does not grow with the mesh.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,8 @@ from .fe_space import (
     evaluate_div_batch,
     scatter,
 )
-from .mapping import gauss_rule, gauss_rule_1d, geometry_at, piola_values
+from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, geometry_at,
+                      piola_values)
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 from .solver import HybridFactor, SolverError, cell_apply
@@ -109,44 +112,33 @@ def compute_errors(sigma: FEFunction, u: FEFunction, p: FEFunction,
     """L2 errors of a solved triple against a manufactured solution.
 
     The squared differences are integrated element by element on the
-    reference square with a ``NORM_QUAD`` x ``NORM_QUAD`` Gauss rule; the
+    reference square with a ``NORM_QUAD`` x ``NORM_QUAD`` Gauss rule, one
+    chunk of :func:`mapping.cell_chunks` at a time: its geometry serves
+    the exact fields (``exact.fields``) and all four discrete ones.  The
     stress divergence is evaluated through the same 1/J transform used in
-    assembly, and the exact divergence is the load ``exact.f``.
+    assembly, and the exact divergence is the load ``exact.f``.  Only the
+    order of the global sums depends on the chunk.
     """
     mesh = sigma.space.mesh
     rule = gauss_rule(NORM_QUAD)
-    X, _, J = geometry_at(mesh.element_corners(), rule.points)
-    wJ = rule.weights[None, :] * J
-
-    def norm(sq):
-        return float(np.sqrt(np.sum(wJ * sq)))
-
-    sig_ex = exact.sigma(X)
-    div_ex = exact.f(X)
-    u_ex = exact.u(X)
-    p_ex = exact.p(X)
-
-    ds = evaluate_batch(sigma, rule.points) - sig_ex
-    dd = evaluate_div_batch(sigma, rule.points) - div_ex
-    du = evaluate_batch(u, rule.points) - u_ex
-    dp = evaluate_batch(p, rule.points) - p_ex
-
-    e_sigma = norm(np.sum(ds ** 2, axis=(-2, -1)))
-    e_div = norm(np.sum(dd ** 2, axis=-1))
-    e_u = norm(np.sum(du ** 2, axis=-1))
-    e_p = norm(dp ** 2)
-
-    return ErrorReport(
-        h=mesh.h,
-        e_sigma=e_sigma,
-        e_div=e_div,
-        e_u=e_u,
-        e_p=e_p,
-        pct_sigma=_pct(e_sigma, norm(np.sum(sig_ex ** 2, axis=(-2, -1)))),
-        pct_div=_pct(e_div, norm(np.sum(div_ex ** 2, axis=-1))),
-        pct_u=_pct(e_u, norm(np.sum(u_ex ** 2, axis=-1))),
-        pct_p=_pct(e_p, norm(p_ex ** 2)),
-    )
+    # squared norms of the errors and of the exact fields, in QUANTITIES
+    # order
+    err, ref = np.zeros(4), np.zeros(4)
+    for chunk in cell_chunks(mesh, rule.points):
+        _, X, _, J = chunk
+        wJ = rule.weights[None, :] * J
+        exact_vals = exact.fields(X)  # sigma, div = f, u, p
+        discrete = (evaluate_batch(sigma, rule.points, chunk),
+                    evaluate_div_batch(sigma, rule.points, chunk),
+                    evaluate_batch(u, rule.points, chunk),
+                    evaluate_batch(p, rule.points, chunk))
+        for i, (ex, dh) in enumerate(zip(exact_vals, discrete)):
+            axes = tuple(range(2, ex.ndim))
+            err[i] += np.sum(wJ * np.sum((dh - ex) ** 2, axis=axes))
+            ref[i] += np.sum(wJ * np.sum(ex ** 2, axis=axes))
+    errors = [float(e) for e in np.sqrt(err)]
+    pcts = [_pct(e, float(r)) for e, r in zip(errors, np.sqrt(ref))]
+    return ErrorReport(mesh.h, *errors, *pcts)
 
 
 def infsup_estimate(system, gram) -> float:

@@ -26,6 +26,9 @@ The right-hand side carries (f, v) in the displacement block and, for
 inhomogeneous Dirichlet data g, the consistent boundary term
 ``int_e g . (t n) ds`` in the stress block.  :func:`ynorm_gram` builds
 the solution norm's Gram matrix from the same tables, one block per cell.
+Both tabulate one batch of :func:`mapping.cell_chunks` at a time and write
+it into their preallocated (E, k, k) arrays, so beyond those arrays their
+memory does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_monomials
-from .mapping import (gauss_rule, gauss_rule_1d, geometry_at, piola_values,
+from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
                       ref_shape)
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
@@ -131,18 +134,24 @@ class BlockSystem:
 
 
 def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, quad: int):
-    """The per-cell tables of one Gauss rule: w, X, w J, w / J, the unscaled
-    Piola values DF phi (E, dimS, q, 2), the reference divergences, the
-    displacement basis and the rotation monomials (dimQ, E, q)."""
+    """The tables of one Gauss rule: the weights w, the reference
+    divergences (dimS, q) and the displacement basis (dimV, q), which every
+    cell shares, and per chunk of :func:`mapping.cell_chunks` the cells,
+    X, w J, w / J, the unscaled Piola values DF phi (n, dimS, q, 2) and the
+    rotation monomials (dimQ, n, q)."""
     rule = gauss_rule(quad)
     w = rule.weights
-    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
     basis = stress.element.basis
-    return (w, X, w[None, :] * J, w[None, :] / J,
-            piola_values(DF[:, None], basis.eval(rule.points)),
-            basis.div(rule.points),
-            disp.element.basis.eval(rule.points)[..., 0],
-            unmapped_monomials(rot, X))
+    phi = basis.eval(rule.points)
+
+    def chunks():
+        for cells, X, DF, J in cell_chunks(stress.mesh, rule.points):
+            yield (cells, X, w[None, :] * J, w[None, :] / J,
+                   piola_values(DF[:, None], phi),
+                   unmapped_monomials(rot, X, cells))
+
+    return (w, basis.div(rule.points),
+            disp.element.basis.eval(rule.points)[..., 0], chunks())
 
 
 def _local_slices(cell_dofs: np.ndarray, n_sigma: int, n_v: int) -> tuple:
@@ -191,56 +200,63 @@ def assemble(
             stacklevel=2,
         )
 
-    w, X, wJ, w_over_J, UPV, dPhi, Psi, Q = _tabulate(stress, disp, rot, quad)
-    nq = mesh.n_quads
+    w, dPhi, Psi, chunks = _tabulate(stress, disp, rot, quad)
     dimS = dPhi.shape[0]
-    sgn = stress.row_signs  # (E, dimS)
-
-    # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j the
-    # integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C on
-    # vec(tau).  Each Piola factor contributes 1/J, the volume element J,
-    # so the net weight is w/J.
-    UPVw = UPV * w_over_J[:, None, :, None]
-    # T[e, i, a, j, b] = sum_q (w/J) UPV[e,i,q,a] UPV[e,j,q,b]
-    Aflat = UPV.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
-    Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nq, dimS * 2, quad * quad)
-    T = (Bflat @ Aflat.transpose(0, 2, 1)).reshape(nq, dimS, 2, dimS, 2)
-    del UPVw, Aflat, Bflat  # freed early to lower peak memory
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
-    # optimize=True contracts through BLAS: 7.5 ms against 23 ms for a
-    # plain einsum at rt2 n = 32 (1,024 cells, 2 vCPUs)
-    L = np.einsum("xayb,eiajb->exiyj", C, T, optimize=True).reshape(
-        nq, 2 * dimS, 2 * dimS)
-    L = 0.5 * (L + L.transpose(0, 2, 1))  # keeps M symmetric to the last bit
-    sgn2 = np.tile(sgn, 2)
-    L *= sgn2[:, :, None] * sgn2[:, None, :]
-
-    # ---- cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows
-    # displacement 0, displacement 1, rotation; columns stress rows 0, 1.
-    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
-    s, b = slice(0, s1.stop), slice(s1.stop, None)
-    cell_matrices = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
-    cell_matrices[:, s, s] = L
-    del L
     # (u, div t): J cancels, so the local matrix is the fixed reference
     # integral int divphi_i psi_m, identical on every element up to signs
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
-    # (p, as t): as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1; the Piola 1/J
-    # cancels the volume J, leaving weight w alone
-    for v, cols, comp, s_as in ((v0, s0, 1, 1.0), (v1, s1, 0, -1.0)):
-        cell_matrices[:, v, cols] = np.einsum("ek,mk->emk", sgn, D0)
-        cell_matrices[:, q, cols] = s_as * np.einsum(
-            "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
-    cell_matrices[:, s, b] = cell_matrices[:, b, s].transpose(0, 2, 1)
+    # cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows displacement
+    # 0, displacement 1, rotation; columns stress rows 0, 1
+    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
+    s, b = slice(0, s1.stop), slice(s1.stop, None)
+    cell_matrices = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
+    load = None if f is None else np.zeros((2,) + disp.row_dofs.shape)
+
+    for cells, X, wJ, w_over_J, UPV, Q in chunks:
+        A = cell_matrices[cells]  # a view: the chunk is written in place
+        sgn = stress.row_signs[cells]  # (n, dimS)
+        nc = len(sgn)
+
+        # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j
+        # the integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C
+        # on vec(tau).  Each Piola factor contributes 1/J, the volume
+        # element J, so the net weight is w/J.
+        UPVw = UPV * w_over_J[:, None, :, None]
+        # T[e, i, a, j, b] = sum_q (w/J) UPV[e,i,q,a] UPV[e,j,q,b]
+        Aflat = UPV.transpose(0, 1, 3, 2).reshape(nc, dimS * 2, -1)
+        Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nc, dimS * 2, -1)
+        T = (Bflat @ Aflat.transpose(0, 2, 1)).reshape(nc, dimS, 2, dimS, 2)
+        del UPVw, Aflat, Bflat  # freed early to lower peak memory
+        # optimize=True contracts through BLAS: 7.5 ms against 23 ms for a
+        # plain einsum at rt2 n = 32 (1,024 cells, 2 vCPUs)
+        L = np.einsum("xayb,eiajb->exiyj", C, T, optimize=True).reshape(
+            nc, 2 * dimS, 2 * dimS)
+        # keeps M symmetric to the last bit
+        L = 0.5 * (L + L.transpose(0, 2, 1))
+        sgn2 = np.tile(sgn, 2)
+        L *= sgn2[:, :, None] * sgn2[:, None, :]
+        A[:, s, s] = L
+
+        # ---- (p, as t): as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1; the
+        # Piola 1/J cancels the volume J, leaving weight w alone
+        for v, cols, comp, s_as in ((v0, s0, 1, 1.0), (v1, s1, 0, -1.0)):
+            A[:, v, cols] = np.einsum("ek,mk->emk", sgn, D0)
+            A[:, q, cols] = s_as * np.einsum(
+                "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
+        A[:, s, b] = A[:, b, s].transpose(0, 2, 1)
+
+        if f is not None:
+            fx = np.asarray(f(X))  # (n, q, 2)
+            for rho in range(2):
+                load[rho, cells] = np.einsum("eq,mq->em", wJ * fx[..., rho],
+                                             Psi)
 
     # ---- right-hand side
     rhs = np.zeros(stress.n_dofs + disp.n_dofs + rot.n_dofs)
     if f is not None:
-        fx = np.asarray(f(X))  # (E, q, 2)
-        load = [np.einsum("eq,mq->em", wJ * fx[..., rho], Psi)
-                for rho in range(2)]
-        rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(),
-                          np.ravel(load), minlength=rhs.size)
+        rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(), load.ravel(),
+                          minlength=rhs.size)
     if g is not None:
         rhs[: stress.n_dofs] = boundary_term(stress, g, n1d=quad)
     return BlockSystem(
@@ -255,18 +271,19 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> np.ndarray:
     global matrix is their sum over ``cell_dofs``, like K.  Each block holds
     (tau, tau) + (div tau, div tau) on both stress rows and L2 mass matrices
     on the displacement components and the rotation."""
-    _, _, wJ, woJ, UPV, dPhi, psi, mono = _tabulate(
-        stress, disp, rot, default_quad(stress.element))
-    G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-    G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
-    G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
-    Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-    Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
-
+    _, dPhi, psi, chunks = _tabulate(stress, disp, rot,
+                                     default_quad(stress.element))
     cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
     gram = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
-    for sl, block in ((s0, G), (s1, G), (v0, Mv), (v1, Mv), (q, Mq)):
-        gram[:, sl, sl] = block
+    for cells, _, wJ, woJ, UPV, mono in chunks:
+        G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+        G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
+        sgn = stress.row_signs[cells]
+        G *= sgn[:, :, None] * sgn[:, None, :]
+        Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+        Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
+        for sl, block in ((s0, G), (s1, G), (v0, Mv), (v1, Mv), (q, Mq)):
+            gram[cells, sl, sl] = block
     return gram
 
 

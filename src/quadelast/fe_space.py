@@ -114,20 +114,26 @@ class FESpace:
 
         Shape (components, nq, local_dim): ``rho * n_row_dofs + row_dofs``.
         """
+        return self.dofs_on(slice(None))
+
+    def dofs_on(self, cells) -> np.ndarray:
+        """:attr:`dofs` of the cells ``cells`` (a slice or index array)."""
         rows = np.arange(self.components)[:, None, None] * self.n_row_dofs
-        return rows + self.row_dofs
+        return rows + self.row_dofs[cells]
 
-    def local_coefficients(self, coefficients: np.ndarray) -> np.ndarray:
-        """Per-element, per-row coefficients including orientation signs.
+    def local_coefficients(self, coefficients: np.ndarray,
+                           cells=slice(None)) -> np.ndarray:
+        """Per-element, per-row coefficients including orientation signs,
+        on the cells ``cells``, by default all.
 
-        Returns shape (components, nq, local_dim).
+        Returns shape (components, cells, local_dim).
         """
         coefficients = np.asarray(coefficients)
         if coefficients.shape != (self.n_dofs,):
             raise ValueError(
                 f"expected {self.n_dofs} coefficients, got {coefficients.shape}"
             )
-        return coefficients[self.dofs] * self.row_signs
+        return coefficients[self.dofs_on(cells)] * self.row_signs[cells]
 
 
 @dataclass
@@ -218,28 +224,34 @@ def scatter(blocks, shape) -> sp.csr_matrix:
     ).tocsr()
 
 
-def unmapped_monomials(space: FESpace, X: np.ndarray) -> np.ndarray:
-    """Scaled-coordinate monomials; X is (nq, npts, 2) physical points."""
-    xi = (X - space.centers[:, None, :]) / space.scales[:, None, None]
+def unmapped_monomials(space: FESpace, X: np.ndarray,
+                       cells=slice(None)) -> np.ndarray:
+    """Scaled-coordinate monomials; X is (cells, npts, 2) physical points
+    of the cells ``cells``, by default all."""
+    xi = ((X - space.centers[cells, None, :])
+          / space.scales[cells, None, None])
     a = space.exponents[:, 0][:, None, None]
     b = space.exponents[:, 1][:, None, None]
     return xi[None, ..., 0] ** a * xi[None, ..., 1] ** b  # (dim, nq, npts)
 
 
-def evaluate_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
+def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk=None) -> np.ndarray:
     """Values of ``f`` at the same reference points in every element.
 
+    ``chunk`` is one ``(cells, X, DF, J)`` of :func:`mapping.cell_chunks`
+    at ``xhat``: the values on those cells alone, from that geometry.
     Returns shape (nq, npts, 2, 2) for stress, (nq, npts, 2) for
     displacement, (nq, npts) for rotation.
     """
     space = f.space
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    C = space.local_coefficients(f.coefficients)
-    corners = space.mesh.element_corners()
+    if chunk is None:
+        chunk = (slice(None), *geometry_at(space.mesh.element_corners(), xhat))
+    cells, X, DF, J = chunk
+    C = space.local_coefficients(f.coefficients, cells)
 
     if space.kind == UNMAPPED:
-        X, _, _ = geometry_at(corners, xhat)
-        mono = unmapped_monomials(space, X)
+        mono = unmapped_monomials(space, X, cells)
         return np.einsum("ek,kep->ep", C[0], mono)
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
@@ -248,22 +260,24 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
         return vals if space.components > 1 else vals[..., 0]
 
     # Piola rows
-    _, DF, J = geometry_at(corners, xhat)
     ref = np.einsum("rek,kpc->repc", C, Phi, optimize=True)
     vals = (piola_values(DF, ref) / J[..., None]).transpose(1, 2, 0, 3)
     return vals if space.components > 1 else vals[:, :, 0, :]
 
 
-def evaluate_div_batch(f: FEFunction, xhat: np.ndarray) -> np.ndarray:
-    """Row-wise divergence of a Piola-mapped function, via the 1/J transform."""
+def evaluate_div_batch(f: FEFunction, xhat: np.ndarray,
+                       chunk=None) -> np.ndarray:
+    """Row-wise divergence of a Piola-mapped function, via the 1/J
+    transform; ``chunk`` as in :func:`evaluate_batch`."""
     space = f.space
     if space.kind != PIOLA:
         raise ValueError("divergence evaluation requires a Piola-mapped space")
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    C = space.local_coefficients(f.coefficients)
-    corners = space.mesh.element_corners()
+    if chunk is None:
+        chunk = (slice(None), *geometry_at(space.mesh.element_corners(), xhat))
+    cells, _, _, J = chunk
+    C = space.local_coefficients(f.coefficients, cells)
     dPhi = space.element.basis.div(xhat)  # (dim, npts)
-    _, _, J = geometry_at(corners, xhat)
     ref = np.einsum("rek,kp->epr", C, dPhi, optimize=True)
     vals = ref / J[..., None]
     return vals if space.components > 1 else vals[..., 0]

@@ -7,6 +7,7 @@ trapezoids), shape-regularity metrics, and a plain-text mesh format.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,16 @@ def write_mesh(mesh: QuadMesh, path) -> None:
         np.savetxt(fh, mesh.quads, fmt="%d")
 
 
+def _read_rows(fh, count: int, dtype) -> np.ndarray:
+    """The next ``count`` lines of ``fh`` that are not blank, as rows of
+    numbers; fewer if the file ends first.  ``np.loadtxt`` never sees an
+    empty section, on which it warns."""
+    lines = list(itertools.islice(filter(str.strip, fh), count))
+    if not lines:
+        return np.empty((0, 0), dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, ndmin=2)
+
+
 def read_mesh(path) -> QuadMesh:
     """Read the plain-text format written by :func:`write_mesh`; a file
     that does not hold what its header promises raises ValueError."""
@@ -235,9 +246,9 @@ def read_mesh(path) -> QuadMesh:
         nv, nq = int(header[1]), int(header[2])
         if nv < 0 or nq < 0:
             raise ValueError(f"negative count in the header: {nv} {nq}")
-        vertices = np.loadtxt(fh, ndmin=2, max_rows=nv)
-        quads = np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=nq)
-    # loadtxt reads a truncated file without error; QuadMesh checks columns
+        vertices = _read_rows(fh, nv, float)
+        quads = _read_rows(fh, nq, np.int64)
+    # a truncated file gives short sections; QuadMesh checks the columns
     if (len(vertices), len(quads)) != (nv, nq):
         raise ValueError(f"the header promises {nv} vertices and {nq} quads")
     return QuadMesh(vertices, quads)

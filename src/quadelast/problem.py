@@ -82,7 +82,10 @@ class ManufacturedSolution:
     """Closed-form solution fields of the elasticity system.
 
     ``g`` is the Dirichlet displacement trace (here simply u restricted to
-    the boundary).  All closures accept points of shape (..., 2).
+    the boundary).  ``fields(x)`` returns ``(sigma(x), f(x), u(x), p(x))``;
+    by default it calls the four closures, and a solution whose fields
+    share work passes one function that does it once.  All closures accept
+    points of shape (..., 2).
     """
 
     params: LameParams
@@ -90,47 +93,54 @@ class ManufacturedSolution:
     p: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
+    fields: Callable[[np.ndarray], tuple] | None = None
     g: Callable[[np.ndarray], np.ndarray] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g", self.u)
+        if self.fields is None:
+            object.__setattr__(self, "fields", lambda x: (
+                self.sigma(x), self.f(x), self.u(x), self.p(x)))
 
 
 def trig_solution(params: LameParams) -> ManufacturedSolution:
-    """The trigonometric benchmark solution for given Lame constants."""
+    """The trigonometric benchmark solution for given Lame constants.
+
+    Every field is a product of the six waves sin and cos of pi x1, pi x2
+    and 2 pi x2; ``fields`` evaluates them once for all four.
+    """
     mu, lam = params.mu, params.lam
     pi = np.pi
 
-    def u(x):
+    def waves(x):
         x = np.asarray(x)
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([np.cos(pi * x1) * np.sin(2 * pi * x2),
-                         np.sin(pi * x1) * np.cos(pi * x2)], axis=-1)
+        return (np.sin(pi * x1), np.cos(pi * x1), np.sin(pi * x2),
+                np.cos(pi * x2), np.sin(2 * pi * x2), np.cos(2 * pi * x2))
 
-    def p(x):
-        x = np.asarray(x)
-        x1, x2 = x[..., 0], x[..., 1]
-        return 0.5 * pi * np.cos(pi * x1) * (2 * np.cos(2 * pi * x2)
-                                             - np.cos(pi * x2))
+    def u_of(sx, cx, sy, cy, s2y, c2y):
+        return np.stack([cx * s2y, sx * cy], axis=-1)
 
-    def sigma(x):
-        x = np.asarray(x)
-        x1, x2 = x[..., 0], x[..., 1]
-        s1, s2, sx = np.sin(2 * pi * x2), np.sin(pi * x2), np.sin(pi * x1)
-        s11 = -pi * sx * ((2 * mu + lam) * s1 + lam * s2)
-        s22 = -pi * sx * (lam * s1 + (2 * mu + lam) * s2)
-        s12 = mu * pi * np.cos(pi * x1) * (2 * np.cos(2 * pi * x2)
-                                           + np.cos(pi * x2))
+    def p_of(sx, cx, sy, cy, s2y, c2y):
+        return 0.5 * pi * cx * (2 * c2y - cy)
+
+    def sigma_of(sx, cx, sy, cy, s2y, c2y):
+        s11 = -pi * sx * ((2 * mu + lam) * s2y + lam * sy)
+        s22 = -pi * sx * (lam * s2y + (2 * mu + lam) * sy)
+        s12 = mu * pi * cx * (2 * c2y + cy)
         return np.stack([np.stack([s11, s12], axis=-1),
                          np.stack([s12, s22], axis=-1)], axis=-2)
 
-    def f(x):
-        x = np.asarray(x)
-        x1, x2 = x[..., 0], x[..., 1]
-        f1 = -pi**2 * np.cos(pi * x1) * ((6 * mu + lam) * np.sin(2 * pi * x2)
-                                         + (lam + mu) * np.sin(pi * x2))
-        f2 = -pi**2 * np.sin(pi * x1) * ((2 * mu + 2 * lam) * np.cos(2 * pi * x2)
-                                         + (3 * mu + lam) * np.cos(pi * x2))
+    def f_of(sx, cx, sy, cy, s2y, c2y):
+        f1 = -pi**2 * cx * ((6 * mu + lam) * s2y + (lam + mu) * sy)
+        f2 = -pi**2 * sx * ((2 * mu + 2 * lam) * c2y + (3 * mu + lam) * cy)
         return np.stack([f1, f2], axis=-1)
 
-    return ManufacturedSolution(params=params, u=u, p=p, sigma=sigma, f=f)
+    def fields(x):
+        w = waves(x)
+        return sigma_of(*w), f_of(*w), u_of(*w), p_of(*w)
+
+    return ManufacturedSolution(
+        params=params, u=lambda x: u_of(*waves(x)),
+        p=lambda x: p_of(*waves(x)), sigma=lambda x: sigma_of(*waves(x)),
+        f=lambda x: f_of(*waves(x)), fields=fields)

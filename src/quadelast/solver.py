@@ -25,7 +25,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
-from .fe_space import scatter
 
 __all__ = ["HybridFactor", "SolveReport", "SolverError", "SingularSystem",
            "ResidualTooLarge", "cell_apply", "solve", "spd_factor"]
@@ -74,6 +73,19 @@ def _multipliers(cell_dofs: np.ndarray, n: int):
     first[np.unique(flat, return_index=True)[1]] = True
     sign = np.where(shared[flat], np.where(first, 1.0, -1.0), 0.0)
     return count, number[cell_dofs], sign.reshape(cell_dofs.shape)
+
+
+def _trace_system(T: np.ndarray, slot_mult: np.ndarray,
+                  n_mult: int) -> sp.csc_matrix:
+    """The trace system S, summed from the cells' blocks ``T`` (E, m, m),
+    symmetrized, on their real slots: a padding slot points at the phantom
+    multiplier ``n_mult`` and is left out."""
+    Se = 0.5 * (T + T.transpose(0, 2, 1))
+    real = slot_mult < n_mult
+    pairs = real[:, :, None] & real[:, None, :]
+    rows = np.broadcast_to(slot_mult[:, :, None], Se.shape)[pairs]
+    cols = np.broadcast_to(slot_mult[:, None, :], Se.shape)[pairs]
+    return sp.csc_matrix((Se[pairs], (rows, cols)), shape=(n_mult, n_mult))
 
 
 def spd_factor(N: sp.csc_matrix):
@@ -150,22 +162,20 @@ class HybridFactor:
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"singular cell matrix: {exc}") from exc
         T = R[..., :m].transpose(0, 2, 1) @ Y  # (E, m, m [+ 1])
-        Se = T[..., :m]
-        Se = 0.5 * (Se + Se.transpose(0, 2, 1))
+        Cy = None if rhs is None else T[..., m].copy()
+        S = _trace_system(T[..., :m], slot_mult, n_mult)
+        del T  # only S and the cell solves stay alive through the factor
 
         self.count, self.multipliers, self.slot_mult = count, n_mult, slot_mult
         self.C, self.Y = R[..., :m], Y[..., :m]
         self.lu = self._inverses = None
         if n_mult:
-            S = scatter([(Se, slot_mult, slot_mult)],
-                        (n_mult + 1, n_mult + 1))[:n_mult, :n_mult]
-            self.lu = spd_factor(S.tocsc())
+            self.lu = spd_factor(S)
             if self.lu is None:
                 raise SingularSystem(
                     "trace system not positive definite beyond tolerance; "
                     "system nearly singular")
-        self.solution = (None if rhs is None
-                         else self._recover(Y[..., m], T[..., m]))
+        self.solution = None if rhs is None else self._recover(Y[..., m], Cy)
 
     def _recover(self, y, Cy):
         """K^{-1} b from the cell solves ``y`` (E, k) of b's cell loads and

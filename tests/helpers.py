@@ -4,7 +4,9 @@ matrices, the monolithic sparse LU oracle of the solver, a system with one
 cell's compliance negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, a recorder of the
 quadrature orders the package integrates at, the Gram matrix summed from
-its cell blocks, and the plain-``einsum``
+its cell blocks, the trace system scattered through a phantom row and
+sliced, the four independent closures of the trigonometric benchmark
+solution, and the plain-``einsum``
 forms of the batched geometry, Piola and interpolation contractions."""
 
 import dataclasses
@@ -52,6 +54,47 @@ def linear_solution(params: LameParams,
     return ManufacturedSolution(params=params, u=u, p=p, sigma=sigma, f=f)
 
 
+def trig_closures(params: LameParams) -> dict:
+    """Oracle of ``problem.trig_solution``: its fields u, p, sigma and f as
+    four closures that each evaluate their own sines and cosines."""
+    mu, lam = params.mu, params.lam
+    pi = np.pi
+
+    def u(x):
+        x = np.asarray(x)
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([np.cos(pi * x1) * np.sin(2 * pi * x2),
+                         np.sin(pi * x1) * np.cos(pi * x2)], axis=-1)
+
+    def p(x):
+        x = np.asarray(x)
+        x1, x2 = x[..., 0], x[..., 1]
+        return 0.5 * pi * np.cos(pi * x1) * (2 * np.cos(2 * pi * x2)
+                                             - np.cos(pi * x2))
+
+    def sigma(x):
+        x = np.asarray(x)
+        x1, x2 = x[..., 0], x[..., 1]
+        s1, s2, sx = np.sin(2 * pi * x2), np.sin(pi * x2), np.sin(pi * x1)
+        s11 = -pi * sx * ((2 * mu + lam) * s1 + lam * s2)
+        s22 = -pi * sx * (lam * s1 + (2 * mu + lam) * s2)
+        s12 = mu * pi * np.cos(pi * x1) * (2 * np.cos(2 * pi * x2)
+                                           + np.cos(pi * x2))
+        return np.stack([np.stack([s11, s12], axis=-1),
+                         np.stack([s12, s22], axis=-1)], axis=-2)
+
+    def f(x):
+        x = np.asarray(x)
+        x1, x2 = x[..., 0], x[..., 1]
+        f1 = -pi**2 * np.cos(pi * x1) * ((6 * mu + lam) * np.sin(2 * pi * x2)
+                                         + (lam + mu) * np.sin(pi * x2))
+        f2 = -pi**2 * np.sin(pi * x1) * ((2 * mu + 2 * lam) * np.cos(2 * pi * x2)
+                                         + (3 * mu + lam) * np.cos(pi * x2))
+        return np.stack([f1, f2], axis=-1)
+
+    return {"u": u, "p": p, "sigma": sigma, "f": f}
+
+
 def interpolate(elem, field, order: int = 10) -> np.ndarray:
     """Canonical interpolation: apply every dof functional of ``elem`` to
     ``field``.
@@ -87,6 +130,16 @@ def monolithic_solve(system) -> np.ndarray:
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(K @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
     return x
+
+
+def scattered_trace_system(factor):
+    """Oracle of ``solver._trace_system`` for a ``HybridFactor``: every
+    slot's block scattered, padding slots into a phantom last row and
+    column, which are then sliced off."""
+    T = factor.C.transpose(0, 2, 1) @ factor.Y
+    Se = 0.5 * (T + T.transpose(0, 2, 1))
+    n, slots = factor.multipliers, factor.slot_mult
+    return scatter([(Se, slots, slots)], (n + 1, n + 1))[:n, :n].tocsc()
 
 
 def negated_cell_compliance(system, cell: int = 0):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,15 @@ def test_read_mesh_reads_the_square(tmp_path):
     np.testing.assert_array_equal(mesh.quads, [[0, 1, 2, 3]])
 
 
+def test_read_mesh_skips_blank_lines_without_warning(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE_FILE.replace("0 1 2 3", "\n0 1 2 3"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = read_mesh(path)
+    np.testing.assert_array_equal(mesh.quads, [[0, 1, 2, 3]])
+
+
 @pytest.mark.parametrize("text,match", [
     (SQUARE_FILE[:-len("0 1 2 3\n")], "header promises"),  # no quad line
     ("quadmesh 4 1\n0 0\n1 0\n", "header promises"),  # truncated
@@ -181,8 +192,10 @@ def test_read_mesh_reads_the_square(tmp_path):
 def test_read_mesh_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        read_mesh(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ValueError alone, no warning
+        with pytest.raises(ValueError, match=match):
+            read_mesh(path)
 
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

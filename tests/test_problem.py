@@ -8,7 +8,7 @@ from quadelast.problem import (
     trig_solution,
 )
 
-from helpers import compliance_apply
+from helpers import compliance_apply, linear_solution, trig_closures
 
 MATERIAL = LameParams(mu=79.3, lam=123.0)
 
@@ -172,3 +172,29 @@ def test_solution_carries_params():
     x = np.array([0.0, 0.0])
     s_small = trig_solution(LameParams(mu=1.0, lam=5.0)).sigma(x)
     np.testing.assert_allclose(sol.sigma(x)[0, 1], 2.0 * s_small[0, 1])
+
+
+@pytest.mark.parametrize("params", [
+    MATERIAL,
+    LameParams.from_young_poisson(1000.0, 0.3),
+    LameParams.from_young_poisson(1000.0, 0.4999),
+], ids=["default", "E1000-nu0.3", "E1000-nu0.4999"])
+def test_trig_fields_match_independent_closures(params):
+    # the closures and fields() share six sin/cos arrays; each field must
+    # still equal, bit for bit, its own closure evaluated independently
+    sol, oracle = trig_solution(params), trig_closures(params)
+    x = np.random.default_rng(5).uniform(-0.5, 1.5, size=(7, 40, 2))
+    for name in ("u", "p", "sigma", "f"):
+        np.testing.assert_array_equal(getattr(sol, name)(x), oracle[name](x))
+    for name, value in zip(("sigma", "f", "u", "p"), sol.fields(x)):
+        np.testing.assert_array_equal(value, oracle[name](x))
+    point = np.array([0.3, 0.7])  # a single point, shape (2,)
+    np.testing.assert_array_equal(sol.fields(point)[0],
+                                  oracle["sigma"](point))
+
+
+def test_default_fields_compose_the_closures():
+    sol = linear_solution(MATERIAL)
+    x = np.random.default_rng(6).uniform(0, 1, size=(9, 2))
+    for name, value in zip(("sigma", "f", "u", "p"), sol.fields(x)):
+        np.testing.assert_array_equal(value, getattr(sol, name)(x))

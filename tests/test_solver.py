@@ -14,13 +14,14 @@ from quadelast.solver import (
     ResidualTooLarge,
     SingularSystem,
     SolverError,
+    _trace_system,
     cell_apply,
     solve,
 )
 from quadelast.analysis import compute_errors
 
 from helpers import (linear_solution, monolithic_solve,
-                     negated_cell_compliance)
+                     negated_cell_compliance, scattered_trace_system)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 TRIG = trig_solution(PARAMS)
@@ -102,6 +103,21 @@ def test_solve_matches_monolithic_oracle(family, mesh_fn, n, params):
     assert np.isclose(report.residual,
                       relative_residual(system, report.solution), rtol=1e-6)
     assert (report.multipliers == 0) == (n == 1)
+
+
+@pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
+                         ids=ORACLE_IDS)
+def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params):
+    # same CSC pattern, explicit zeros included, and the same bits, so
+    # SuperLU sees the matrix the scatter-and-slice path built
+    system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
+    factor = HybridFactor(system.cell_matrices, system.cell_dofs, system.n)
+    T = factor.C.transpose(0, 2, 1) @ factor.Y
+    S = _trace_system(T, factor.slot_mult, factor.multipliers)
+    ref = scattered_trace_system(factor)
+    assert S.has_canonical_format and S.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(S, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt2"])
