@@ -61,14 +61,6 @@ class ErrorReport:
     pct_u: float
     pct_p: float
 
-    def errors(self) -> dict:
-        return {
-            "sigma": self.e_sigma,
-            "div": self.e_div,
-            "u": self.e_u,
-            "p": self.e_p,
-        }
-
 
 @dataclass(frozen=True)
 class ConvergenceTable:
@@ -95,7 +87,7 @@ class ConvergenceTable:
             raise ValueError("mesh sizes must halve between successive rows")
         out = {}
         for name in QUANTITIES:
-            errs = np.array([row.errors()[name] for row in self.rows])
+            errs = np.array([getattr(row, f"e_{name}") for row in self.rows])
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[name] = np.log2(errs[:-1] / errs[1:])
         return out
@@ -322,6 +314,21 @@ def equilibrium_residual(sigma: FEFunction, disp: FESpace, f) -> float:
 
     fnorm = float(np.sqrt(np.sum(wJ * np.sum(fx ** 2, axis=-1))))
     return val / fnorm if fnorm > 0.0 else val
+
+
+def stress_l2_error(sigma_h: FEFunction, sigma) -> float:
+    """L2 norm of ``sigma_h - sigma``, ``sigma`` a physical callable.
+
+    Integrates at the stress family's :func:`assembly.default_quad`, like
+    every diagnostic.
+    """
+    mesh = sigma_h.space.mesh
+    rule = gauss_rule(default_quad(sigma_h.space.element))
+    X, DF, J = geometry_at(mesh.element_corners(), rule.points)
+    diff = (evaluate_batch(sigma_h, rule.points, (slice(None), X, DF, J))
+            - sigma(X))
+    return float(np.sqrt(np.sum(rule.weights[None, :] * J
+                                * np.sum(diff ** 2, axis=(-2, -1)))))
 
 
 def asymmetry_norm(sigma: FEFunction) -> float:

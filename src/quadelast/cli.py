@@ -16,16 +16,17 @@ import numpy as np
 
 from .analysis import (
     INFSUP_CAP,
+    QUANTITIES,
     ConvergenceTable,
     check_commuting_projection,
     compute_errors,
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
+    stress_l2_error,
 )
-from .assembly import assemble, default_quad, ynorm_gram
-from .fe_space import FEFunction, build_elasticity_spaces, evaluate_batch
-from .mapping import gauss_rule, geometry_at
+from .assembly import assemble, ynorm_gram
+from .fe_space import FEFunction, build_elasticity_spaces
 from .mesh import (
     generate_square_mesh,
     generate_trapezoidal_mesh,
@@ -48,9 +49,17 @@ ELEMENTS = ("rt2", "rt3", "bdm1")
 MESH_FAMILIES = ("square", "trapezoid")
 FORMATS = ("csv", "md")
 
-CSV_COLUMNS = ("h,e_sigma,pct_sigma,ord_sigma,e_div,pct_div,ord_div,"
-               "e_u,pct_u,ord_u,e_p,pct_p,ord_p")
-LOCKING_COLUMNS = "nu,n,total_dofs,e_sigma,e_u"
+#: Number formats of the study tables, one set per output format: mesh
+#: size, error, relative error in percent and observed order.
+NUMBER_FORMATS = {
+    "csv": {"h": ".6e", "err": ".6e", "pct": ".3f", "order": ".2f"},
+    "md": {"h": ".3e", "err": ".2e", "pct": ".2f", "order": ".1f"},
+}
+
+#: Largest accepted ``--quad``, far above any order the studies use (the
+#: error norm integrates at 12): the Gauss rule's eigenvalue problem grows
+#: with the square of the order.
+MAX_QUAD = 32
 
 #: Default material of every study.
 DEFAULT_PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -98,8 +107,9 @@ class RunConfig:
             raise ConfigError("the trapezoidal family needs levels n >= 2")
         if not 0.0 <= self.distortion < 0.5:
             raise ConfigError("distortion must lie in [0, 1/2)")
-        if self.quad is not None and self.quad < 1:
-            raise ConfigError("quadrature order must be >= 1")
+        if self.quad is not None and not 1 <= self.quad <= MAX_QUAD:
+            raise ConfigError(f"quadrature order must lie in [1, {MAX_QUAD}]"
+                              f", got {self.quad}")
         # written only after the whole study has run
         if self.out is not None and not os.path.isdir(
                 os.path.dirname(self.out) or "."):
@@ -128,15 +138,32 @@ def build_mesh(config: RunConfig, n: int):
     return generate_trapezoidal_mesh(n, d=config.distortion)
 
 
-def _solve_level(config: RunConfig, n: int, solution):
-    mesh = build_mesh(config, n)
-    spaces = build_elasticity_spaces(mesh, config.element)
+def _run_level(config: RunConfig, n: int, solution, where: str):
+    """Solve one level of a study; returns the system and its errors.
+
+    A solver failure is raised again with ``where`` and the level in front
+    of its message.
+    """
+    spaces = build_elasticity_spaces(build_mesh(config, n), config.element)
     system = assemble(*spaces, solution.params,
                       f=solution.f, g=solution.g, quad=config.quad)
-    report = solve(system)
-    sh, uh, ph = system.split(report.solution)
-    fields = tuple(FEFunction(s, c) for s, c in zip(spaces, (sh, uh, ph)))
-    return system, fields
+    try:
+        report = solve(system)
+    except SolverError as exc:
+        raise type(exc)(f"{where}level n={n}: {exc}") from exc
+    fields = (FEFunction(s, c)
+              for s, c in zip(spaces, system.split(report.solution)))
+    return system, compute_errors(*fields, solution)
+
+
+def _table(header, rows, fmt: str) -> str:
+    """A CSV or markdown table of string cells."""
+    if fmt == "csv":
+        lines = [",".join(cells) for cells in (header, *rows)]
+    else:
+        lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+        lines.insert(1, "|" + "---|" * len(header))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -146,54 +173,28 @@ def _solve_level(config: RunConfig, n: int, solution):
 def run_convergence(config: RunConfig) -> ConvergenceTable:
     """Solve the trigonometric benchmark on each level and tabulate errors."""
     solution = trig_solution(config.params)
-    rows = []
-    for n in config.levels:
-        try:
-            _, (sh, uh, ph) = _solve_level(config, n, solution)
-        except SolverError as exc:
-            raise type(exc)(
-                f"convergence run failed at level n={n}: {exc}") from exc
-        rows.append(compute_errors(sh, uh, ph, solution))
-    return ConvergenceTable(rows=tuple(rows))
+    return ConvergenceTable(rows=tuple(
+        _run_level(config, n, solution, "convergence run failed at ")[1]
+        for n in config.levels))
 
 
-def _order_strings(table: ConvergenceTable, fmt_one) -> dict:
+def format_convergence(table: ConvergenceTable, fmt: str) -> str:
+    """Errors, percentages and orders per level; no order on the first."""
+    num = NUMBER_FORMATS[fmt]
     orders = table.orders() if len(table.rows) >= 2 else {}
-    out = {}
-    for name in ("sigma", "div", "u", "p"):
-        vals = orders.get(name, np.empty(0))
-        out[name] = [""] + [fmt_one(v) for v in vals]
-    return out
-
-
-def format_convergence_csv(table: ConvergenceTable) -> str:
-    ords = _order_strings(table, lambda v: f"{v:.2f}")
-    lines = [CSV_COLUMNS]
+    header = ["h"]
+    for name in QUANTITIES:
+        header += ([f"e_{name}", f"pct_{name}", f"ord_{name}"]
+                   if fmt == "csv" else [f"e_{name}", "%", "order"])
+    rows = []
     for i, r in enumerate(table.rows):
-        lines.append(",".join([
-            f"{r.h:.6e}",
-            f"{r.e_sigma:.6e}", f"{r.pct_sigma:.3f}", ords["sigma"][i],
-            f"{r.e_div:.6e}", f"{r.pct_div:.3f}", ords["div"][i],
-            f"{r.e_u:.6e}", f"{r.pct_u:.3f}", ords["u"][i],
-            f"{r.e_p:.6e}", f"{r.pct_p:.3f}", ords["p"][i],
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def format_convergence_md(table: ConvergenceTable) -> str:
-    ords = _order_strings(table, lambda v: f"{v:.1f}")
-    header = ("| h | e_sigma | % | order | e_div | % | order "
-              "| e_u | % | order | e_p | % | order |")
-    lines = [header, "|" + "---|" * 13]
-    for i, r in enumerate(table.rows):
-        cells = [f"{r.h:.3e}"]
-        for name, err, pct in (("sigma", r.e_sigma, r.pct_sigma),
-                               ("div", r.e_div, r.pct_div),
-                               ("u", r.e_u, r.pct_u),
-                               ("p", r.e_p, r.pct_p)):
-            cells += [f"{err:.2e}", f"{pct:.2f}", ords[name][i]]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+        cells = [format(r.h, num["h"])]
+        for name in QUANTITIES:
+            cells += [format(getattr(r, f"e_{name}"), num["err"]),
+                      format(getattr(r, f"pct_{name}"), num["pct"]),
+                      format(orders[name][i - 1], num["order"]) if i else ""]
+        rows.append(cells)
+    return _table(header, rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +214,22 @@ def run_locking(config: RunConfig) -> tuple:
     """Error-vs-dofs sweep over Poisson ratios at fixed Young modulus."""
     rows = []
     for nu in config.poisson:
-        params = LameParams.from_young_poisson(config.young, nu)
-        solution = trig_solution(params)
+        solution = trig_solution(
+            LameParams.from_young_poisson(config.young, nu))
         for n in config.levels:
-            try:
-                system, (sh, uh, ph) = _solve_level(config, n, solution)
-            except SolverError as exc:
-                raise type(exc)(f"locking run failed at nu={nu}, "
-                                f"level n={n}: {exc}") from exc
-            rep = compute_errors(sh, uh, ph, solution)
-            total = system.n_sigma + system.n_v + system.n_q
-            rows.append(LockingRow(nu=nu, n=n, total_dofs=total,
+            system, rep = _run_level(config, n, solution,
+                                     f"locking run failed at nu={nu}, ")
+            rows.append(LockingRow(nu=nu, n=n, total_dofs=system.n,
                                    e_sigma=rep.e_sigma, e_u=rep.e_u))
     return tuple(rows)
 
 
-def format_locking_csv(rows) -> str:
-    lines = [LOCKING_COLUMNS]
-    for r in rows:
-        lines.append(f"{r.nu:g},{r.n},{r.total_dofs},"
-                     f"{r.e_sigma:.6e},{r.e_u:.6e}")
-    return "\n".join(lines) + "\n"
-
-
-def format_locking_md(rows) -> str:
-    lines = ["| nu | n | total_dofs | e_sigma | e_u |", "|" + "---|" * 5]
-    for r in rows:
-        lines.append(f"| {r.nu:g} | {r.n} | {r.total_dofs} "
-                     f"| {r.e_sigma:.2e} | {r.e_u:.2e} |")
-    return "\n".join(lines) + "\n"
+def format_locking(rows, fmt: str) -> str:
+    err = NUMBER_FORMATS[fmt]["err"]
+    return _table(("nu", "n", "total_dofs", "e_sigma", "e_u"),
+                  [(f"{r.nu:g}", str(r.n), str(r.total_dofs),
+                    format(r.e_sigma, err), format(r.e_u, err))
+                   for r in rows], fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +264,6 @@ def run_diagnostics(config: RunConfig) -> tuple:
 
     n0 = config.levels[0]
     stress = levels[0][0]
-    mesh = stress.mesh
     results = []
 
     s5 = check_commuting_projection(stress, trig_solution(config.params).sigma)
@@ -291,13 +278,10 @@ def run_diagnostics(config: RunConfig) -> tuple:
                               1e-10, jump <= 1e-10,
                               "random unit-scale coefficients"))
 
-    ident = interpolate_stress(
-        stress, lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
-    rule = gauss_rule(default_quad(stress.element))
-    _, _, jac = geometry_at(mesh.element_corners(), rule.points)
-    diff = evaluate_batch(ident, rule.points) - np.eye(2)
-    ierr = float(np.sqrt(np.sum(rule.weights[None, :] * jac
-                                * np.sum(diff ** 2, axis=(-2, -1)))))
+    def identity(x):
+        return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+
+    ierr = stress_l2_error(interpolate_stress(stress, identity), identity)
     results.append(Diagnostic("identity-field representation", ierr,
                               1e-10, ierr <= 1e-10))
 
@@ -379,7 +363,8 @@ def _add_shared_flags(sub, levels_default):
     sub.add_argument("--levels", type=_parse_levels, default=levels_default,
                      help="comma-separated mesh subdivisions, e.g. 2,4,8")
     sub.add_argument("--quad", type=int, default=None,
-                     help="tensor-Gauss assembly order (default r+6)")
+                     help=f"tensor-Gauss assembly order, 1 to {MAX_QUAD} "
+                          "(default r+6)")
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
@@ -481,13 +466,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "convergence":
-            table = run_convergence(config)
-            text = (format_convergence_csv(table) if config.fmt == "csv"
-                    else format_convergence_md(table))
+            text = format_convergence(run_convergence(config), config.fmt)
         elif args.command == "locking":
-            rows = run_locking(config)
-            text = (format_locking_csv(rows) if config.fmt == "csv"
-                    else format_locking_md(rows))
+            text = format_locking(run_locking(config), config.fmt)
         elif args.command == "diagnostics":
             results = run_diagnostics(config)
             text = format_diagnostics(results)

@@ -6,8 +6,10 @@ stress space with one edge orientation flipped, a recorder of the
 quadrature orders the package integrates at, the Gram matrix summed from
 its cell blocks, the trace system scattered through a phantom row and
 sliced, the four independent closures of the trigonometric benchmark
-solution, and the plain-``einsum``
-forms of the batched geometry, Piola and interpolation contractions."""
+solution, the plain-``einsum``
+forms of the batched geometry, Piola and interpolation contractions, and
+the four hand-written CSV and markdown table formatters that the CLI's one
+table writer replaced."""
 
 import dataclasses
 
@@ -260,3 +262,64 @@ def einsum_interpolate_stress(space, sigma):
     coef = np.zeros(space.n_dofs)
     coef[space.dofs] = np.einsum("ipc,eprc->rei", W, sighat) * space.row_signs
     return coef
+
+
+# ---------------------------------------------------------------------------
+# the CLI's former per-study, per-format table formatters, kept as the
+# byte-level oracle of ``cli.format_convergence`` and ``cli.format_locking``
+
+
+def _order_strings(table, fmt_one) -> dict:
+    orders = table.orders() if len(table.rows) >= 2 else {}
+    out = {}
+    for name in ("sigma", "div", "u", "p"):
+        vals = orders.get(name, np.empty(0))
+        out[name] = [""] + [fmt_one(v) for v in vals]
+    return out
+
+
+def format_convergence_csv(table) -> str:
+    ords = _order_strings(table, lambda v: f"{v:.2f}")
+    lines = ["h,e_sigma,pct_sigma,ord_sigma,e_div,pct_div,ord_div,"
+             "e_u,pct_u,ord_u,e_p,pct_p,ord_p"]
+    for i, r in enumerate(table.rows):
+        lines.append(",".join([
+            f"{r.h:.6e}",
+            f"{r.e_sigma:.6e}", f"{r.pct_sigma:.3f}", ords["sigma"][i],
+            f"{r.e_div:.6e}", f"{r.pct_div:.3f}", ords["div"][i],
+            f"{r.e_u:.6e}", f"{r.pct_u:.3f}", ords["u"][i],
+            f"{r.e_p:.6e}", f"{r.pct_p:.3f}", ords["p"][i],
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def format_convergence_md(table) -> str:
+    ords = _order_strings(table, lambda v: f"{v:.1f}")
+    header = ("| h | e_sigma | % | order | e_div | % | order "
+              "| e_u | % | order | e_p | % | order |")
+    lines = [header, "|" + "---|" * 13]
+    for i, r in enumerate(table.rows):
+        cells = [f"{r.h:.3e}"]
+        for name, err, pct in (("sigma", r.e_sigma, r.pct_sigma),
+                               ("div", r.e_div, r.pct_div),
+                               ("u", r.e_u, r.pct_u),
+                               ("p", r.e_p, r.pct_p)):
+            cells += [f"{err:.2e}", f"{pct:.2f}", ords[name][i]]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def format_locking_csv(rows) -> str:
+    lines = ["nu,n,total_dofs,e_sigma,e_u"]
+    for r in rows:
+        lines.append(f"{r.nu:g},{r.n},{r.total_dofs},"
+                     f"{r.e_sigma:.6e},{r.e_u:.6e}")
+    return "\n".join(lines) + "\n"
+
+
+def format_locking_md(rows) -> str:
+    lines = ["| nu | n | total_dofs | e_sigma | e_u |", "|" + "---|" * 5]
+    for r in rows:
+        lines.append(f"| {r.nu:g} | {r.n} | {r.total_dofs} "
+                     f"| {r.e_sigma:.2e} | {r.e_u:.2e} |")
+    return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from quadelast.analysis import (
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
+    stress_l2_error,
 )
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import (
@@ -311,6 +312,24 @@ def test_equilibrium_residual_uses_assembly_quadrature(family, monkeypatch):
     equilibrium_residual(sh, uh.space, sol.f)
     asymmetry_norm(sh)
     assert orders == [quad, quad]
+
+
+@pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
+def test_stress_l2_error(family, monkeypatch):
+    space = build_elasticity_spaces(generate_trapezoidal_mesh(4), family)[0]
+
+    def field(x):
+        return np.broadcast_to(np.array([[2.0, -1.0], [0.5, 3.0]]),
+                               x.shape[:-1] + (2, 2))
+
+    zero = FEFunction(space, np.zeros(space.n_dofs))
+    # the unit square has area 1, so the norm of a constant is its
+    # Frobenius norm
+    assert abs(stress_l2_error(zero, field) - np.sqrt(14.25)) <= 1e-13
+    interpolant = interpolate_stress(space, field)
+    orders = record_quadrature_orders(monkeypatch)
+    assert stress_l2_error(interpolant, field) <= 1e-12
+    assert orders == [default_quad(space.element)]
 
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])

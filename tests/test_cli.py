@@ -14,7 +14,10 @@ from quadelast.fe_space import FEFunction
 from quadelast.mesh import generate_trapezoidal_mesh, read_mesh
 from quadelast.solver import SolverError
 
-from helpers import flip_edge_sign, without_asymmetry
+from helpers import (flip_edge_sign, format_convergence_csv,
+                     format_convergence_md, format_locking_csv,
+                     format_locking_md, without_asymmetry)
+from quadelast.analysis import ConvergenceTable, ErrorReport
 
 CSV_HEADER = ("h,e_sigma,pct_sigma,ord_sigma,e_div,pct_div,ord_div,"
               "e_u,pct_u,ord_u,e_p,pct_p,ord_p")
@@ -324,6 +327,74 @@ def test_solver_failure_exit_code_names_level(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "convergence", "--levels", "2,4")
     assert code == 1
     assert "n=2" in err and "synthetic breakdown" in err
+
+
+def test_locking_solver_failure_names_nu_and_level(capsys, monkeypatch):
+    def boom(system):
+        raise SolverError("synthetic breakdown")
+
+    monkeypatch.setattr(cli, "solve", boom)
+    code, out, err = run_cli(capsys, "locking", "--levels", "2,4",
+                             "--nu", "0.3,0.49")
+    assert code == 1 and out == ""
+    assert "nu=0.3, level n=2" in err and "synthetic breakdown" in err
+
+
+@pytest.fixture(scope="module")
+def study_tables():
+    """Tables of every shape the writers see: several levels, one level,
+    and orders that are inf and nan where an error is exactly zero."""
+    zero_p = ConvergenceTable(rows=(
+        ErrorReport(0.5, 1.0, 2.0, 3.0, 0.0, 10.0, 20.0, 30.0, 0.0),
+        ErrorReport(0.25, 0.5, 0.0, 1.5, 0.0, 5.0, 0.0, 15.0, 0.0),
+    ))
+    return {
+        "convergence": [
+            run_convergence(RunConfig(element="bdm1", levels=(2, 4, 8))),
+            run_convergence(RunConfig(element="rt2", mesh_family="trapezoid",
+                                      levels=(2,))),
+            zero_p,
+        ],
+        "locking": run_locking(RunConfig(element="bdm1",
+                                         mesh_family="trapezoid",
+                                         levels=(2, 4),
+                                         poisson=(0.3, 0.4999))),
+    }
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_table_writer_matches_the_former_formatters(study_tables, fmt):
+    conv_oracle = {"csv": format_convergence_csv,
+                   "md": format_convergence_md}[fmt]
+    lock_oracle = {"csv": format_locking_csv, "md": format_locking_md}[fmt]
+    for table in study_tables["convergence"]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = conv_oracle(table)
+        assert cli.format_convergence(table, fmt) == expected
+    rows = study_tables["locking"]
+    assert len({r.nu for r in rows}) == 2
+    assert cli.format_locking(rows, fmt) == lock_oracle(rows)
+
+
+@pytest.mark.parametrize("quad", ["33", "100000"])
+def test_quad_above_bound_exits_2_before_any_work(capsys, monkeypatch, quad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for an unbounded --quad")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, "convergence", "--quad", quad,
+                             "--levels", "2")
+    assert code == 2
+    assert "configuration error" in err and "quadrature" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_quad_range_ends_are_accepted():
+    assert cli.MAX_QUAD == 32
+    for quad in (1, cli.MAX_QUAD):
+        assert RunConfig(quad=quad).quad == quad
+    with pytest.raises(ConfigError, match="quadrature"):
+        RunConfig(quad=cli.MAX_QUAD + 1)
 
 
 def test_run_convergence_function_returns_table():
