@@ -317,14 +317,10 @@ def equilibrium_residual(sigma: FEFunction, disp: FESpace, f) -> float:
 
 
 def stress_l2_error(sigma_h: FEFunction, sigma) -> float:
-    """L2 norm of ``sigma_h - sigma``, ``sigma`` a physical callable.
-
-    Integrates at the stress family's :func:`assembly.default_quad`, like
-    every diagnostic.
-    """
-    mesh = sigma_h.space.mesh
+    """L2 norm of ``sigma_h - sigma``, ``sigma`` a physical callable, at
+    the stress family's :func:`assembly.default_quad`."""
     rule = gauss_rule(default_quad(sigma_h.space.element))
-    X, DF, J = geometry_at(mesh.element_corners(), rule.points)
+    X, DF, J = geometry_at(sigma_h.space.mesh.element_corners(), rule.points)
     diff = (evaluate_batch(sigma_h, rule.points, (slice(None), X, DF, J))
             - sigma(X))
     return float(np.sqrt(np.sum(rule.weights[None, :] * J

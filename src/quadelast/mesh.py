@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mapping import geometry_at
+
 __all__ = [
     "QuadMesh",
     "MeshQuality",
@@ -24,23 +26,8 @@ __all__ = [
 
 # Local edges of a quad as (start, end) vertex slots, counterclockwise.
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-
-
-def corner_jacobians(vertices: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Bilinear-map Jacobian determinant at the four corners of each quad.
-
-    For a bilinear map the Jacobian determinant is affine in the reference
-    coordinates, so positivity at all four corners implies positivity on the
-    whole element (strict convexity).
-
-    Returns an array of shape (n_quads, 4).
-    """
-    p = vertices[quads]  # (nq, 4, 2)
-    # at corner c the two Jacobian columns are the edge vectors leaving it
-    e_next = np.roll(p, -1, axis=1) - p
-    e_prev = np.roll(p, 1, axis=1) - p
-    return e_next[..., 0] * e_prev[..., 1] - e_next[..., 1] * e_prev[..., 0]
-
+# Corners of the reference square, counterclockwise.
+REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 @dataclass(frozen=True)
 class QuadMesh:
@@ -79,7 +66,10 @@ class QuadMesh:
                 f"vertex indices must lie in [0, {len(vertices)}); "
                 f"got {quads.min()} to {quads.max()}")
 
-        jac = corner_jacobians(vertices, quads)
+        # the Jacobian determinant of a bilinear map is affine in the
+        # reference coordinates: positive at the four corners means
+        # positive on the whole cell (strict convexity)
+        jac = geometry_at(vertices[quads], REF_CORNERS)[2]
         if not np.all(jac > 0.0):
             bad = int(np.argwhere(~np.all(jac > 0.0, axis=1))[0, 0])
             raise ValueError(
