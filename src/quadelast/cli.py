@@ -209,8 +209,8 @@ def run_locking(config: RunConfig) -> tuple:
     """Error-vs-dofs sweep over Poisson ratios at fixed Young modulus."""
     rows = []
     for nu in config.poisson:
-        solution = trig_solution(
-            LameParams.from_young_poisson(config.young, nu))
+        params = LameParams.from_young_poisson(config.young, nu)
+        solution = trig_solution(params)
         for n in config.levels:
             system, rep = _run_level(config, n, solution,
                                      f"locking run failed at nu={nu}, ")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mapping import geometry_at
+from .reference_elements import EDGE_STARTS
 
 __all__ = [
     "QuadMesh",
@@ -26,8 +27,6 @@ __all__ = [
 
 # Local edges of a quad as (start, end) vertex slots, counterclockwise.
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-# Corners of the reference square, counterclockwise.
-REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 @dataclass(frozen=True)
 class QuadMesh:
@@ -66,10 +65,10 @@ class QuadMesh:
                 f"vertex indices must lie in [0, {len(vertices)}); "
                 f"got {quads.min()} to {quads.max()}")
 
-        # the Jacobian determinant of a bilinear map is affine in the
-        # reference coordinates: positive at the four corners means
-        # positive on the whole cell (strict convexity)
-        jac = geometry_at(vertices[quads], REF_CORNERS)[2]
+        # J at the reference corners (the local edges' start points); it is
+        # affine in the reference coordinates, so positive at the four
+        # corners means positive on the whole cell (strict convexity)
+        jac = geometry_at(vertices[quads], EDGE_STARTS)[2]
         if not np.all(jac > 0.0):
             bad = int(np.argwhere(~np.all(jac > 0.0, axis=1))[0, 0])
             raise ValueError(
