@@ -33,7 +33,6 @@ memory does not grow with the mesh.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,18 +50,18 @@ __all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad",
 
 
 def default_quad(element) -> int:
-    """Gauss order for a stress element of order r: r + 6.
+    """Gauss order for a stress element: its edge moments per edge + 6,
+    that is r + 6 for RT_r and 8 for BDM1.
 
-    The quadrature policy has two rules.  Every integral over discrete
-    fields uses this order, per direction or per edge: assembly, the
-    boundary term, the Gram matrix, interpolation and every diagnostic.
-    Only :func:`analysis.compute_errors` uses the higher
+    The quadrature policy has two rules and no override.  Every integral
+    over discrete fields uses this order, per direction or per edge:
+    assembly, the boundary term, the Gram matrix, interpolation and every
+    diagnostic.  Only :func:`analysis.compute_errors` uses the higher
     ``analysis.NORM_QUAD``, so the error tables are quadrature-converged.
-    ``assemble(quad=)`` overrides the first rule for one assembly.
 
     On non-parallelogram cells the mass-block integrand carries a rational
-    1/J factor, and r + 6 pushes its quadrature tail below 1e-11 relative
-    even on strongly distorted cells.
+    1/J factor, and this order pushes its quadrature tail below 1e-11
+    relative even on strongly distorted cells.
     """
     return element.n_edge_dofs + 6
 
@@ -171,35 +170,19 @@ def _layout(stress: FESpace, disp: FESpace, rot: FESpace):
     return cell_dofs, _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
 
 
-def assemble(
-    stress: FESpace,
-    disp: FESpace,
-    rot: FESpace,
-    params: LameParams,
-    f=None,
-    g=None,
-    quad: int | None = None,
-) -> BlockSystem:
+def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
+             f=None, g=None) -> BlockSystem:
     """Assemble the block system on the common mesh of the three spaces.
 
     ``f`` is the body force (displacement-block load) and ``g`` the Dirichlet
     displacement trace (stress-block consistent boundary term); either may be
-    None for a zero contribution.  ``quad`` is the tensor-Gauss order, by
-    default :func:`default_quad`.
+    None for a zero contribution.  Every integral, the boundary term
+    included, uses the tensor-Gauss order :func:`default_quad`.
     """
     mesh = stress.mesh
     if not (disp.mesh is mesh and rot.mesh is mesh):
         raise ValueError("spaces must be built on the same mesh object")
-    r = stress.element.n_edge_dofs
-    if quad is None:
-        quad = default_quad(stress.element)
-    if quad < r + 1:
-        warnings.warn(
-            f"quadrature order {quad} is below the exactness floor {r + 1} "
-            "for this family; assembled integrals will be inconsistent",
-            stacklevel=2,
-        )
-
+    quad = default_quad(stress.element)
     w, dPhi, Psi, chunks = _tabulate(stress, disp, rot, quad)
     dimS = dPhi.shape[0]
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
@@ -258,7 +241,7 @@ def assemble(
         rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(), load.ravel(),
                           minlength=rhs.size)
     if g is not None:
-        rhs[: stress.n_dofs] = boundary_term(stress, g, n1d=quad)
+        rhs[: stress.n_dofs] = boundary_term(stress, g, quad)
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
         cell_matrices=cell_matrices, cell_dofs=cell_dofs, rhs=rhs,
@@ -287,17 +270,16 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> np.ndarray:
     return gram
 
 
-def boundary_term(stress: FESpace, g, n1d: int | None = None) -> np.ndarray:
+def boundary_term(stress: FESpace, g, n1d: int) -> np.ndarray:
     """Stress-block vector of the consistent Dirichlet term ``int g.(t n) ds``.
 
     By the normal-trace identity of the Piola transform the physical edge
     integral equals the reference one: for each boundary edge,
     ``int_ehat g(F(t)) . nhat phi(t) dt`` accumulated into the edge dofs.
-    ``n1d`` is the Gauss order on each edge, by default :func:`default_quad`.
+    ``n1d`` is the Gauss order on each edge; :func:`assemble` passes
+    :func:`default_quad`.
     """
     mesh = stress.mesh
-    if n1d is None:
-        n1d = default_quad(stress.element)
     t, w = gauss_rule_1d(n1d)
     edge_pts = EDGE_STARTS[:, None, :] + t[:, None] * EDGE_DIRS[:, None, :]
     phi = stress.element.basis.eval(edge_pts)  # (dim, 4, n1d, 2)

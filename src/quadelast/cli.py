@@ -4,7 +4,8 @@ Each subcommand builds a :class:`RunConfig` from the parsed flags, runs the
 corresponding study and writes a deterministic CSV or markdown table to
 stdout or to ``--out``.  Exit codes: 0 on success, 1 when the linear solver
 fails (the failing level is named in the message), 2 on configuration
-errors.
+errors.  No flag sets a quadrature order: the discretization fixes it
+(:func:`assembly.default_quad`).
 """
 
 import argparse
@@ -56,10 +57,6 @@ NUMBER_FORMATS = {
     "md": {"h": ".3e", "err": ".2e", "pct": ".2f", "order": ".1f"},
 }
 
-#: Largest accepted ``--quad``, far above any order in use (at most 12);
-#: the Gauss rule solves an eigenproblem of the order's size.
-MAX_QUAD = 32
-
 #: Default material of every study.
 DEFAULT_PARAMS = LameParams(mu=79.3, lam=123.0)
 
@@ -80,7 +77,6 @@ class RunConfig:
     distortion: float = 1.0 / 6.0
     levels: tuple = (2, 4, 8, 16, 32, 64)
     params: LameParams = DEFAULT_PARAMS
-    quad: int | None = None
     fmt: str = "csv"
     out: str | None = None
     seed: int = 0
@@ -106,14 +102,13 @@ class RunConfig:
             raise ConfigError("the trapezoidal family needs levels n >= 2")
         if not 0.0 <= self.distortion < 0.5:
             raise ConfigError("distortion must lie in [0, 1/2)")
-        if self.quad is not None and not 1 <= self.quad <= MAX_QUAD:
-            raise ConfigError(f"quadrature order must lie in [1, {MAX_QUAD}]"
-                              f", got {self.quad}")
         # written only after the whole study has run
-        if self.out is not None and not os.path.isdir(
-                os.path.dirname(self.out) or "."):
-            raise ConfigError(f"output directory of {self.out!r} does not "
-                              "exist or is not a directory")
+        if self.out is not None:
+            if os.path.isdir(self.out):
+                raise ConfigError(f"output path {self.out!r} is a directory")
+            if not os.path.isdir(os.path.dirname(self.out) or "."):
+                raise ConfigError(f"output directory of {self.out!r} does "
+                                  "not exist or is not a directory")
         # the seed range np.random.RandomState accepts
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
@@ -141,8 +136,7 @@ def _run_level(config: RunConfig, n: int, solution, where: str):
     """The system of one study level and its errors; a solver failure is
     raised again with ``where`` and the level in front of its message."""
     spaces = build_elasticity_spaces(build_mesh(config, n), config.element)
-    system = assemble(*spaces, solution.params,
-                      f=solution.f, g=solution.g, quad=config.quad)
+    system = assemble(*spaces, solution.params, f=solution.f, g=solution.g)
     try:
         report = solve(system)
     except SolverError as exc:
@@ -283,7 +277,7 @@ def run_diagnostics(config: RunConfig) -> tuple:
 
     estimates = []
     for sp_n in levels:
-        system = assemble(*sp_n, config.params, quad=config.quad)
+        system = assemble(*sp_n, config.params)
         estimates.append(infsup_estimate(system, ynorm_gram(*sp_n)))
     lo, hi = min(estimates), max(estimates)
     # a zero estimate (a level the solver refuses) fails
@@ -358,9 +352,6 @@ def _add_shared_flags(sub, levels_default):
                      help="trapezoid offset as a fraction of the cell height")
     sub.add_argument("--levels", type=_parse_levels, default=levels_default,
                      help="comma-separated mesh subdivisions, e.g. 2,4,8")
-    sub.add_argument("--quad", type=int, default=None,
-                     help=f"tensor-Gauss assembly order, 1 to {MAX_QUAD} "
-                          "(default r+6)")
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
@@ -430,8 +421,7 @@ def _config_from_args(args) -> RunConfig:
     kwargs = dict(mesh_family=args.mesh_family, distortion=args.distortion,
                   levels=args.levels, out=args.out)
     if args.command != "mesh":
-        kwargs.update(element=args.element, quad=args.quad,
-                      fmt=args.fmt, seed=args.seed)
+        kwargs.update(element=args.element, fmt=args.fmt, seed=args.seed)
     if args.command == "locking":
         kwargs.update(young=args.E, poisson=args.nu)
     elif args.command != "mesh":

@@ -72,11 +72,11 @@ def stress_element(family: str) -> ReferenceElement:
 
 
 def family_order(family: str) -> int:
-    """Order r of a family: rt_r -> r, bdm1 -> 1.
-
-    Displacement and rotation companions have polynomial degree r-1.
+    """Order r of a family (rt_r -> r, bdm1 -> 1): its stress element's
+    degree.  Displacement and rotation companions have polynomial degree
+    r-1.
     """
-    return stress_element(family).n_edge_dofs if family.lower() != "bdm1" else 1
+    return stress_element(family).degree
 
 
 @dataclass(frozen=True)

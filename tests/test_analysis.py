@@ -17,6 +17,7 @@ from quadelast.fe_space import (
 from quadelast.problem import LameParams, trig_solution
 from quadelast.assembly import BlockSystem, assemble, default_quad, ynorm_gram
 from quadelast.solver import HybridFactor, SingularSystem, solve
+import quadelast.cli as cli
 from quadelast.cli import RunConfig, run_convergence, run_diagnostics
 from quadelast.analysis import (
     INFSUP_CAP,
@@ -621,13 +622,14 @@ def test_infsup_nearly_incompressible_is_compliance_floor(family, mesh_fn, n):
     assert abs(estimate - floor) <= 1e-10 * floor
 
 
-def test_infsup_is_zero_where_solve_refuses():
-    # order-2 quadrature under-integrates rt2 and leaves a trace system
-    # that is not positive definite: solve refuses it, so the inf-sup
+def test_infsup_is_zero_where_solve_refuses(monkeypatch):
+    # every level's system has one cell's compliance negated, so its trace
+    # system is not positive definite: solve refuses it, and the inf-sup
     # diagnostic must fail instead of passing on round-off estimates
-    with pytest.warns(UserWarning, match="exactness floor"):
-        results = run_diagnostics(RunConfig(element="rt2", quad=2,
-                                            levels=(2, 4)))
+    real_assemble = cli.assemble
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs:
+                        negated_cell_compliance(real_assemble(*args, **kwargs)))
+    results = run_diagnostics(RunConfig(element="rt2", levels=(2, 4)))
     record = next(r for r in results if r.name.startswith("inf-sup"))
     assert not record.passed
     assert record.note == "estimates 0.000000e+00, 0.000000e+00"

@@ -6,7 +6,8 @@ from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at
 from quadelast.reference_elements import EDGE_DIRS, EDGE_STARTS
 from quadelast.fe_space import FEFunction, build_elasticity_spaces, evaluate_batch, evaluate_div_batch
 from quadelast.problem import LameParams
-from quadelast.assembly import assemble, boundary_term
+import quadelast.assembly as assembly
+from quadelast.assembly import assemble, boundary_term, default_quad
 from quadelast.analysis import interpolate_stress
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -91,28 +92,23 @@ def test_bd_entries_are_reference_integrals(family):
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1", "rt3"])
-def test_quadrature_doubling_parallelogram(family):
+def test_quadrature_doubling_parallelogram(family, monkeypatch):
     mesh = sheared_mesh(3)
     S, V, Q = build_elasticity_spaces(mesh, family)
     K1 = assemble(S, V, Q, PARAMS).full_matrix()
-    K2 = assemble(S, V, Q, PARAMS, quad=2 * (S.element.degree + 6)).full_matrix()
+    monkeypatch.setattr(assembly, "default_quad", lambda e: 2 * (e.degree + 6))
+    K2 = assemble(S, V, Q, PARAMS).full_matrix()
     assert abs(K1 - K2).max() <= 1e-12 * abs(K1).max()
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1", "rt3"])
-def test_quadrature_doubling_trapezoid(family):
+def test_quadrature_doubling_trapezoid(family, monkeypatch):
     mesh = generate_trapezoidal_mesh(3)
     S, V, Q = build_elasticity_spaces(mesh, family)
     K1 = assemble(S, V, Q, PARAMS).full_matrix()
-    K2 = assemble(S, V, Q, PARAMS, quad=2 * (S.element.degree + 6)).full_matrix()
+    monkeypatch.setattr(assembly, "default_quad", lambda e: 2 * (e.degree + 6))
+    K2 = assemble(S, V, Q, PARAMS).full_matrix()
     assert abs(K1 - K2).max() <= 1e-10 * abs(K1).max()
-
-
-def test_low_quadrature_order_warns():
-    mesh = generate_square_mesh(1)
-    S, V, Q = build_elasticity_spaces(mesh, "rt2")
-    with pytest.warns(UserWarning, match="exactness floor"):
-        assemble(S, V, Q, PARAMS, quad=2)
 
 
 def test_assembly_deterministic():
@@ -181,7 +177,9 @@ def test_boundary_term_matches_physical_edge_integrals(family, g):
 
 def test_boundary_term_zero_data():
     S = build_elasticity_spaces(generate_square_mesh(2), "rt2")[0]
-    assert np.all(boundary_term(S, lambda x: np.zeros(x.shape[:-1] + (2,))) == 0.0)
+    zero = boundary_term(S, lambda x: np.zeros(x.shape[:-1] + (2,)),
+                         default_quad(S.element))
+    assert np.all(zero == 0.0)
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1"])

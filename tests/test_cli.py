@@ -92,7 +92,7 @@ def test_csv_deterministic(tmp_path, capsys):
     ("convergence", "--levels", "2", "--lambda", "1.0", "--mu", "1.0",
      "--E", "5.0", "--nu", "0.3"),
     ("convergence", "--levels", "2", "--distortion", "0.7"),
-    ("convergence", "--levels", "2", "--quad", "0"),
+    ("diagnostics", "--levels", "2", "--out", "."),
     ("locking", "--levels", "2", "--nu", "0.5"),
     ("locking", "--levels", "2", "--nu", "-0.1"),
     ("mesh", "--levels", "2,4"),
@@ -374,25 +374,28 @@ def test_table_writer_matches_the_former_formatters(study_tables, fmt):
     assert cli.format_locking(rows, fmt) == lock_oracle(rows)
 
 
-@pytest.mark.parametrize("quad", ["33", "100000"])
-def test_quad_above_bound_exits_2_before_any_work(capsys, monkeypatch, quad):
+def test_quad_flag_is_unrecognized(capsys):
+    # the quadrature order belongs to the discretization: a script that
+    # still passes --quad stops at parsing instead of running without it
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--quad", "8", "--levels", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["convergence", "mesh"])
+def test_out_naming_a_directory_exits_2_before_any_work(
+        capsys, monkeypatch, tmp_path, command):
     def no_work(*args, **kwargs):
-        raise AssertionError("a mesh was built for an unbounded --quad")
+        raise AssertionError("a mesh was built for a directory --out")
 
     monkeypatch.setattr(cli, "build_mesh", no_work)
-    code, out, err = run_cli(capsys, "convergence", "--quad", quad,
-                             "--levels", "2")
+    code, out, err = run_cli(capsys, command, "--levels", "2",
+                             "--out", str(tmp_path))
     assert code == 2
-    assert "configuration error" in err and "quadrature" in err
+    assert "configuration error" in err and "is a directory" in err
     assert "Traceback" not in err and out == ""
-
-
-def test_quad_range_ends_are_accepted():
-    assert cli.MAX_QUAD == 32
-    for quad in (1, cli.MAX_QUAD):
-        assert RunConfig(quad=quad).quad == quad
-    with pytest.raises(ConfigError, match="quadrature"):
-        RunConfig(quad=cli.MAX_QUAD + 1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_convergence_function_returns_table():

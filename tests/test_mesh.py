@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -223,3 +224,56 @@ def test_cell_diameters():
     np.testing.assert_allclose(mesh.diameters, expected, rtol=1e-15)
     assert mesh.h == max(mesh.diameters)
     assert mesh_quality(mesh).h_max == mesh.h
+
+
+FUZZ_TOKENS = ("nan", "inf", "1e400", "-1", "99999999999999999999", "x",
+               "\x00")
+
+
+def _mutate(rng, text):
+    """``text`` with one random truncation, deletion, blank line or
+    inserted token."""
+    kind = rng.randrange(4)
+    if kind == 0:  # truncation
+        return text[:rng.randrange(len(text))]
+    if kind == 1:  # deletion of a character span or a whole line
+        if rng.random() < 0.5:
+            a = rng.randrange(len(text))
+            return text[:a] + text[a + rng.randint(1, 8):]
+        lines = text.splitlines(keepends=True)
+        del lines[rng.randrange(len(lines))]
+        return "".join(lines)
+    if kind == 2:  # inserted blank line
+        lines = text.splitlines(keepends=True)
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("\n", " \n")))
+        return "".join(lines)
+    a = rng.randrange(len(text) + 1)  # inserted token, possibly mid-number
+    sep = rng.choice(("", " "))
+    return text[:a] + sep + rng.choice(FUZZ_TOKENS) + sep + text[a:]
+
+
+def test_read_mesh_mutation_fuzz(tmp_path):
+    # every corruption of a valid file is a mesh or a ValueError: no other
+    # exception, and no warning on the way
+    source = tmp_path / "trapezoid.txt"
+    write_mesh(generate_trapezoidal_mesh(2), source)
+    text = source.read_text()
+    path = tmp_path / "mutant.txt"
+    rng = random.Random(20240611)
+    outcomes = {"mesh": 0, "ValueError": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            mutant = text
+            for _ in range(rng.randint(1, 3)):
+                # an emptied file stays one newline, so it can mutate again
+                mutant = _mutate(rng, mutant) or "\n"
+            path.write_text(mutant)
+            try:
+                assert isinstance(read_mesh(path), QuadMesh)
+                outcomes["mesh"] += 1
+            except ValueError:
+                outcomes["ValueError"] += 1
+    # both outcomes occur, so the mutations neither always nor never break
+    # the file
+    assert min(outcomes.values()) > 0

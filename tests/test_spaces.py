@@ -13,7 +13,9 @@ from quadelast.fe_space import (
     evaluate_batch,
     evaluate_div_batch,
     family_order,
+    stress_element,
 )
+from quadelast.assembly import default_quad
 
 
 def perturbed_mesh(n, amplitude=0.18, seed=0):
@@ -86,6 +88,12 @@ def test_family_order():
     assert family_order("rt2") == 2
     assert family_order("rt3") == 3
     assert family_order("bdm1") == 1
+    # the order is the stress element's degree; the Gauss order is edge
+    # moments per edge + 6: r + 6 for RT_r, 8 for BDM1
+    for family, quad in (("rt2", 8), ("rt3", 9), ("bdm1", 8)):
+        element = stress_element(family)
+        assert family_order(family) == element.degree
+        assert default_quad(element) == quad
     with pytest.raises(ValueError):
         build_stress_space(generate_square_mesh(1), "ned1")
 
