@@ -5,11 +5,9 @@ numbers: L2 errors with relative percentages, observed orders between
 dyadic mesh levels, the commuting-interpolation residual for the stress
 interpolant, a sparse shift-invert inf-sup estimate for the saddle-point
 system in the norm of :func:`assembly.ynorm_gram`, and the asymmetry norm
-of a computed stress.  Every diagnostic works on all cells at once: fields
-are pulled back in one batch and the reference dofs are applied as one
-weight array.  :func:`compute_errors`, which runs on every level of a
-study at the finest rule, works one batch of :func:`mapping.cell_chunks`
-at a time instead, so its memory does not grow with the mesh.
+of a computed stress.  Fields are evaluated one batch of
+:func:`mapping.cell_chunks` at a time, from that batch's geometry, so the
+temporaries do not grow with the mesh.
 """
 
 from dataclasses import dataclass
@@ -26,8 +24,7 @@ from .fe_space import (
     evaluate_div_batch,
     scatter,
 )
-from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, geometry_at,
-                      piola_values)
+from .mapping import cell_chunks, gauss_rule, gauss_rule_1d, piola_values
 from .problem import ManufacturedSolution
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
 from .solver import HybridFactor, SolverError, cell_apply
@@ -38,9 +35,9 @@ from .solver import HybridFactor, SolverError, cell_apply
 NORM_QUAD = 12
 
 #: Largest system size accepted by the inf-sup estimate.  On trapezoids,
-#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.15 s at 7,040
-#: unknowns (rt2 n=16), 0.69 s and a 141 MB process peak at 27,904 (rt2
-#: n=32), 1.8 s and 264 MB at 45,568 (bdm1 n=64).  The cap is a safety
+#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.13 s at 7,040
+#: unknowns (rt2 n=16), 0.65 s and a 128 MB process peak at 27,904 (rt2
+#: n=32), 1.5 s and 239 MB at 45,568 (bdm1 n=64).  The cap is a safety
 #: bound on one estimate's time and memory, not a measured limit.
 INFSUP_CAP = 50_000
 
@@ -138,7 +135,7 @@ def infsup_estimate(system, gram) -> float:
 
     The discrete inf-sup constant is the smallest |lambda| of K x =
     lambda N x, K the saddle-point operator and N the Gram matrix summed
-    from the cell blocks of :func:`assembly.ynorm_gram` (the numerical
+    from the arrays of :func:`assembly.ynorm_gram` (the numerical
     inf-sup test of Chapelle & Bathe, 1993).  Shift-invert Lanczos about
     zero finds it, with K applied cell by cell and inverted by the solver's
     hybridized factor; a system the factor refuses, as ``solve`` does, has
@@ -150,16 +147,20 @@ def infsup_estimate(system, gram) -> float:
             f"system has {system.n}"
         )
     A, D = system.cell_matrices, system.cell_dofs
-    if gram.shape != A.shape:
-        raise ValueError(f"Gram blocks have shape {gram.shape}; "
-                         f"the cell matrices have {A.shape}")
-    # N sums the five diagonal blocks of the block-diagonal Gram matrix; it
-    # is positive definite if every block is and its diagonal has no zero
-    N = scatter([(gram[:, b, b], D[:, b], D[:, b])
-                 for b in system.local_blocks], (system.n, system.n))
+    G, Mv, Mq = gram
+    pairs = list(zip((G, G, Mv, Mv, Mq), system.local_blocks))
+    if any(a.shape != (len(A),) + 2 * (b.stop - b.start,) for a, b in pairs):
+        raise ValueError(f"Gram array shapes {[a.shape for a in gram]} do "
+                         f"not fit the local slices {system.local_blocks}")
+    # N sums each cell's five diagonal blocks over their dofs; it is
+    # positive definite if every block is and its diagonal has no zero
+    N = scatter([(block, D[:, b], D[:, b]) for block, b in pairs],
+                (system.n, system.n))
     try:
-        np.linalg.cholesky(gram)
-        if not np.all(N.diagonal() > 0.0):
+        for block in (G, Mv, Mq):
+            np.linalg.cholesky(block)
+        # cholesky returns NaN for a NaN entry instead of raising
+        if not (np.all(np.isfinite(N.data)) and np.all(N.diagonal() > 0.0)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite") from None
@@ -179,24 +180,24 @@ def infsup_estimate(system, gram) -> float:
     return float(abs(lam[0]))
 
 
-def _reference_rows(sigma, mesh, xhat: np.ndarray):
-    """Pull a matrix field back to the reference square on every cell.
+def _reference_rows(sigma, xhat: np.ndarray, chunk):
+    """Pull a matrix field back to the reference square on one cell chunk.
 
     Each row transforms like a vector field under the inverse
     contravariant Piola map: sighat_r = J DF^{-1} sigma_r, and J DF^{-1}
     is the adjugate of DF.  ``sigma`` is a physical callable or an
-    FEFunction on the same mesh.  Returns the rows, shape (E, npts, 2, 2),
-    and the Jacobian determinants, shape (E, npts).
+    FEFunction on the same mesh, ``chunk`` one of :func:`mapping.cell_chunks`
+    at ``xhat``.  Returns the rows, shape (n, npts, 2, 2).
     """
-    X, DF, J = geometry_at(mesh.element_corners(), xhat)
+    _, X, DF, _ = chunk
     if isinstance(sigma, FEFunction):
-        vals = evaluate_batch(sigma, xhat)
+        vals = evaluate_batch(sigma, xhat, chunk)
     else:
         vals = np.asarray(sigma(X))
     adj = np.stack([np.stack([DF[..., 1, 1], -DF[..., 0, 1]], axis=-1),
                     np.stack([-DF[..., 1, 0], DF[..., 0, 0]], axis=-1)],
                    axis=-2)
-    return piola_values(adj[:, :, None], vals), J
+    return piola_values(adj[:, :, None], vals)
 
 
 def _reference_dofs(W: np.ndarray, sighat: np.ndarray) -> np.ndarray:
@@ -206,29 +207,28 @@ def _reference_dofs(W: np.ndarray, sighat: np.ndarray) -> np.ndarray:
     return np.einsum("ipc,eprc->eri", W, sighat, optimize=True)
 
 
-def _interpolant(space: FESpace, W: np.ndarray, sighat: np.ndarray):
-    """Global coefficients of the interpolant with reference dofs ``W`` of
-    pulled-back rows ``sighat``.
-
-    Shared edge dofs are written from both sides; for a single-valued field
-    the two values agree because the edge moments are intrinsic, which is
-    exactly what the orientation signs encode.
-    """
-    coef = np.zeros(space.n_dofs)
-    coef[space.dofs] = (_reference_dofs(W, sighat).transpose(1, 0, 2)
-                        * space.row_signs)
-    return coef
+def _write_interpolant(coef, space: FESpace, W, sighat, cells) -> None:
+    """Write into ``coef`` the interpolant's global coefficients on the
+    cells ``cells``, from the reference dofs ``W`` of their pulled-back
+    rows ``sighat``.  Shared edge dofs are written from both sides; for a
+    single-valued field the two values agree because the edge moments are
+    intrinsic, which is exactly what the orientation signs encode."""
+    coef[space.dofs_on(cells)] = (_reference_dofs(W, sighat).transpose(1, 0, 2)
+                                  * space.row_signs[cells])
 
 
 def interpolate_stress(space: FESpace, sigma) -> FEFunction:
     """Canonical interpolant of a matrix field into a stress space.
 
-    Applies the reference degrees of freedom to the pulled-back rows on
-    all elements at once.
+    Applies the reference degrees of freedom to the pulled-back rows, one
+    chunk of :func:`mapping.cell_chunks` at a time.
     """
     points, W = space.element.interpolation_matrix(default_quad(space.element))
-    sighat, _ = _reference_rows(sigma, space.mesh, points)
-    return FEFunction(space, _interpolant(space, W, sighat))
+    coef = np.zeros(space.n_dofs)
+    for chunk in cell_chunks(space.mesh, points):
+        sighat = _reference_rows(sigma, points, chunk)
+        _write_interpolant(coef, space, W, sighat, chunk[0])
+    return FEFunction(space, coef)
 
 
 def check_commuting_projection(space: FESpace, sigma) -> float:
@@ -244,7 +244,7 @@ def check_commuting_projection(space: FESpace, sigma) -> float:
     div(sigma) is obtained from reference-square integration by parts, so
     only values of ``sigma`` are needed, never its derivatives.  The dof
     points are the edge Gauss points followed by the cell Gauss points, so
-    one pullback serves the interpolant and both integrals.
+    one pullback per cell chunk serves the interpolant and both integrals.
     """
     elem = space.element
     psi_basis = q_element(elem.degree - 1).basis
@@ -266,21 +266,25 @@ def check_commuting_projection(space: FESpace, sigma) -> float:
     div_phi = elem.basis.div(rule.points)
     psi_edge = psi_basis.eval(points[:n_edge])[..., 0].reshape(-1, 4, quad)
 
-    sighat, J = _reference_rows(sigma, space.mesh, points)
-    coef = space.local_coefficients(_interpolant(space, W, sighat))
+    coef = np.zeros(space.n_dofs)
+    m2 = np.empty((space.mesh.n_quads, 2, len(psi)))
+    mass = np.empty((space.mesh.n_quads, len(psi), len(psi)))
+    for chunk in cell_chunks(space.mesh, points):
+        cells, J = chunk[0], chunk[3]
+        sighat = _reference_rows(sigma, points, chunk)
+        _write_interpolant(coef, space, W, sighat, cells)
+        cell = sighat[:, n_edge:]
+        m2[cells] = -np.einsum("eqrc,jcq,q->erj", cell, dpsi, rule.weights)
+        edge = sighat[:, :n_edge].reshape(-1, 4, quad, 2, 2)
+        flux = np.einsum("eaqrc,ac->eaqr", edge, EDGE_NORMALS)
+        m2[cells] += np.einsum("eaqr,jaq,q->erj", flux, psi_edge, w1)
+        mass[cells] = np.einsum("iq,jq,eq->eij", psi, psi,
+                                rule.weights * J[:, n_edge:])
     # projection moments of div(interpolant): the reference divergence
     # integrates against psi without any Jacobian (the 1/J of the
     # divergence transform cancels the volume factor)
-    m1 = coef.transpose(1, 0, 2) @ np.einsum("iq,jq,q->ij", div_phi, psi,
-                                             rule.weights)
-
-    cell = sighat[:, n_edge:]
-    m2 = -np.einsum("eqrc,jcq,q->erj", cell, dpsi, rule.weights)
-    edge = sighat[:, :n_edge].reshape(-1, 4, quad, 2, 2)
-    flux = np.einsum("eaqrc,ac->eaqr", edge, EDGE_NORMALS)
-    m2 += np.einsum("eaqr,jaq,q->erj", flux, psi_edge, w1)
-
-    mass = np.einsum("iq,jq,eq->eij", psi, psi, rule.weights * J[:, n_edge:])
+    m1 = (space.local_coefficients(coef).transpose(1, 0, 2)
+          @ np.einsum("iq,jq,q->ij", div_phi, psi, rule.weights))
 
     def norm(m):
         m = m.transpose(0, 2, 1)
@@ -299,20 +303,19 @@ def equilibrium_residual(sigma: FEFunction, disp: FESpace, f) -> float:
     the assembly's (:func:`assembly.default_quad`); a much coarser rule
     would measure its own integration error instead of the residual.
     """
-    mesh = sigma.space.mesh
     rule = gauss_rule(default_quad(sigma.space.element))
-    X, _, J = geometry_at(mesh.element_corners(), rule.points)
-    wJ = rule.weights[None, :] * J
-
-    fx = np.asarray(f(X))
-    diff = evaluate_div_batch(sigma, rule.points) - fx
     psi = disp.element.basis.eval(rule.points)[..., 0]
-    r = np.einsum("eq,eqr,jq->ejr", wJ, diff, psi)
-    mass = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-    sol = np.linalg.solve(mass, r)
-    val = float(np.sqrt(max(np.sum(r * sol), 0.0)))
-
-    fnorm = float(np.sqrt(np.sum(wJ * np.sum(fx ** 2, axis=-1))))
+    val = fnorm = 0.0  # squared, summed over the chunks
+    for chunk in cell_chunks(sigma.space.mesh, rule.points):
+        wJ = rule.weights * chunk[3]
+        fx = np.asarray(f(chunk[1]))
+        diff = evaluate_div_batch(sigma, rule.points, chunk) - fx
+        r = np.einsum("eq,eqr,jq->ejr", wJ, diff, psi)
+        mass = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+        val += np.sum(r * np.linalg.solve(mass, r))
+        fnorm += np.sum(wJ * np.sum(fx ** 2, axis=-1))
+    val = float(np.sqrt(max(val, 0.0)))
+    fnorm = float(np.sqrt(fnorm))
     return val / fnorm if fnorm > 0.0 else val
 
 
@@ -320,11 +323,12 @@ def stress_l2_error(sigma_h: FEFunction, sigma) -> float:
     """L2 norm of ``sigma_h - sigma``, ``sigma`` a physical callable, at
     the stress family's :func:`assembly.default_quad`."""
     rule = gauss_rule(default_quad(sigma_h.space.element))
-    X, DF, J = geometry_at(sigma_h.space.mesh.element_corners(), rule.points)
-    diff = (evaluate_batch(sigma_h, rule.points, (slice(None), X, DF, J))
-            - sigma(X))
-    return float(np.sqrt(np.sum(rule.weights[None, :] * J
-                                * np.sum(diff ** 2, axis=(-2, -1)))))
+    total = 0.0
+    for chunk in cell_chunks(sigma_h.space.mesh, rule.points):
+        diff = evaluate_batch(sigma_h, rule.points, chunk) - sigma(chunk[1])
+        total += np.sum(rule.weights * chunk[3]
+                        * np.sum(diff ** 2, axis=(-2, -1)))
+    return float(np.sqrt(total))
 
 
 def asymmetry_norm(sigma: FEFunction) -> float:
@@ -334,11 +338,12 @@ def asymmetry_norm(sigma: FEFunction) -> float:
     stresses and should shrink under refinement.
     """
     rule = gauss_rule(default_quad(sigma.space.element))
-    _, _, J = geometry_at(sigma.space.mesh.element_corners(), rule.points)
-    wJ = rule.weights[None, :] * J
-    vals = evaluate_batch(sigma, rule.points)
-    askew = vals[..., 0, 1] - vals[..., 1, 0]
-    return float(np.sqrt(np.sum(wJ * askew ** 2)))
+    total = 0.0
+    for chunk in cell_chunks(sigma.space.mesh, rule.points):
+        vals = evaluate_batch(sigma, rule.points, chunk)
+        askew = vals[..., 0, 1] - vals[..., 1, 0]
+        total += np.sum(rule.weights * chunk[3] * askew ** 2)
+    return float(np.sqrt(total))
 
 
 def normal_jump_norm(sigma: FEFunction) -> float:
@@ -353,12 +358,15 @@ def normal_jump_norm(sigma: FEFunction) -> float:
     n1d = default_quad(sigma.space.element)
     t, w = gauss_rule_1d(n1d)
     # reference points of the four local edges, traversed lo -> hi for
-    # orientation +1 and hi -> lo for -1: shape (4, 2, n1d, 2)
+    # orientation +1 and hi -> lo for -1: shape (4, 2, n1d, 2), flattened
     tloc = np.stack([t, 1.0 - t])
-    xhat = (EDGE_STARTS[:, None, None, :]
-            + tloc[None, :, :, None] * EDGE_DIRS[:, None, None, :])
-    vals = evaluate_batch(sigma, xhat.reshape(-1, 2)).reshape(
-        mesh.n_quads, 4, 2, n1d, 2, 2)
+    xhat = (EDGE_STARTS[:, None, None, :] + tloc[None, :, :, None]
+            * EDGE_DIRS[:, None, None, :]).reshape(-1, 2)
+    vals = np.empty((mesh.n_quads, len(xhat), 2, 2))
+    # every edge needs both of its cells: gather all values, chunk by chunk
+    for chunk in cell_chunks(mesh, xhat):
+        vals[chunk[0]] = evaluate_batch(sigma, xhat, chunk)
+    vals = vals.reshape(mesh.n_quads, 4, 2, n1d, 2, 2)
 
     interior = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
     quad, local = np.divmod(mesh.edge_slots[interior], 4)  # (ni, 2) each

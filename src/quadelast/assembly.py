@@ -25,10 +25,10 @@ Only M retains the rational 1/J factor on non-parallelogram elements.
 The right-hand side carries (f, v) in the displacement block and, for
 inhomogeneous Dirichlet data g, the consistent boundary term
 ``int_e g . (t n) ds`` in the stress block.  :func:`ynorm_gram` builds
-the solution norm's Gram matrix from the same tables, one block per cell.
-Both tabulate one batch of :func:`mapping.cell_chunks` at a time and write
-it into their preallocated (E, k, k) arrays, so beyond those arrays their
-memory does not grow with the mesh.
+the solution norm's Gram matrix from the same tables, three diagonal
+blocks per cell.  Both tabulate one batch of :func:`mapping.cell_chunks`
+at a time into their preallocated per-cell arrays, so beyond those arrays
+their memory does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -161,15 +161,6 @@ def _local_slices(cell_dofs: np.ndarray, n_sigma: int, n_v: int) -> tuple:
     return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
 
-def _layout(stress: FESpace, disp: FESpace, rot: FESpace):
-    """Every cell's global dofs (E, k) in the local order of the cell
-    matrices, and that order's five slices (:func:`_local_slices`)."""
-    cell_dofs = np.concatenate(
-        [*stress.dofs, *(stress.n_dofs + disp.dofs),
-         stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
-    return cell_dofs, _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
-
-
 def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
              f=None, g=None) -> BlockSystem:
     """Assemble the block system on the common mesh of the three spaces.
@@ -190,8 +181,12 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     # integral int divphi_i psi_m, identical on every element up to signs
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
     # cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows displacement
-    # 0, displacement 1, rotation; columns stress rows 0, 1
-    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
+    # 0, displacement 1, rotation; columns stress rows 0, 1.  Every cell's
+    # global dofs (E, k) in that local order:
+    cell_dofs = np.concatenate(
+        [*stress.dofs, *(stress.n_dofs + disp.dofs),
+         stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
+    s0, s1, v0, v1, q = _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
     s, b = slice(0, s1.stop), slice(s1.stop, None)
     cell_matrices = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
     load = None if f is None else np.zeros((2,) + disp.row_dofs.shape)
@@ -248,26 +243,24 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     )
 
 
-def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> np.ndarray:
-    """Gram matrix of the H(div) x L2 x L2 solution norm as (E, k, k) cell
-    blocks, signs included, in the local order of the cell matrices: the
-    global matrix is their sum over ``cell_dofs``, like K.  Each block holds
-    (tau, tau) + (div tau, div tau) on both stress rows and L2 mass matrices
-    on the displacement components and the rotation."""
+def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
+    """Gram matrix of the H(div) x L2 x L2 solution norm, signs included,
+    as ``(G, Mv, Mq)``: per cell (tau, tau) + (div tau, div tau) for both
+    stress rows (E, dimS, dimS), the mass of both displacement components
+    (E, dimV, dimV) and the rotation mass (E, dimQ, dimQ).  The global
+    matrix sums them over ``BlockSystem.local_blocks``, like K."""
     _, dPhi, psi, chunks = _tabulate(stress, disp, rot,
                                      default_quad(stress.element))
-    cell_dofs, (s0, s1, v0, v1, q) = _layout(stress, disp, rot)
-    gram = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
+    G, Mv, Mq = (np.empty((stress.mesh.n_quads, k, k))
+                 for k in (stress.local_dim, disp.local_dim, rot.local_dim))
     for cells, _, wJ, woJ, UPV, mono in chunks:
-        G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-        G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
+        G[cells] = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+        G[cells] += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
         sgn = stress.row_signs[cells]
-        G *= sgn[:, :, None] * sgn[:, None, :]
-        Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-        Mq = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
-        for sl, block in ((s0, G), (s1, G), (v0, Mv), (v1, Mv), (q, Mq)):
-            gram[cells, sl, sl] = block
-    return gram
+        G[cells] *= sgn[:, :, None] * sgn[:, None, :]
+        Mv[cells] = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+        Mq[cells] = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
+    return G, Mv, Mq
 
 
 def boundary_term(stress: FESpace, g, n1d: int) -> np.ndarray:

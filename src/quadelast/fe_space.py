@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import QuadMesh
-from .mapping import geometry_at, piola_values
+from .mapping import piola_values
 from .reference_elements import (
     ReferenceElement,
     bdm1_element,
@@ -235,18 +235,14 @@ def unmapped_monomials(space: FESpace, X: np.ndarray,
     return xi[None, ..., 0] ** a * xi[None, ..., 1] ** b  # (dim, nq, npts)
 
 
-def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk=None) -> np.ndarray:
-    """Values of ``f`` at the same reference points in every element.
-
-    ``chunk`` is one ``(cells, X, DF, J)`` of :func:`mapping.cell_chunks`
-    at ``xhat``: the values on those cells alone, from that geometry.
-    Returns shape (nq, npts, 2, 2) for stress, (nq, npts, 2) for
-    displacement, (nq, npts) for rotation.
+def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
+    """Values of ``f`` at the same reference points on the cells of one
+    batch, ``chunk``: one ``(cells, X, DF, J)`` of
+    :func:`mapping.cell_chunks` at ``xhat``, whose geometry it uses.
+    Returns shape (n, npts, 2, 2) for stress, (n, npts, 2) for
+    displacement, (n, npts) for rotation, n the cells of the chunk.
     """
     space = f.space
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if chunk is None:
-        chunk = (slice(None), *geometry_at(space.mesh.element_corners(), xhat))
     cells, X, DF, J = chunk
     C = space.local_coefficients(f.coefficients, cells)
 
@@ -265,16 +261,12 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk=None) -> np.ndarray:
     return vals if space.components > 1 else vals[:, :, 0, :]
 
 
-def evaluate_div_batch(f: FEFunction, xhat: np.ndarray,
-                       chunk=None) -> np.ndarray:
+def evaluate_div_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
     """Row-wise divergence of a Piola-mapped function, via the 1/J
     transform; ``chunk`` as in :func:`evaluate_batch`."""
     space = f.space
     if space.kind != PIOLA:
         raise ValueError("divergence evaluation requires a Piola-mapped space")
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if chunk is None:
-        chunk = (slice(None), *geometry_at(space.mesh.element_corners(), xhat))
     cells, _, _, J = chunk
     C = space.local_coefficients(f.coefficients, cells)
     dPhi = space.element.basis.div(xhat)  # (dim, npts)

@@ -13,11 +13,14 @@ which keeps normal traces and turns the divergence into ``(1/J) divhat``;
 Contractions over the cell axis go through BLAS or are written out term
 by term; a plain ``np.einsum`` over the cells is up to 100x slower.
 
-Work per cell runs in fixed batches: :func:`cell_chunks` yields the
-geometry of ``CELL_CHUNK`` consecutive cells at a time, and assembly, the
-norm Gram and error evaluation tabulate one chunk, write its cells'
-results and move on, so their temporaries do not grow with the mesh.
-Every per-cell result is the same, bit for bit, whatever the chunk.
+Work per cell runs in fixed batches: :func:`cell_chunks`, the one caller
+of :func:`geometry_at` besides mesh validation, yields the geometry of
+``CELL_CHUNK`` consecutive cells at a time; assembly, the norm Gram, error
+evaluation and every diagnostic tabulate one chunk, write its cells'
+results and move on, so their temporaries do not grow with the mesh.  Cell
+matrices and Gram arrays are the same, bit for bit, whatever the chunk;
+sums over the cells and BLAS contractions over a whole chunk agree to
+round-off.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ matrices, the monolithic sparse LU oracle of the solver, a system with one
 cell's compliance negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, a recorder of the
 quadrature orders the package integrates at, the Gram matrix summed from
-its cell blocks, the trace system scattered through a phantom row and
+its cell arrays, the trace system scattered through a phantom row and
 sliced, the four independent closures of the trigonometric benchmark
-solution, the plain-``einsum``
-forms of the batched geometry, Piola and interpolation contractions, and
-the four hand-written CSV and markdown table formatters that the CLI's one
-table writer replaced."""
+solution, evaluation on every cell of a mesh, the plain-``einsum``
+forms of the batched geometry, Piola, interpolation and Gram contractions,
+and the four hand-written CSV and markdown table formatters that the CLI's
+one table writer replaced."""
 
 import dataclasses
 
@@ -20,8 +20,8 @@ import quadelast.analysis
 import quadelast.assembly
 import quadelast.cli
 from quadelast.assembly import default_quad
-from quadelast.fe_space import FEFunction, scatter
-from quadelast.mapping import ref_shape
+from quadelast.fe_space import FEFunction, scatter, unmapped_monomials
+from quadelast.mapping import cell_chunks, gauss_rule, geometry_at, ref_shape
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.reference_elements import ReferenceElement
 from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
@@ -163,10 +163,25 @@ def without_asymmetry(system):
 
 
 def gram_matrix(system, gram):
-    """The global Gram matrix: the cell blocks ``gram`` summed over the
-    system's cell dofs, like K."""
+    """The global Gram matrix: the cell arrays ``gram = (G, Mv, Mq)``
+    summed over the system's cell dofs of stress rows 0 and 1,
+    displacement components 0 and 1 and rotation, like K."""
+    G, Mv, Mq = gram
     D = system.cell_dofs
-    return scatter([(gram, D, D)], (system.n, system.n))
+    return scatter([(block, D[:, b], D[:, b]) for block, b
+                    in zip((G, G, Mv, Mv, Mq), system.local_blocks)],
+                   (system.n, system.n))
+
+
+def on_all_cells(evaluate, f, xhat, mesh=None):
+    """``evaluate(f, xhat, chunk)`` -- ``fe_space.evaluate_batch``,
+    ``evaluate_div_batch`` or ``analysis._reference_rows`` -- on every
+    chunk of ``mapping.cell_chunks`` of ``mesh``, by default ``f``'s,
+    joined along the cell axis."""
+    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
+    mesh = f.space.mesh if mesh is None else mesh
+    return np.concatenate([evaluate(f, xhat, chunk)
+                           for chunk in cell_chunks(mesh, xhat)])
 
 
 def flip_edge_sign(space):
@@ -246,6 +261,24 @@ def einsum_reference_rows(sigma, mesh, xhat):
                     np.stack([-DF[..., 1, 0], DF[..., 0, 0]], axis=-1)],
                    axis=-2)
     return np.einsum("epck,eprk->eprc", adj, vals), J
+
+
+def einsum_gram(stress, disp, rot):
+    """The arrays (G, Mv, Mq) of ``assembly.ynorm_gram``, on the whole mesh
+    at once from ``mapping.geometry_at``."""
+    rule = gauss_rule(default_quad(stress.element))
+    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
+    w = rule.weights
+    UPV = einsum_piola_values(DF, stress.element.basis.eval(rule.points))
+    dPhi = stress.element.basis.div(rule.points)
+    woJ, wJ = w[None, :] / J, w[None, :] * J
+    G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+    G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
+    G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
+    psi = disp.element.basis.eval(rule.points)[..., 0]
+    mono = unmapped_monomials(rot, X)
+    return (G, np.einsum("eq,iq,jq->eij", wJ, psi, psi),
+            np.einsum("eq,ieq,jeq->eij", wJ, mono, mono))
 
 
 def einsum_reference_dofs(W, sighat):

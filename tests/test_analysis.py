@@ -43,9 +43,9 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import (flip_edge_sign, gram_matrix, linear_solution,
-                     negated_cell_compliance, record_quadrature_orders,
-                     without_asymmetry)
+from helpers import (einsum_gram, flip_edge_sign, gram_matrix,
+                     linear_solution, negated_cell_compliance, on_all_cells,
+                     record_quadrature_orders, without_asymmetry)
 from test_assembly import random_quad_mesh
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -263,7 +263,9 @@ def test_ynorm_gram_positive_definite():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    assert gram.shape == system.cell_matrices.shape
+    assert [a.shape for a in gram] == [
+        (len(system.cell_matrices), b.stop - b.start, b.stop - b.start)
+        for b in system.local_blocks[::2]]
     N = gram_matrix(system, gram)
     assert N.shape == (S.n_dofs + V.n_dofs + Q.n_dofs,) * 2
     w = np.linalg.eigvalsh(N.toarray())
@@ -279,18 +281,23 @@ def test_gram_cell_blocks_are_positive_definite(family):
 
 
 def test_gram_blocks_lie_on_the_cell_layout():
-    # the blocks are block-diagonal in the order of the cell matrices:
-    # stress rows against themselves, displacement components, rotation
+    # the arrays are the diagonal blocks of a block-diagonal cell matrix in
+    # the order of the cell matrices: stress rows against themselves,
+    # displacement components, rotation; the whole-mesh oracle lays them
+    # out with zeros between
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "bdm1")
-    gram = ynorm_gram(S, V, Q)
+    G, Mv, Mq = ynorm_gram(S, V, Q)
     cuts = np.cumsum([0, S.dofs.shape[2], S.dofs.shape[2], V.dofs.shape[2],
                       V.dofs.shape[2], Q.dofs.shape[2]])
-    inside = np.zeros(gram.shape[1:], dtype=bool)
-    for a, b in zip(cuts, cuts[1:]):
+    layout = np.zeros((S.mesh.n_quads, cuts[-1], cuts[-1]))
+    inside = np.zeros(layout.shape[1:], dtype=bool)
+    G0, Mv0, Mq0 = einsum_gram(S, V, Q)
+    for a, b, block in zip(cuts, cuts[1:], (G0, G0, Mv0, Mv0, Mq0)):
+        layout[:, a:b, a:b] = block
         inside[a:b, a:b] = True
-    assert np.all(gram[:, ~inside] == 0.0)
-    assert np.array_equal(gram[:, cuts[0]:cuts[1], cuts[0]:cuts[1]],
-                          gram[:, cuts[1]:cuts[2], cuts[1]:cuts[2]])
+    assert np.all(layout[:, ~inside] == 0.0)
+    for a, b, block in zip(cuts, cuts[1:], (G, G, Mv, Mv, Mq)):
+        assert np.array_equal(block, layout[:, a:b, a:b])
 
 
 # -------------------------------------------- solution-level residuals
@@ -437,7 +444,7 @@ def percell_rows(sigma, corners, elem):
         X, DF, J = geometry_at(corners[None], xhat)
         X, DF, J = X[0], DF[0], J[0]
         if isinstance(sigma, FEFunction):
-            vals = evaluate_batch(sigma, xhat)[elem]
+            vals = on_all_cells(evaluate_batch, sigma, xhat)[elem]
         else:
             vals = np.asarray(sigma(X))
         DFinv = np.linalg.inv(DF)
@@ -517,7 +524,8 @@ def percell_jump(sigma):
         for q, j, orient in users:
             tloc = t if orient == 1 else 1.0 - t
             xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
-            traces.append(evaluate_batch(sigma, xhat)[q] @ normal)
+            traces.append(on_all_cells(evaluate_batch, sigma, xhat)[q]
+                          @ normal)
         jump = traces[0] - traces[1]
         total += length * float(w @ np.sum(jump ** 2, axis=-1))
     return float(np.sqrt(total))
@@ -651,7 +659,7 @@ def test_infsup_rejects_indefinite_gram():
     S, V, Q = build_elasticity_spaces(generate_square_mesh(2), "bdm1")
     system = assemble(S, V, Q, PARAMS)
     with pytest.raises(ValueError, match="not positive definite"):
-        infsup_estimate(system, -ynorm_gram(S, V, Q))
+        infsup_estimate(system, [-a for a in ynorm_gram(S, V, Q)])
 
 
 def test_infsup_factors_only_the_trace_system(monkeypatch):
@@ -676,7 +684,7 @@ def test_infsup_rejects_one_negated_gram_block():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    gram[5] *= -1.0
+    gram[0][5] *= -1.0
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, gram)
 
@@ -685,8 +693,22 @@ def test_infsup_rejects_an_indefinite_block_with_positive_diagonal():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    d = gram[5].diagonal()
-    gram[5, 0, 1] = gram[5, 1, 0] = 2.0 * np.sqrt(d[0] * d[1])
+    G = gram[0]
+    d = G[5].diagonal()
+    G[5, 0, 1] = G[5, 1, 0] = 2.0 * np.sqrt(d[0] * d[1])
+    with pytest.raises(ValueError, match="not positive definite"):
+        infsup_estimate(system, gram)
+
+
+@pytest.mark.parametrize("array", [0, 1, 2], ids=["G", "Mv", "Mq"])
+def test_infsup_rejects_a_nan_in_the_gram(array):
+    # cholesky returns NaN for a NaN entry without raising, and a NaN off
+    # the diagonal leaves the diagonal of the summed matrix positive
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "bdm1")
+    system = assemble(S, V, Q, PARAMS)
+    gram = ynorm_gram(S, V, Q)
+    block = gram[array]
+    block[1, 0, -1] = block[1, -1, 0] = np.nan
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, gram)
 
@@ -703,9 +725,9 @@ def test_infsup_rejects_a_dof_in_no_cell():
 
 
 @pytest.mark.parametrize("gram", [
-    lambda g: g[:, :-1, :-1],  # one local dof short
-    lambda g: np.concatenate([g, g]),  # one cell too many
-    lambda g: g[0],  # one block, not a stack
+    lambda g: (g[0][:, :-1, :-1], *g[1:]),  # one local dof short
+    lambda g: (g[0], np.concatenate([g[1], g[1]]), g[2]),  # one cell too many
+    lambda g: (*g[:2], g[2][0]),  # one block, not a stack
 ], ids=["dof", "cell", "flat"])
 def test_infsup_rejects_gram_of_another_shape(gram):
     # one cell: a stack of two blocks would broadcast against its dofs

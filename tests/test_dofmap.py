@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from quadelast.assembly import (assemble, boundary_term, default_quad,
-                                ynorm_gram)
+from quadelast.assembly import assemble, boundary_term, ynorm_gram
 from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
@@ -30,6 +29,7 @@ from quadelast.mesh import (
 from quadelast.problem import LameParams
 from quadelast.reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
+from helpers import einsum_gram, gram_matrix
 from test_assembly import random_quad_mesh
 
 FAMILIES = ["rt2", "rt3", "bdm1"]
@@ -201,9 +201,7 @@ def listed_blocks(stress, disp, rot, params, quad):
 
 def block_diagonal_gram(stress, disp, rot):
     """The Gram matrix as five per-row blocks joined by ``block_diag``."""
-    rule = gauss_rule(default_quad(stress.element))
-    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
-    w = rule.weights
+    G, Mv, Mq = einsum_gram(stress, disp, rot)
 
     def per_row(blocks, row_dofs, n):
         ii = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
@@ -211,21 +209,9 @@ def block_diagonal_gram(stress, disp, rot):
         return sp.coo_matrix((blocks.ravel(), (ii.ravel(), jj.ravel())),
                              shape=(n, n)).tocsr()
 
-    Phi = stress.element.basis.eval(rule.points)
-    dPhi = stress.element.basis.div(rule.points)
-    UPV = np.einsum("eqcx,kqx->ekqc", DF, Phi)
-    woJ = w[None, :] / J
-    G = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-    G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
-    G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
     G_row = per_row(G, stress.row_dofs, stress.n_row_dofs)
-    wJ = w[None, :] * J
-    psi = disp.element.basis.eval(rule.points)[..., 0]
-    Mv_row = per_row(np.einsum("eq,iq,jq->eij", wJ, psi, psi),
-                     disp.row_dofs, disp.n_row_dofs)
-    mono = unmapped_monomials(rot, X)
-    Mq_row = per_row(np.einsum("eq,ieq,jeq->eij", wJ, mono, mono),
-                     rot.row_dofs, rot.n_row_dofs)
+    Mv_row = per_row(Mv, disp.row_dofs, disp.n_row_dofs)
+    Mq_row = per_row(Mq, rot.row_dofs, rot.n_row_dofs)
     return sp.block_diag([G_row, G_row, Mv_row, Mv_row, Mq_row], format="csr")
 
 
@@ -355,13 +341,10 @@ def test_matrices_match_listed_blocks(family, mesh_name):
         assert abs(system.M - system.M.T).max() == 0.0
         assert_same_sparse(system.Bd, Bd)
         assert_same_sparse(system.Ba, Ba)
-    # the Gram cell blocks, each of their five diagonal blocks summed over
-    # the system's cell dofs, are the oracle's matrix to the last bit
-    gram, D = ynorm_gram(*spaces), system.cell_dofs
-    assert_same_sparse(
-        scatter([(gram[:, sl, sl], D[:, sl], D[:, sl])
-                 for sl in system.local_blocks], (system.n, system.n)),
-        block_diagonal_gram(*spaces))
+    # the Gram cell arrays, summed over the system's cell dofs of the five
+    # local slices, are the oracle's matrix to the last bit
+    assert_same_sparse(gram_matrix(system, ynorm_gram(*spaces)),
+                       block_diagonal_gram(*spaces))
 
 
 def test_load_lands_on_displacement_dofs():

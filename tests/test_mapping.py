@@ -13,7 +13,7 @@ from quadelast.fe_space import (
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
 from quadelast.mesh import QuadMesh, generate_trapezoidal_mesh
 
-from helpers import interpolate
+from helpers import interpolate, on_all_cells
 
 IDENTITY = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PARALLELOGRAM = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 1.0]])
@@ -182,12 +182,13 @@ def test_area_identity(F):
 def test_transforms_identity_map():
     sigma, u = random_fields(IDENTITY, "rt2", seed=3)
     xhat = np.random.RandomState(3).uniform(0, 1, size=(6, 2))
-    np.testing.assert_allclose(evaluate_batch(u, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, u, xhat)[0],
                                reference_values(u, xhat)[..., 0])
-    np.testing.assert_allclose(evaluate_batch(sigma, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, sigma, xhat)[0],
                                reference_values(sigma, xhat))
-    np.testing.assert_allclose(evaluate_div_batch(sigma, xhat)[0],
-                               reference_div(sigma, xhat))
+    np.testing.assert_allclose(
+        on_all_cells(evaluate_div_batch, sigma, xhat)[0],
+        reference_div(sigma, xhat))
 
 
 def test_transforms_dilation():
@@ -195,14 +196,15 @@ def test_transforms_dilation():
     v = FEFunction(row_space(sigma.space),
                    sigma.coefficients[: sigma.space.n_row_dofs])
     xhat = np.random.RandomState(4).uniform(0, 1, size=(5, 2))
-    np.testing.assert_allclose(evaluate_batch(u, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, u, xhat)[0],
                                reference_values(u, xhat)[..., 0])
-    np.testing.assert_allclose(evaluate_batch(v, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, v, xhat)[0],
                                reference_values(v, xhat)[:, 0] / 2.0)
-    np.testing.assert_allclose(evaluate_batch(sigma, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, sigma, xhat)[0],
                                reference_values(sigma, xhat) / 2.0)
-    np.testing.assert_allclose(evaluate_div_batch(sigma, xhat)[0],
-                               reference_div(sigma, xhat) / 4.0)
+    np.testing.assert_allclose(
+        on_all_cells(evaluate_div_batch, sigma, xhat)[0],
+        reference_div(sigma, xhat) / 4.0)
 
 
 def _phys_grad(F, ref_values_c, xhat):
@@ -243,7 +245,7 @@ def test_commuting_curl(F):
     coeffs = np.zeros(space.n_dofs)
     coeffs[space.row_dofs[0]] = (interpolate(space.element, curl_ref)
                                  * space.row_signs[0])
-    rhs = evaluate_batch(FEFunction(space, coeffs), xhat)[0]
+    rhs = on_all_cells(evaluate_batch, FEFunction(space, coeffs), xhat)[0]
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
@@ -264,7 +266,7 @@ def test_commuting_div(F, matrix):
                 / J[:, None, None])
 
     # the batched evaluation is this push-forward
-    vals = evaluate_batch(tau, xhat)[0]
+    vals = on_all_cells(evaluate_batch, tau, xhat)[0]
     np.testing.assert_allclose(vals.reshape(pushed_c(xhat).shape),
                                pushed_c(xhat).real, atol=1e-13)
 
@@ -282,7 +284,7 @@ def test_commuting_div(F, matrix):
     grad_phys = np.einsum("prij,pjk->prik", grad_ref, DFinv)
     lhs = np.einsum("prii->pr", grad_phys)
 
-    rhs = evaluate_div_batch(tau, xhat)[0].reshape(lhs.shape)
+    rhs = on_all_cells(evaluate_div_batch, tau, xhat)[0].reshape(lhs.shape)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
@@ -293,8 +295,8 @@ def test_integral_identities(F):
     r = gauss_rule(6)
     _, _, J = geometry(F, r.points)
 
-    div = evaluate_div_batch(sigma, r.points)[0]  # (q, rows)
-    w = evaluate_batch(u, r.points)[0]  # (q, rows)
+    div = on_all_cells(evaluate_div_batch, sigma, r.points)[0]  # (q, rows)
+    w = on_all_cells(evaluate_batch, u, r.points)[0]  # (q, rows)
     divhat = reference_div(sigma, r.points)
     what = reference_values(u, r.points)[..., 0]
     for row in range(2):

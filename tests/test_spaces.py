@@ -17,6 +17,8 @@ from quadelast.fe_space import (
 )
 from quadelast.assembly import default_quad
 
+from helpers import on_all_cells
+
 
 def perturbed_mesh(n, amplitude=0.18, seed=0):
     """Square mesh with interior vertices randomly displaced (still convex)."""
@@ -57,7 +59,8 @@ def normal_jump_sq(stress_fn, n1d=6):
         for q, j, orient in users:
             tloc = t if orient == 1 else 1.0 - t
             xhat = EDGE_STARTS[j] + tloc[:, None] * EDGE_DIRS[j]
-            sig = evaluate_batch(stress_fn, xhat)[q]  # (n1d, 2, 2)
+            # (n1d, 2, 2)
+            sig = on_all_cells(evaluate_batch, stress_fn, xhat)[q]
             traces.append(sig @ normal)
         jump = traces[0] - traces[1]
         total += length * (w @ np.sum(jump**2, axis=-1))
@@ -102,7 +105,7 @@ def test_zero_coefficients():
     mesh = generate_trapezoidal_mesh(2)
     for space in build_elasticity_spaces(mesh, "rt2"):
         f = FEFunction(space, np.zeros(space.n_dofs))
-        vals = evaluate_batch(f, gauss_rule(2).points)
+        vals = on_all_cells(evaluate_batch, f, gauss_rule(2).points)
         assert np.all(vals == 0.0)
 
 
@@ -121,7 +124,8 @@ def test_identity_map_evaluation():
     pts = rng.uniform(0, 1, size=(5, 2))
     ref = space.element.basis.eval(pts)  # (dim, 5, 2)
     expect = np.einsum("rk,kpc->prc", c_local, ref)
-    np.testing.assert_allclose(evaluate_batch(f, pts)[0], expect, atol=1e-13)
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, f, pts)[0],
+                               expect, atol=1e-13)
 
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
@@ -181,7 +185,7 @@ def test_identity_representability(family, mesh_fn):
     coeffs = np.concatenate([np.linalg.solve(G, m[0]), np.linalg.solve(G, m[1])])
 
     f = FEFunction(space, coeffs)
-    vals = evaluate_batch(f, rule.points)  # (e, q, 2, 2)
+    vals = on_all_cells(evaluate_batch, f, rule.points)  # (e, q, 2, 2)
     diff = vals - np.eye(2)
     resid = float(np.sum(wJ * np.sum(diff**2, axis=(-2, -1))))
     assert resid < 1e-10  # comfortably ~1e-25 in practice
@@ -211,7 +215,8 @@ def test_rotation_space_unmapped_span(r):
         coeffs[space.row_dofs[e]] = sol
         assert rank == space.element.dim
     f = FEFunction(space, coeffs)
-    np.testing.assert_allclose(evaluate_batch(f, xhat), target, atol=1e-11)
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, f, xhat),
+                               target, atol=1e-11)
 
 
 def test_displacement_evaluation_compose():
@@ -221,7 +226,7 @@ def test_displacement_evaluation_compose():
     rng = np.random.RandomState(13)
     f = FEFunction(space, rng.randn(space.n_dofs))
     xhat = rng.uniform(0, 1, size=(4, 2))
-    vals = evaluate_batch(f, xhat)
+    vals = on_all_cells(evaluate_batch, f, xhat)
     assert vals.shape == (mesh.n_quads, 4, 2)
     e = 1
     ref = space.element.basis.eval(xhat)[..., 0]
@@ -238,7 +243,7 @@ def test_div_evaluation_against_fd():
     f = FEFunction(space, rng.randn(space.n_dofs))
     e = 2
     xhat0 = np.array([[0.4, 0.55]])
-    div = evaluate_div_batch(f, xhat0)[e, 0]
+    div = on_all_cells(evaluate_div_batch, f, xhat0)[e, 0]
 
     # physical-coordinate finite differences need the inverse map; instead
     # use reference-coordinate steps mapped through the Jacobian
@@ -247,8 +252,8 @@ def test_div_evaluation_against_fd():
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        sp = evaluate_batch(f, xhat0 + step)[e, 0]
-        sm = evaluate_batch(f, xhat0 - step)[e, 0]
+        sp = on_all_cells(evaluate_batch, f, xhat0 + step)[e, 0]
+        sm = on_all_cells(evaluate_batch, f, xhat0 - step)[e, 0]
         grad_ref[..., j] = (sp - sm) / (2 * h)
     _, DF, _ = geometry_at(mesh.element_corners()[e][None], xhat0)
     grad_phys = grad_ref @ np.linalg.inv(DF[0, 0])
@@ -262,4 +267,4 @@ def test_div_requires_piola():
     space = build_displacement_space(mesh, 2)
     f = FEFunction(space, np.zeros(space.n_dofs))
     with pytest.raises(ValueError):
-        evaluate_div_batch(f, np.array([0.5, 0.5]))
+        on_all_cells(evaluate_div_batch, f, np.array([0.5, 0.5]))
