@@ -13,7 +13,6 @@ temporaries do not grow with the mesh.
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import scipy.sparse.linalg as spla
 
 from .assembly import default_quad
@@ -26,7 +25,7 @@ from .fe_space import (
 )
 from .mapping import cell_chunks, gauss_rule, gauss_rule_1d, piola_values
 from .problem import ManufacturedSolution
-from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS, q_element
+from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 from .solver import HybridFactor, SolverError, cell_apply
 
 #: Quadrature order of :func:`compute_errors` alone (the policy is in
@@ -231,12 +230,12 @@ def interpolate_stress(space: FESpace, sigma) -> FEFunction:
     return FEFunction(space, coef)
 
 
-def check_commuting_projection(space: FESpace, sigma) -> float:
+def check_commuting_projection(space: FESpace, disp: FESpace, sigma) -> float:
     """Relative residual of the divergence/interpolation commuting identity.
 
     Interpolates ``sigma`` into ``space`` and measures the L2 norm of the
-    difference between the displacement-space projections of
-    div(interpolant) and div(sigma), divided by the norm of the latter
+    difference between the projections onto the displacement space ``disp``
+    of div(interpolant) and div(sigma), divided by the norm of the latter
     where that exceeds 1: the round-off grows with the field, and a
     divergence-free field has only round-off there.  The interpolant goes
     through the global dofs, so an edge orientation that two cells
@@ -247,7 +246,7 @@ def check_commuting_projection(space: FESpace, sigma) -> float:
     one pullback per cell chunk serves the interpolant and both integrals.
     """
     elem = space.element
-    psi_basis = q_element(elem.degree - 1).basis
+    psi_basis = disp.element.basis
     quad = default_quad(elem)
     rule = gauss_rule(quad)
     _, w1 = gauss_rule_1d(quad)
@@ -255,14 +254,7 @@ def check_commuting_projection(space: FESpace, sigma) -> float:
     points, W = elem.interpolation_matrix(quad)
 
     psi = psi_basis.eval(rule.points)[..., 0]
-    dpsi = np.stack(
-        [
-            npoly.polyval2d(rule.points[:, 0], rule.points[:, 1],
-                            npoly.polyder(c[0], axis=axis))
-            for c in psi_basis.coeffs
-            for axis in (0, 1)
-        ]
-    ).reshape(len(psi_basis.coeffs), 2, -1)
+    dpsi = psi_basis.grad(rule.points)[:, 0]  # (dimV, 2, q)
     div_phi = elem.basis.div(rule.points)
     psi_edge = psi_basis.eval(points[:n_edge])[..., 0].reshape(-1, 4, quad)
 

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fe_space import FESpace, scatter, unmapped_monomials
+from .fe_space import FESpace, scatter, unmapped_basis
 from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
                       ref_shape)
 from .problem import LameParams, compliance_matrix
@@ -137,7 +137,7 @@ def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, quad: int):
     divergences (dimS, q) and the displacement basis (dimV, q), which every
     cell shares, and per chunk of :func:`mapping.cell_chunks` the cells,
     X, w J, w / J, the unscaled Piola values DF phi (n, dimS, q, 2) and the
-    rotation monomials (dimQ, n, q)."""
+    rotation basis (dimQ, n, q)."""
     rule = gauss_rule(quad)
     w = rule.weights
     basis = stress.element.basis
@@ -147,7 +147,7 @@ def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, quad: int):
         for cells, X, DF, J in cell_chunks(stress.mesh, rule.points):
             yield (cells, X, w[None, :] * J, w[None, :] / J,
                    piola_values(DF[:, None], phi),
-                   unmapped_monomials(rot, X, cells))
+                   unmapped_basis(rot, X, cells))
 
     return (w, basis.div(rule.points),
             disp.element.basis.eval(rule.points)[..., 0], chunks())
@@ -253,13 +253,13 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
                                      default_quad(stress.element))
     G, Mv, Mq = (np.empty((stress.mesh.n_quads, k, k))
                  for k in (stress.local_dim, disp.local_dim, rot.local_dim))
-    for cells, _, wJ, woJ, UPV, mono in chunks:
+    for cells, _, wJ, woJ, UPV, Q in chunks:
         G[cells] = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
         G[cells] += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
         sgn = stress.row_signs[cells]
         G[cells] *= sgn[:, :, None] * sgn[:, None, :]
         Mv[cells] = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-        Mq[cells] = np.einsum("eq,ieq,jeq->eij", wJ, mono, mono)
+        Mq[cells] = np.einsum("eq,ieq,jeq->eij", wJ, Q, Q)
     return G, Mv, Mq
 
 

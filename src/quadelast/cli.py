@@ -27,7 +27,7 @@ from .analysis import (
     stress_l2_error,
 )
 from .assembly import assemble, ynorm_gram
-from .fe_space import FEFunction, build_elasticity_spaces
+from .fe_space import FEFunction, build_elasticity_spaces, grid_unknowns
 from .mesh import (
     generate_square_mesh,
     generate_trapezoidal_mesh,
@@ -243,23 +243,23 @@ def run_diagnostics(config: RunConfig) -> tuple:
     """Structure checks on the smallest level plus an inf-sup sweep.
 
     Failures are reported in the returned records, never raised.  A level
-    above the inf-sup size cap is a ConfigError, raised before any
-    diagnostic runs.  The output is deterministic for a given config.
+    above the inf-sup size cap is a ConfigError, raised before any mesh is
+    built.  The output is deterministic for a given config.
     """
-    levels = []
     for n in config.levels:
-        spaces = build_elasticity_spaces(build_mesh(config, n), config.element)
-        total = sum(space.n_dofs for space in spaces)
+        total = grid_unknowns(config.element, n)
         if total > INFSUP_CAP:
             raise ConfigError(
                 f"inf-sup diagnostic is capped at {INFSUP_CAP} unknowns; "
                 f"level n={n} has {total}")
-        levels.append(spaces)
+    levels = [build_elasticity_spaces(build_mesh(config, n), config.element)
+              for n in config.levels]
 
-    stress = levels[0][0]
+    stress, disp, _ = levels[0]
     results = []
 
-    s5 = check_commuting_projection(stress, trig_solution(config.params).sigma)
+    s5 = check_commuting_projection(stress, disp,
+                                    trig_solution(config.params).sigma)
     results.append(Diagnostic("commuting-interpolation residual", s5, 1e-10,
                               f"{config.element} on n={config.levels[0]}"))
 

@@ -11,9 +11,9 @@ kinds:
   (-1)**m from the Legendre weight.
 * ``compose`` -- fully discontinuous spaces mapped by composition
   (displacements).
-* ``unmapped`` -- per-element polynomials in scaled physical coordinates
-  ((x - x_K)/h_K with x_K the vertex centroid and h_K the diameter), used
-  for the rotation multiplier.
+* ``unmapped`` -- the rotation multiplier: the element's basis at
+  (x - x_K)/h_K + 1/2 in physical coordinates, x_K the vertex centroid
+  and h_K the diameter of the cell (:func:`unmapped_basis`).
 
 Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
@@ -50,10 +50,11 @@ __all__ = [
     "build_displacement_space",
     "build_rotation_space",
     "build_elasticity_spaces",
+    "grid_unknowns",
     "scatter",
     "evaluate_batch",
     "evaluate_div_batch",
-    "unmapped_monomials",
+    "unmapped_basis",
 ]
 
 PIOLA = "piola"
@@ -86,7 +87,8 @@ class FESpace:
     ``row_dofs[e, i]`` is the row-local global dof of local basis function i
     on element e; ``row_signs`` the orientation sign (always +1 except for
     shared Piola edge dofs).  ``components`` counts identical rows (2 for
-    stress matrices and vector displacements, 1 for rotations).
+    stress matrices and vector displacements, 1 for rotations).  Every kind
+    evaluates ``element.basis``; ``kind`` says how it reaches the cells.
     """
 
     mesh: QuadMesh
@@ -96,9 +98,6 @@ class FESpace:
     row_dofs: np.ndarray  # (nq, local_dim) int
     row_signs: np.ndarray  # (nq, local_dim) float
     n_row_dofs: int
-    centers: np.ndarray | None = None  # (nq, 2), unmapped spaces only
-    scales: np.ndarray | None = None  # (nq,), unmapped spaces only
-    exponents: np.ndarray | None = None  # (local_dim, 2), unmapped only
 
     @property
     def n_dofs(self) -> int:
@@ -171,11 +170,11 @@ def build_stress_space(mesh: QuadMesh, family: str) -> FESpace:
                    n_row_dofs=ne * r + nq * n_int)
 
 
-def _discontinuous_space(mesh: QuadMesh, elem, kind, components, **extra):
+def _discontinuous_space(mesh: QuadMesh, elem, kind, components):
     nq, dim = mesh.n_quads, elem.dim
     row_dofs = np.arange(nq * dim, dtype=np.int64).reshape(nq, dim)
     return FESpace(mesh, elem, kind, components, row_dofs, np.ones((nq, dim)),
-                   n_row_dofs=nq * dim, **extra)
+                   n_row_dofs=nq * dim)
 
 
 def build_displacement_space(mesh: QuadMesh, r: int) -> FESpace:
@@ -189,12 +188,7 @@ def build_rotation_space(mesh: QuadMesh, r: int) -> FESpace:
     """Scalar rotation space, unmapped P_{r-1} in scaled element coordinates."""
     if r < 1:
         raise ValueError("family order r must be >= 1")
-    exponents = np.array([(i, j) for i in range(r) for j in range(r - i)],
-                         dtype=np.int64)
-    return _discontinuous_space(mesh, p_element(r - 1), UNMAPPED, 1,
-                                centers=mesh.element_corners().mean(axis=1),
-                                scales=mesh.diameters,
-                                exponents=exponents)
+    return _discontinuous_space(mesh, p_element(r - 1), UNMAPPED, 1)
 
 
 def build_elasticity_spaces(mesh: QuadMesh, family: str):
@@ -205,6 +199,14 @@ def build_elasticity_spaces(mesh: QuadMesh, family: str):
         build_displacement_space(mesh, r),
         build_rotation_space(mesh, r),
     )
+
+
+def grid_unknowns(family: str, n: int) -> int:
+    """Unknowns of :func:`build_elasticity_spaces` on an n x n grid."""
+    elem, r = stress_element(family), family_order(family)
+    nq, ne = n * n, 2 * n * (n + 1)  # cells and edges; no mesh is built
+    return (2 * (ne * elem.n_edge_dofs + nq * len(elem.interior_dofs))
+            + nq * (2 * q_element(r - 1).dim + p_element(r - 1).dim))
 
 
 def scatter(blocks, shape) -> sp.csr_matrix:
@@ -224,15 +226,15 @@ def scatter(blocks, shape) -> sp.csr_matrix:
     ).tocsr()
 
 
-def unmapped_monomials(space: FESpace, X: np.ndarray,
-                       cells=slice(None)) -> np.ndarray:
-    """Scaled-coordinate monomials; X is (cells, npts, 2) physical points
-    of the cells ``cells``, by default all."""
-    xi = ((X - space.centers[cells, None, :])
-          / space.scales[cells, None, None])
-    a = space.exponents[:, 0][:, None, None]
-    b = space.exponents[:, 1][:, None, None]
-    return xi[None, ..., 0] ** a * xi[None, ..., 1] ** b  # (dim, nq, npts)
+def unmapped_basis(space: FESpace, X: np.ndarray,
+                   cells=slice(None)) -> np.ndarray:
+    """``element.basis`` at (X - x_K)/h_K + 1/2 for physical points X
+    (cells, npts, 2) of the cells ``cells``, by default all; its Horner
+    sums give each cell the same bits in any batch.  (dim, cells, npts)."""
+    mesh = space.mesh
+    centers = mesh.vertices[mesh.quads[cells]].mean(axis=1)
+    eta = (X - centers[:, None, :]) / mesh.diameters[cells, None, None] + 0.5
+    return space.element.basis.eval(eta)[..., 0]
 
 
 def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
@@ -247,8 +249,7 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
     C = space.local_coefficients(f.coefficients, cells)
 
     if space.kind == UNMAPPED:
-        mono = unmapped_monomials(space, X, cells)
-        return np.einsum("ek,kep->ep", C[0], mono)
+        return np.einsum("ek,kep->ep", C[0], unmapped_basis(space, X, cells))
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
     if space.kind == COMPOSE:

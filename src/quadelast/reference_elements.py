@@ -104,6 +104,13 @@ class PolyBasis:
                 out[k, ..., c] = npoly.polyval2d(x, y, self.coeffs[k, c])
         return out
 
+    def grad(self, xhat: np.ndarray) -> np.ndarray:
+        """Gradients of all basis functions; shape (n, ncomp, 2, ...)."""
+        x, y = np.moveaxis(np.asarray(xhat), -1, 0)
+        return np.array([[[npoly.polyval2d(x, y, npoly.polyder(c, axis=a))
+                           for a in (0, 1)] for c in comps]
+                         for comps in self.coeffs])
+
     def div(self, xhat: np.ndarray) -> np.ndarray:
         """Divergence of all (vector) basis functions; shape (n, ...)."""
         if self.ncomp != 2:

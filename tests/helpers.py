@@ -2,25 +2,28 @@
 interpolant of one reference element, the compliance applied to a stack of
 matrices, the monolithic sparse LU oracle of the solver, a system with one
 cell's compliance negated, a system with its asymmetry block removed, a
-stress space with one edge orientation flipped, a recorder of the
-quadrature orders the package integrates at, the Gram matrix summed from
-its cell arrays, the trace system scattered through a phantom row and
-sliced, the four independent closures of the trigonometric benchmark
-solution, evaluation on every cell of a mesh, the plain-``einsum``
-forms of the batched geometry, Piola, interpolation and Gram contractions,
-and the four hand-written CSV and markdown table formatters that the CLI's
-one table writer replaced."""
+stress space with one edge orientation flipped, the displacement space
+paired with a stress space, the basis gradients by ``polyder``, a
+recorder of the quadrature orders the package integrates at, the Gram
+matrix summed from its cell arrays, the trace system scattered through a
+phantom row and sliced, the four independent closures of the
+trigonometric benchmark solution, evaluation on every cell of a mesh, the
+plain-``einsum`` forms of the batched geometry, Piola, interpolation and
+Gram contractions, and the four hand-written CSV and markdown table
+formatters that the CLI's one table writer replaced."""
 
 import dataclasses
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import scipy.sparse.linalg as spla
 
 import quadelast.analysis
 import quadelast.assembly
 import quadelast.cli
 from quadelast.assembly import default_quad
-from quadelast.fe_space import FEFunction, scatter, unmapped_monomials
+from quadelast.fe_space import (FEFunction, build_displacement_space, scatter,
+                                unmapped_basis)
 from quadelast.mapping import cell_chunks, gauss_rule, geometry_at, ref_shape
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.reference_elements import ReferenceElement
@@ -196,6 +199,22 @@ def flip_edge_sign(space):
     return dataclasses.replace(space, row_signs=signs)
 
 
+def paired_displacement(stress):
+    """The displacement space paired with a stress space, on its mesh."""
+    return build_displacement_space(stress.mesh, stress.element.degree)
+
+
+def polyder_gradients(basis, xhat):
+    """Oracle of ``PolyBasis.grad``: each partial derivative's coefficients
+    by ``polyder``, evaluated by ``polyval2d`` at the points xhat (q, 2).
+    Shape (n, ncomp, 2, q)."""
+    x, y = xhat[:, 0], xhat[:, 1]
+    return np.stack(
+        [npoly.polyval2d(x, y, npoly.polyder(c, axis=axis))
+         for comps in basis.coeffs for c in comps for axis in (0, 1)]
+    ).reshape(basis.n, basis.ncomp, 2, -1)
+
+
 def record_quadrature_orders(monkeypatch) -> list:
     """Record every order that ``analysis``, ``assembly`` and ``cli`` ask
     ``gauss_rule``, ``gauss_rule_1d`` or ``interpolation_matrix`` for.
@@ -276,9 +295,9 @@ def einsum_gram(stress, disp, rot):
     G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
     G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
     psi = disp.element.basis.eval(rule.points)[..., 0]
-    mono = unmapped_monomials(rot, X)
+    Q = unmapped_basis(rot, X)
     return (G, np.einsum("eq,iq,jq->eij", wJ, psi, psi),
-            np.einsum("eq,ieq,jeq->eij", wJ, mono, mono))
+            np.einsum("eq,ieq,jeq->eij", wJ, Q, Q))
 
 
 def einsum_reference_dofs(W, sighat):

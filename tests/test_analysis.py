@@ -45,6 +45,7 @@ from quadelast.reference_elements import (
 
 from helpers import (einsum_gram, flip_edge_sign, gram_matrix,
                      linear_solution, negated_cell_compliance, on_all_cells,
+                     paired_displacement, polyder_gradients,
                      record_quadrature_orders, without_asymmetry)
 from test_assembly import random_quad_mesh
 
@@ -146,6 +147,13 @@ def test_orders_one_shorter_than_rows():
 
 # ---------------------------------------- commuting interpolation (S5)
 
+def commuting(space, field):
+    """The commuting residual of ``field`` on a stress space, projected
+    onto its paired displacement space."""
+    return check_commuting_projection(space, paired_displacement(space),
+                                      field)
+
+
 @pytest.mark.parametrize("family,tol", [("rt2", 1e-12), ("bdm1", 1e-12),
                                         ("rt3", 1e-10)])
 @pytest.mark.parametrize("mesh_fn", [generate_square_mesh,
@@ -155,20 +163,20 @@ def test_commuting_residual_discrete_field(family, tol, mesh_fn):
     space = build_stress_space(mesh_fn(2), family)
     rng = np.random.RandomState(17)
     fn = FEFunction(space, rng.randn(space.n_dofs))
-    assert check_commuting_projection(space, fn) <= tol
+    assert commuting(space, fn) <= tol
 
 
 def test_commuting_residual_smooth_field_rt2():
     space = build_stress_space(generate_trapezoidal_mesh(4), "rt2")
     sol = trig_solution(PARAMS)
-    assert check_commuting_projection(space, sol.sigma) <= 1e-10
+    assert commuting(space, sol.sigma) <= 1e-10
 
 
 def test_commuting_residual_is_relative_at_rt2_n64():
     # the absolute residual is 1.2e-10 here, from round-off alone
     space = build_stress_space(generate_trapezoidal_mesh(64), "rt2")
     sol = trig_solution(PARAMS)
-    assert check_commuting_projection(space, sol.sigma) <= 1e-10
+    assert commuting(space, sol.sigma) <= 1e-10
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1"])
@@ -178,7 +186,7 @@ def test_commuting_residual_detects_flipped_sign(family):
     space = flip_edge_sign(build_stress_space(generate_trapezoidal_mesh(4),
                                               family))
     sol = trig_solution(PARAMS)
-    assert check_commuting_projection(space, sol.sigma) > 1e-2
+    assert commuting(space, sol.sigma) > 1e-2
 
 
 def test_commuting_residual_quadratic_field_bdm1():
@@ -194,7 +202,7 @@ def test_commuting_residual_quadratic_field_bdm1():
                     x[..., 0], x[..., 1], coeffs[i, j])
         return out
 
-    assert check_commuting_projection(space, field) <= 1e-10
+    assert commuting(space, field) <= 1e-10
 
 
 # ------------------------------------------------------------- inf-sup
@@ -476,11 +484,7 @@ def percell_commuting(space, sigma):
     t1, w1 = gauss_rule_1d(quad)
     corners = space.mesh.element_corners()
     psi = psi_basis.eval(rule.points)[..., 0]
-    dpsi = np.stack(
-        [npoly.polyval2d(rule.points[:, 0], rule.points[:, 1],
-                         npoly.polyder(c[0], axis=axis))
-         for c in psi_basis.coeffs for axis in (0, 1)]
-    ).reshape(len(psi_basis.coeffs), 2, -1)
+    dpsi = polyder_gradients(psi_basis, rule.points)[:, 0]
     div_phi = elem.basis.div(rule.points)
     edge_pts = [EDGE_STARTS[j] + t1[:, None] * EDGE_DIRS[j] for j in range(4)]
     psi_edge = [psi_basis.eval(pts)[..., 0] for pts in edge_pts]
@@ -576,7 +580,7 @@ def test_batched_commuting_matches_percell(family, mesh_fn, n):
         # interpolant's coefficients give
         scale = np.abs(interpolate_stress(space, field).coefficients).max()
         ref = percell_commuting(space, field)
-        got = check_commuting_projection(space, field)
+        got = commuting(space, field)
         assert close(got, ref, scale), (name, got, ref)
 
 

@@ -162,6 +162,20 @@ def test_trapezoid_level_1_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+def test_infsup_cap_exits_2_before_any_mesh(capsys, monkeypatch):
+    # the spaces of n = 2048 took 31 s and 5.5 GB before the cap was read
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for a level over the cap")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, "diagnostics", "--element", "bdm1",
+                             "--mesh", "trapezoid", "--levels", "2,2048")
+    assert code == 2
+    assert err == ("configuration error: inf-sup diagnostic is capped at "
+                   "50000 unknowns; level n=2048 has 46153728\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("parent", ["missing", "regular-file"])
 @pytest.mark.parametrize("command", ["convergence", "mesh"])
 def test_out_without_directory_exits_2_before_any_work(capsys, monkeypatch,

@@ -17,7 +17,7 @@ from quadelast.fe_space import (
     build_stress_space,
     scatter,
     stress_element,
-    unmapped_monomials,
+    unmapped_basis,
 )
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
 from quadelast.mesh import (
@@ -137,7 +137,7 @@ def listed_blocks(stress, disp, rot, params, quad):
     Phi = stress.element.basis.eval(rule.points)
     dPhi = stress.element.basis.div(rule.points)
     Psi = disp.element.basis.eval(rule.points)[..., 0]
-    Q = unmapped_monomials(rot, X)
+    Q = unmapped_basis(rot, X)
     dimS = Phi.shape[0]
     sgn, sdof = stress.row_signs, stress.row_dofs
     vdof, qdof = disp.row_dofs, rot.row_dofs

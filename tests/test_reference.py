@@ -14,7 +14,7 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import interpolate
+from helpers import interpolate, polyder_gradients
 
 ALL_ELEMENTS = [
     rt_element(1),
@@ -28,6 +28,17 @@ ALL_ELEMENTS = [
     p_element(1),
     p_element(2),
 ]
+
+
+@pytest.mark.parametrize("elem", ALL_ELEMENTS, ids=lambda e: e.name)
+def test_basis_gradients_match_polyder(elem):
+    pts = np.random.default_rng(3).uniform(0, 1, size=(17, 2))
+    grad = elem.basis.grad(pts)
+    np.testing.assert_array_equal(grad, polyder_gradients(elem.basis, pts))
+    if elem.ncomp == 2:
+        np.testing.assert_allclose(elem.basis.div(pts),
+                                   grad[:, 0, 0] + grad[:, 1, 1],
+                                   rtol=0, atol=1e-13 * np.abs(grad).max())
 
 
 def test_shifted_legendre():

@@ -13,7 +13,9 @@ from quadelast.fe_space import (
     evaluate_batch,
     evaluate_div_batch,
     family_order,
+    grid_unknowns,
     stress_element,
+    unmapped_basis,
 )
 from quadelast.assembly import default_quad
 
@@ -191,6 +193,15 @@ def test_identity_representability(family, mesh_fn):
     assert resid < 1e-10  # comfortably ~1e-25 in practice
 
 
+@pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
+@pytest.mark.parametrize("mesh_fn", [generate_square_mesh,
+                                     generate_trapezoidal_mesh])
+def test_grid_unknowns_count_the_built_spaces(family, mesh_fn):
+    for n in range(1 if mesh_fn is generate_square_mesh else 2, 17):
+        spaces = build_elasticity_spaces(mesh_fn(n), family)
+        assert grid_unknowns(family, n) == sum(s.n_dofs for s in spaces)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rotation_space_unmapped_span(r):
     # the rotation basis spans exactly P_{r-1} in physical coordinates
@@ -206,11 +217,10 @@ def test_rotation_space_unmapped_span(r):
     X, _, _ = geometry_at(mesh.element_corners(), xhat)
     target = np.polynomial.polynomial.polyval2d(X[..., 0], X[..., 1], cpoly)
 
+    basis = unmapped_basis(space, X)  # (dim, nq, npts)
     coeffs = np.zeros(space.n_dofs)
     for e in range(mesh.n_quads):
-        xi = (X[e] - space.centers[e]) / space.scales[e]
-        A = xi[:, 0][:, None] ** space.exponents[:, 0] * \
-            xi[:, 1][:, None] ** space.exponents[:, 1]
+        A = basis[:, e].T
         sol, res, rank, _ = np.linalg.lstsq(A, target[e], rcond=None)
         coeffs[space.row_dofs[e]] = sol
         assert rank == space.element.dim
