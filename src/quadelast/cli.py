@@ -352,9 +352,7 @@ def _add_shared_flags(sub, levels_default):
                      help="trapezoid offset as a fraction of the cell height")
     sub.add_argument("--levels", type=_parse_levels, default=levels_default,
                      help="comma-separated mesh subdivisions, e.g. 2,4,8")
-    sub.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_material_flags(sub):
@@ -397,16 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="near-incompressible sweep at fixed E")
     _add_shared_flags(lock, (2, 4, 8, 16, 32))
     lock.set_defaults(element="bdm1", mesh_family="trapezoid")
-    lock.add_argument("--E", type=float, default=1000.0, help="Young modulus")
-    lock.add_argument("--nu", type=_parse_list(float, "Poisson ratios",
-                                                "floats"),
+    lock.add_argument("--E", dest="young", metavar="E", type=float,
+                      default=1000.0, help="Young modulus")
+    lock.add_argument("--nu", dest="poisson", metavar="NU",
+                      type=_parse_list(float, "Poisson ratios", "floats"),
                       default=LOCKING_NUS,
                       help="comma-separated Poisson ratios")
+    for table in (conv, lock):
+        table.add_argument("--format", dest="fmt", choices=FORMATS,
+                           default="csv")
 
     diag = subs.add_parser("diagnostics",
                            help="stability and conformity checks")
     _add_shared_flags(diag, (2, 4))
     _add_material_flags(diag)
+    diag.add_argument("--seed", type=int, default=0)
 
     mesh = subs.add_parser("mesh", help="generate and inspect a mesh")
     mesh.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES,
@@ -418,13 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    kwargs = dict(mesh_family=args.mesh_family, distortion=args.distortion,
-                  levels=args.levels, out=args.out)
-    if args.command != "mesh":
-        kwargs.update(element=args.element, fmt=args.fmt, seed=args.seed)
-    if args.command == "locking":
-        kwargs.update(young=args.E, poisson=args.nu)
-    elif args.command != "mesh":
+    # each subcommand registers only the RunConfig fields it reads
+    kwargs = {k: v for k, v in vars(args).items()
+              if k in RunConfig.__dataclass_fields__}
+    if args.command in ("convergence", "diagnostics"):
         kwargs.update(params=_resolve_params(args))
     return RunConfig(**kwargs)
 

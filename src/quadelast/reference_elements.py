@@ -69,12 +69,26 @@ def shifted_legendre(m: int) -> np.ndarray:
     return out
 
 
+def _polyval2d(coeffs: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Every 2-D block ``coeffs[..., :, :]`` evaluated at ``xhat`` (..., 2).
+
+    Returns shape ``coeffs.shape[:-2] + xhat.shape[:-1]``.  The two Horner
+    passes are the ones ``npoly.polyval2d`` makes for a single block, so
+    the values are bit-identical to a per-block loop.
+    """
+    x, y = np.moveaxis(np.asarray(xhat), -1, 0)
+    c = npoly.polyval(x, np.moveaxis(coeffs, (-2, -1), (0, 1)))
+    return npoly.polyval(y, c, tensor=False)
+
+
 @dataclass(frozen=True)
 class PolyBasis:
     """Basis of bivariate polynomials, scalar (ncomp=1) or vector (ncomp=2).
 
     ``coeffs[k, c, i, j]`` is the coefficient of x^i y^j in component c of
-    basis function k.
+    basis function k.  Values, gradients and divergences of all functions
+    are evaluated in one pass over the whole coefficient array
+    (:func:`_polyval2d`).
     """
 
     coeffs: np.ndarray  # (n, ncomp, dx+1, dy+1)
@@ -95,34 +109,26 @@ class PolyBasis:
         return self.coeffs.shape[1]
 
     def eval(self, xhat: np.ndarray) -> np.ndarray:
-        """Values of all basis functions; shape (n, ..., ncomp)."""
-        xhat = np.asarray(xhat)
-        x, y = xhat[..., 0], xhat[..., 1]
-        out = np.empty((self.n,) + x.shape + (self.ncomp,))
-        for k in range(self.n):
-            for c in range(self.ncomp):
-                out[k, ..., c] = npoly.polyval2d(x, y, self.coeffs[k, c])
-        return out
+        """Values of all basis functions; shape (n, ..., ncomp), C-contiguous.
+
+        The layout matters: plain ``einsum`` sums in memory order, so the
+        nodal coefficients depend on it (:func:`_nodalize`).
+        """
+        values = _polyval2d(self.coeffs, xhat)
+        return np.ascontiguousarray(np.moveaxis(values, 1, -1))
 
     def grad(self, xhat: np.ndarray) -> np.ndarray:
         """Gradients of all basis functions; shape (n, ncomp, 2, ...)."""
-        x, y = np.moveaxis(np.asarray(xhat), -1, 0)
-        return np.array([[[npoly.polyval2d(x, y, npoly.polyder(c, axis=a))
-                           for a in (0, 1)] for c in comps]
-                         for comps in self.coeffs])
+        return np.stack([_polyval2d(npoly.polyder(self.coeffs, axis=a), xhat)
+                         for a in (2, 3)], axis=2)
 
     def div(self, xhat: np.ndarray) -> np.ndarray:
         """Divergence of all (vector) basis functions; shape (n, ...)."""
         if self.ncomp != 2:
             raise ValueError("div is defined for vector bases only")
-        xhat = np.asarray(xhat)
-        x, y = xhat[..., 0], xhat[..., 1]
-        out = np.empty((self.n,) + x.shape)
-        for k in range(self.n):
-            dx = npoly.polyder(self.coeffs[k, 0], axis=0)
-            dy = npoly.polyder(self.coeffs[k, 1], axis=1)
-            out[k] = npoly.polyval2d(x, y, dx) + npoly.polyval2d(x, y, dy)
-        return out
+        c = self.coeffs
+        return (_polyval2d(npoly.polyder(c[:, 0], axis=1), xhat)
+                + _polyval2d(npoly.polyder(c[:, 1], axis=2), xhat))
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,6 @@ def _dof_weights(dofs, ncomp: int, order: int) -> np.ndarray:
     """
     t, w1 = gauss_rule_1d(order)
     rule = gauss_rule(order)
-    x, y = rule.points[:, 0], rule.points[:, 1]
     W = np.zeros((len(dofs), 4 * order + len(rule.weights), ncomp))
     for i, dof in enumerate(dofs):
         if isinstance(dof, EdgeMoment):
@@ -175,9 +180,8 @@ def _dof_weights(dofs, ncomp: int, order: int) -> np.ndarray:
             scale = w1 * npoly.polyval(t, shifted_legendre(dof.degree))
             W[i, lo:lo + order] = scale[:, None] * EDGE_NORMALS[dof.edge]
         else:
-            for c in range(ncomp):
-                W[i, 4 * order:, c] = rule.weights * npoly.polyval2d(
-                    x, y, dof.weight[c])
+            W[i, 4 * order:] = (rule.weights[:, None]
+                                * _polyval2d(dof.weight, rule.points).T)
     return W
 
 
@@ -317,33 +321,27 @@ def bdm1_element() -> ReferenceElement:
     return _nodalize("BDM1", 1, raw, dofs, edge_dofs, (), order=5)
 
 
-@lru_cache(maxsize=None)
-def q_element(r: int) -> ReferenceElement:
-    """Scalar tensor-product element Q_r with interior moment dofs."""
+def _scalar_element(family: str, r: int, pairs) -> ReferenceElement:
+    """Scalar element spanned by P_i(2x-1) P_j(2y-1) for (i, j) in
+    ``pairs``, with the moments against the same polynomials as dofs."""
     if r < 0:
         raise ValueError("polynomial degree must be >= 0")
     shape = (r + 1, r + 1)
-    raw = np.array(
-        [[_legendre_product(i, j, shape)] for i in range(r + 1) for j in range(r + 1)]
-    )
-    dofs = [
-        InteriorMoment(np.array([_legendre_product(i, j, shape)]))
-        for i in range(r + 1)
-        for j in range(r + 1)
-    ]
-    return _nodalize(f"Q{r}", r, raw, dofs, ((), (), (), ()),
+    raw = np.array([[_legendre_product(i, j, shape)] for i, j in pairs])
+    dofs = [InteriorMoment(w) for w in raw]
+    return _nodalize(f"{family}{r}", r, raw, dofs, ((), (), (), ()),
                      range(len(dofs)), order=r + 2)
+
+
+@lru_cache(maxsize=None)
+def q_element(r: int) -> ReferenceElement:
+    """Scalar tensor-product element Q_r with interior moment dofs."""
+    return _scalar_element("Q", r, [(i, j) for i in range(r + 1)
+                                    for j in range(r + 1)])
 
 
 @lru_cache(maxsize=None)
 def p_element(r: int) -> ReferenceElement:
     """Scalar element of total degree <= r with interior moment dofs."""
-    if r < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    shape = (r + 1, r + 1)
-    pairs = [(i, j) for i in range(r + 1) for j in range(r + 1 - i)]
-    raw = np.array([[_legendre_product(i, j, shape)] for i, j in pairs])
-    dofs = [InteriorMoment(np.array([_legendre_product(i, j, shape)]))
-            for i, j in pairs]
-    return _nodalize(f"P{r}", r, raw, dofs, ((), (), (), ()),
-                     range(len(dofs)), order=r + 2)
+    return _scalar_element("P", r, [(i, j) for i in range(r + 1)
+                                    for j in range(r + 1 - i)])

@@ -397,6 +397,19 @@ def test_quad_flag_is_unrecognized(capsys):
     assert "unrecognized arguments: --quad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("convergence", "--seed", "3"),
+    ("locking", "--seed", "3"),
+    ("diagnostics", "--format", "md"),
+])
+def test_flag_the_subcommand_does_not_read_is_unrecognized(capsys, argv):
+    # a flag the study ignores would print the same table as without it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--levels", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["convergence", "mesh"])
 def test_out_naming_a_directory_exits_2_before_any_work(
         capsys, monkeypatch, tmp_path, command):

@@ -41,6 +41,33 @@ def test_basis_gradients_match_polyder(elem):
                                    rtol=0, atol=1e-13 * np.abs(grad).max())
 
 
+EVALUATED_ELEMENTS = ([rt_element(r) for r in range(1, 5)] + [bdm1_element()]
+                      + [q_element(r) for r in range(4)]
+                      + [p_element(r) for r in range(4)])
+
+
+@pytest.mark.parametrize("shape", [(2,), (0, 2), (17, 2), (3, 5, 2)],
+                         ids=str)
+@pytest.mark.parametrize("elem", EVALUATED_ELEMENTS, ids=lambda e: e.name)
+def test_basis_values_and_div_match_polyval2d(elem, shape):
+    # the whole-array evaluation makes the same Horner steps as a
+    # per-function polyval2d loop, so the bits agree
+    xhat = np.random.default_rng(5).uniform(0, 1, size=shape)
+    x, y = xhat[..., 0], xhat[..., 1]
+    values = elem.basis.eval(xhat)
+    expected = np.empty((elem.dim,) + x.shape + (elem.ncomp,))
+    for k, comps in enumerate(elem.basis.coeffs):
+        for c, coeffs in enumerate(comps):
+            expected[k, ..., c] = P.polyval2d(x, y, coeffs)
+    np.testing.assert_array_equal(values, expected)
+    assert values.flags.c_contiguous
+    if elem.ncomp == 2:
+        expected = np.array([P.polyval2d(x, y, P.polyder(c0, axis=0))
+                             + P.polyval2d(x, y, P.polyder(c1, axis=1))
+                             for c0, c1 in elem.basis.coeffs])
+        np.testing.assert_array_equal(elem.basis.div(xhat), expected)
+
+
 def test_shifted_legendre():
     t = np.linspace(0, 1, 11)
     np.testing.assert_allclose(P.polyval(t, shifted_legendre(0)), 1.0)
