@@ -29,6 +29,7 @@ from .analysis import (
 from .assembly import assemble, ynorm_gram
 from .fe_space import FEFunction, build_elasticity_spaces, grid_unknowns
 from .mesh import (
+    DEFAULT_DISTORTION,
     generate_square_mesh,
     generate_trapezoidal_mesh,
     mesh_quality,
@@ -74,7 +75,7 @@ class RunConfig:
 
     element: str = "rt2"
     mesh_family: str = "square"
-    distortion: float = 1.0 / 6.0
+    distortion: float = DEFAULT_DISTORTION
     levels: tuple = (2, 4, 8, 16, 32, 64)
     params: LameParams = DEFAULT_PARAMS
     fmt: str = "csv"
@@ -104,6 +105,8 @@ class RunConfig:
             raise ConfigError("distortion must lie in [0, 1/2)")
         # written only after the whole study has run
         if self.out is not None:
+            if not self.out:
+                raise ConfigError("output path is empty")
             if os.path.isdir(self.out):
                 raise ConfigError(f"output path {self.out!r} is a directory")
             if not os.path.isdir(os.path.dirname(self.out) or "."):
@@ -345,10 +348,9 @@ _parse_levels = _parse_list(int, "levels", "integers")
 
 
 def _add_shared_flags(sub, levels_default):
-    sub.add_argument("--element", choices=ELEMENTS, default="rt2")
     sub.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES,
                      default="square")
-    sub.add_argument("--distortion", type=float, default=1.0 / 6.0,
+    sub.add_argument("--distortion", type=float, default=DEFAULT_DISTORTION,
                      help="trapezoid offset as a fraction of the cell height")
     sub.add_argument("--levels", type=_parse_levels, default=levels_default,
                      help="comma-separated mesh subdivisions, e.g. 2,4,8")
@@ -388,12 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = subs.add_parser("convergence",
                            help="error table for the trigonometric benchmark")
-    _add_shared_flags(conv, (2, 4, 8, 16, 32, 64))
-    _add_material_flags(conv)
-
     lock = subs.add_parser("locking",
                            help="near-incompressible sweep at fixed E")
+    diag = subs.add_parser("diagnostics",
+                           help="stability and conformity checks")
+    mesh = subs.add_parser("mesh", help="generate and inspect a mesh")
+    for sub in (conv, lock, diag):
+        sub.add_argument("--element", choices=ELEMENTS, default="rt2")
+    _add_shared_flags(conv, (2, 4, 8, 16, 32, 64))
     _add_shared_flags(lock, (2, 4, 8, 16, 32))
+    _add_shared_flags(diag, (2, 4))
+    _add_shared_flags(mesh, (4,))
+
+    _add_material_flags(conv)
     lock.set_defaults(element="bdm1", mesh_family="trapezoid")
     lock.add_argument("--E", dest="young", metavar="E", type=float,
                       default=1000.0, help="Young modulus")
@@ -404,19 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     for table in (conv, lock):
         table.add_argument("--format", dest="fmt", choices=FORMATS,
                            default="csv")
-
-    diag = subs.add_parser("diagnostics",
-                           help="stability and conformity checks")
-    _add_shared_flags(diag, (2, 4))
     _add_material_flags(diag)
     diag.add_argument("--seed", type=int, default=0)
-
-    mesh = subs.add_parser("mesh", help="generate and inspect a mesh")
-    mesh.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES,
-                      default="square")
-    mesh.add_argument("--distortion", type=float, default=1.0 / 6.0)
-    mesh.add_argument("--levels", type=_parse_levels, default=(4,))
-    mesh.add_argument("--out", default=None)
     return parser
 
 
@@ -447,18 +445,21 @@ def main(argv=None) -> int:
             text = format_diagnostics(run_diagnostics(config))
         else:
             text = run_mesh(config)
+        # the mesh subcommand writes its mesh, not its summary, to --out
+        if config.out is None or args.command == "mesh":
+            sys.stdout.write(text)
+        else:
+            with open(config.out, "w") as fh:
+                fh.write(text)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    # the mesh subcommand writes its mesh, not its summary, to --out
-    if config.out is None or args.command == "mesh":
-        sys.stdout.write(text)
-    else:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+    except OSError as exc:  # the studies read no file; a write failed
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -15,6 +15,11 @@ kinds:
   (x - x_K)/h_K + 1/2 in physical coordinates, x_K the vertex centroid
   and h_K the diameter of the cell (:func:`unmapped_basis`).
 
+One builder numbers all three spaces through the element's ``edge_dofs``
+and ``interior_dofs``, tables derived from its dof list: edge moments first
+(global edge E, moment m -> E*r + m), then each cell's interior block.  A
+discontinuous space has no edge moments: it is numbered cell by cell.
+
 Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
 ``FESpace.dofs`` tabulates for every element; :func:`scatter` sums
@@ -148,47 +153,40 @@ class FEFunction:
             raise ValueError("coefficient vector does not match space size")
 
 
-def build_stress_space(mesh: QuadMesh, family: str) -> FESpace:
-    """H(div)-conforming matrix-valued stress space; each row a Piola copy.
-
-    Row dof layout: edge dofs first (global edge E, moment m -> E*r + m),
-    then element-interior blocks.
-    """
-    elem = stress_element(family)
+def _build_space(mesh: QuadMesh, elem, kind: str, components: int) -> FESpace:
     r = elem.n_edge_dofs
     n_int = len(elem.interior_dofs)
     nq, ne = mesh.n_quads, mesh.n_edges
     edge, orient = mesh.quad_edges[..., :1], mesh.quad_edges[..., 1:]
     m = np.arange(r)  # edge_dofs[j] lists local edge j's dofs by degree m
+    on_edges = np.array(elem.edge_dofs, dtype=np.int64)  # (4, r), r may be 0
     row_dofs = np.empty((nq, elem.dim), dtype=np.int64)
     row_signs = np.ones((nq, elem.dim))
-    row_dofs[:, elem.edge_dofs] = edge * r + m
-    row_signs[:, elem.edge_dofs] = np.where(orient == -1, (-1.0) ** (m + 1), 1.0)
+    row_dofs[:, on_edges] = edge * r + m
+    row_signs[:, on_edges] = np.where(orient == -1, (-1.0) ** (m + 1), 1.0)
     row_dofs[:, list(elem.interior_dofs)] = (
         ne * r + np.arange(nq * n_int).reshape(nq, n_int))
-    return FESpace(mesh, elem, PIOLA, 2, row_dofs, row_signs,
+    return FESpace(mesh, elem, kind, components, row_dofs, row_signs,
                    n_row_dofs=ne * r + nq * n_int)
 
 
-def _discontinuous_space(mesh: QuadMesh, elem, kind, components):
-    nq, dim = mesh.n_quads, elem.dim
-    row_dofs = np.arange(nq * dim, dtype=np.int64).reshape(nq, dim)
-    return FESpace(mesh, elem, kind, components, row_dofs, np.ones((nq, dim)),
-                   n_row_dofs=nq * dim)
+def build_stress_space(mesh: QuadMesh, family: str) -> FESpace:
+    """H(div)-conforming matrix-valued stress space; each row a Piola copy."""
+    return _build_space(mesh, stress_element(family), PIOLA, 2)
 
 
 def build_displacement_space(mesh: QuadMesh, r: int) -> FESpace:
     """Vector displacement space, Q_{r-1} per component, mapped by composition."""
     if r < 1:
         raise ValueError("family order r must be >= 1")
-    return _discontinuous_space(mesh, q_element(r - 1), COMPOSE, 2)
+    return _build_space(mesh, q_element(r - 1), COMPOSE, 2)
 
 
 def build_rotation_space(mesh: QuadMesh, r: int) -> FESpace:
     """Scalar rotation space, unmapped P_{r-1} in scaled element coordinates."""
     if r < 1:
         raise ValueError("family order r must be >= 1")
-    return _discontinuous_space(mesh, p_element(r - 1), UNMAPPED, 1)
+    return _build_space(mesh, p_element(r - 1), UNMAPPED, 1)
 
 
 def build_elasticity_spaces(mesh: QuadMesh, family: str):
@@ -202,11 +200,13 @@ def build_elasticity_spaces(mesh: QuadMesh, family: str):
 
 
 def grid_unknowns(family: str, n: int) -> int:
-    """Unknowns of :func:`build_elasticity_spaces` on an n x n grid."""
-    elem, r = stress_element(family), family_order(family)
+    """Unknowns of :func:`build_elasticity_spaces` on an n x n grid, counted
+    per row as the builder numbers them."""
+    r = family_order(family)
     nq, ne = n * n, 2 * n * (n + 1)  # cells and edges; no mesh is built
-    return (2 * (ne * elem.n_edge_dofs + nq * len(elem.interior_dofs))
-            + nq * (2 * q_element(r - 1).dim + p_element(r - 1).dim))
+    return sum(rows * (ne * e.n_edge_dofs + nq * len(e.interior_dofs))
+               for e, rows in ((stress_element(family), 2),
+                               (q_element(r - 1), 2), (p_element(r - 1), 1)))
 
 
 def scatter(blocks, shape) -> sp.csr_matrix:

@@ -28,6 +28,9 @@ __all__ = [
 # Local edges of a quad as (start, end) vertex slots, counterclockwise.
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
+#: Default trapezoid offset d of :func:`generate_trapezoidal_mesh`.
+DEFAULT_DISTORTION = 1.0 / 6.0
+
 @dataclass(frozen=True)
 class QuadMesh:
     """Conforming mesh of strictly convex quadrilaterals.
@@ -181,7 +184,8 @@ def generate_square_mesh(n: int) -> QuadMesh:
     return QuadMesh(vertices, _grid_quads(n))
 
 
-def generate_trapezoidal_mesh(n: int, d: float = 1.0 / 6.0) -> QuadMesh:
+def generate_trapezoidal_mesh(n: int,
+                              d: float = DEFAULT_DISTORTION) -> QuadMesh:
     """n x n mesh in which every interior element is a fixed trapezoid.
 
     Vertices sit on the uniform grid in x; interior horizontal grid lines are

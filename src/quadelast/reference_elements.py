@@ -190,9 +190,11 @@ class ReferenceElement:
     """Unisolvent finite element on the reference square.
 
     ``basis`` is nodal with respect to ``dofs``: dof i applied to basis
-    function j gives the Kronecker delta.  ``edge_dofs[e]`` lists the dof
-    indices on edge e ordered by moment degree (empty for scalar elements);
-    the remaining dofs are interior.
+    function j gives the Kronecker delta.  ``dofs`` is the one source of
+    the dof layout: ``edge_dofs[e]`` (the indices of the edge moments on
+    edge e, ordered by moment degree; empty for scalar elements) and
+    ``interior_dofs`` (the indices of the interior moments) are derived
+    from it by :func:`_nodalize`.
     """
 
     name: str
@@ -232,7 +234,7 @@ def _legendre_product(i: int, j: int, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _nodalize(name, degree, raw, dofs, edge_dofs, interior_dofs, order):
+def _nodalize(name, degree, raw, dofs, order):
     n = raw.shape[0]
     if len(dofs) != n:
         raise ValueError(f"{name}: {len(dofs)} dofs for dimension {n}")
@@ -241,13 +243,17 @@ def _nodalize(name, degree, raw, dofs, edge_dofs, interior_dofs, order):
     cond = float(np.linalg.cond(D))
     C = np.linalg.solve(D, np.eye(n))
     nodal = np.einsum("jk,jcab->kcab", C, raw)
+    edges = [sorted((d.degree, i) for i, d in enumerate(dofs)
+                    if isinstance(d, EdgeMoment) and d.edge == e)
+             for e in range(4)]
     return ReferenceElement(
         name=name,
         degree=degree,
         basis=PolyBasis(nodal),
         dofs=tuple(dofs),
-        edge_dofs=tuple(tuple(e) for e in edge_dofs),
-        interior_dofs=tuple(interior_dofs),
+        edge_dofs=tuple(tuple(i for _, i in e) for e in edges),
+        interior_dofs=tuple(i for i, d in enumerate(dofs)
+                            if isinstance(d, InteriorMoment)),
         dof_cond=cond,
     )
 
@@ -263,31 +269,22 @@ def rt_element(r: int) -> ReferenceElement:
     if r < 1:
         raise ValueError("Raviart-Thomas order must be >= 1")
     shape = (r + 1, r + 1)
-    raw = []
+    raw, inner = [], []
     for i in range(r + 1):  # first component: degree (r, r-1)
         for j in range(r):
             raw.append(np.stack([_legendre_product(i, j, shape), np.zeros(shape)]))
+            inner.append(i < r - 1)
     for i in range(r):  # second component: degree (r-1, r)
         for j in range(r + 1):
             raw.append(np.stack([np.zeros(shape), _legendre_product(i, j, shape)]))
+            inner.append(j < r - 1)
     raw = np.array(raw)
 
-    dofs = []
-    edge_dofs = []
-    for e in range(4):
-        edge_dofs.append(range(len(dofs), len(dofs) + r))
-        dofs.extend(EdgeMoment(e, m) for m in range(r))
-    interior_start = len(dofs)
-    for i in range(max(r - 1, 0)):  # weights P_{r-2,r-1} for the first row
-        for j in range(r):
-            w = np.stack([_legendre_product(i, j, shape), np.zeros(shape)])
-            dofs.append(InteriorMoment(w))
-    for i in range(r):  # weights P_{r-1,r-2} for the second row
-        for j in range(max(r - 1, 0)):
-            w = np.stack([np.zeros(shape), _legendre_product(i, j, shape)])
-            dofs.append(InteriorMoment(w))
-    interior = range(interior_start, len(dofs))
-    return _nodalize(f"RT{r}", r, raw, dofs, edge_dofs, interior, order=r + 3)
+    dofs = [EdgeMoment(e, m) for e in range(4) for m in range(r)]
+    # the interior weights P_{r-2,r-1} x P_{r-1,r-2} are the shape functions
+    # of degree below r-1 along their own component
+    dofs += [InteriorMoment(w) for w, keep in zip(raw, inner) if keep]
+    return _nodalize(f"RT{r}", r, raw, dofs, order=r + 3)
 
 
 @lru_cache(maxsize=None)
@@ -313,12 +310,8 @@ def bdm1_element() -> ReferenceElement:
     raw.append(np.stack([cmat({(1, 1): 2.0}), cmat({(0, 2): -1.0})]))
     raw = np.array(raw)
 
-    dofs = []
-    edge_dofs = []
-    for e in range(4):
-        edge_dofs.append(range(len(dofs), len(dofs) + 2))
-        dofs.extend(EdgeMoment(e, m) for m in range(2))
-    return _nodalize("BDM1", 1, raw, dofs, edge_dofs, (), order=5)
+    dofs = [EdgeMoment(e, m) for e in range(4) for m in range(2)]
+    return _nodalize("BDM1", 1, raw, dofs, order=5)
 
 
 def _scalar_element(family: str, r: int, pairs) -> ReferenceElement:
@@ -329,8 +322,7 @@ def _scalar_element(family: str, r: int, pairs) -> ReferenceElement:
     shape = (r + 1, r + 1)
     raw = np.array([[_legendre_product(i, j, shape)] for i, j in pairs])
     dofs = [InteriorMoment(w) for w in raw]
-    return _nodalize(f"{family}{r}", r, raw, dofs, ((), (), (), ()),
-                     range(len(dofs)), order=r + 2)
+    return _nodalize(f"{family}{r}", r, raw, dofs, order=r + 2)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,8 @@ def test_csv_deterministic(tmp_path, capsys):
     ("locking", "--levels", "2", "--nu", "0.5"),
     ("locking", "--levels", "2", "--nu", "-0.1"),
     ("mesh", "--levels", "2,4"),
+    ("convergence", "--levels", "2", "--out", ""),
+    ("mesh", "--levels", "2", "--out", ""),
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -195,6 +199,50 @@ def test_out_without_directory_exits_2_before_any_work(capsys, monkeypatch,
     assert "configuration error" in err and "output directory" in err
     assert "Traceback" not in err and out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "mesh"])
+def test_empty_out_exits_2_before_any_work(capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mesh was built for an empty --out")
+
+    monkeypatch.setattr(cli, "build_mesh", no_work)
+    code, out, err = run_cli(capsys, command, "--levels", "2", "--out", "")
+    assert code == 2
+    assert "configuration error" in err and "empty" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command, writer", [("convergence", "open"),
+                                             ("mesh", "write_mesh")])
+def test_failed_out_write_exits_2(capsys, monkeypatch, tmp_path, command,
+                                  writer):
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, fail, raising=False)
+    code, out, err = run_cli(capsys, command, "--levels", "2",
+                             "--out", str(tmp_path / "x.txt"))
+    assert code == 2
+    assert "cannot write output" in err and "No space left" in err
+    assert "Traceback" not in err and out == ""
+
+
+def _flag_help(capsys, command):
+    """Whitespace-normalized help of each flag of ``command``."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    blocks = re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]
+    return {b.split()[0].rstrip(","): " ".join(b.split()) for b in blocks}
+
+
+def test_mesh_flags_have_the_studies_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    mesh, conv = _flag_help(capsys, "mesh"), _flag_help(capsys, "convergence")
+    for flag in ("--mesh", "--distortion", "--levels", "--out"):
+        assert mesh[flag] == conv[flag]
+    assert "trapezoid offset" in mesh["--distortion"]
+    assert "--element" not in mesh
 
 
 def test_out_in_working_directory_is_accepted():

@@ -16,7 +16,6 @@ from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
     scatter,
-    stress_element,
     unmapped_basis,
 )
 from quadelast.mapping import gauss_rule, gauss_rule_1d, geometry_at, ref_shape
@@ -73,10 +72,9 @@ def dict_loop_edges(quads):
     return np.array(list(edge_ids), dtype=np.int64), quad_edges
 
 
-def percell_stress_dofs(mesh, family):
-    """Row dofs and signs of the stress space, one cell, edge and dof at a
-    time."""
-    elem = stress_element(family)
+def percell_stress_dofs(mesh, elem):
+    """Row dofs and signs of a space of the element ``elem``, one cell, edge
+    and dof at a time."""
     r = elem.n_edge_dofs
     n_int = len(elem.interior_dofs)
     row_dofs = np.empty((mesh.n_quads, elem.dim), dtype=np.int64)
@@ -288,15 +286,17 @@ def test_edge_slots(mesh_fn, n):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 def test_stress_space_matches_percell_loop(family, mesh_name):
+    # one builder numbers all three spaces; the displacement and rotation
+    # elements have no edge dofs, so their dofs run cell by cell
     mesh = MESHES[mesh_name]()
-    S = build_stress_space(mesh, family)
-    row_dofs, row_signs = percell_stress_dofs(mesh, family)
-    assert S.row_dofs.dtype == row_dofs.dtype
-    assert np.array_equal(S.row_dofs, row_dofs)
-    assert np.array_equal(S.row_signs, row_signs)
-    # the dof map is the row offset plus the row-local dof
-    for rho in range(2):
-        assert np.array_equal(S.dofs[rho], rho * S.n_row_dofs + row_dofs)
+    for S in build_elasticity_spaces(mesh, family):
+        row_dofs, row_signs = percell_stress_dofs(mesh, S.element)
+        assert S.row_dofs.dtype == row_dofs.dtype
+        assert np.array_equal(S.row_dofs, row_dofs)
+        assert np.array_equal(S.row_signs, row_signs)
+        # the dof map is the row offset plus the row-local dof
+        for rho in range(S.components):
+            assert np.array_equal(S.dofs[rho], rho * S.n_row_dofs + row_dofs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
