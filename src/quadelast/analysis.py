@@ -347,10 +347,9 @@ def normal_jump_norm(sigma: FEFunction) -> float:
     O(1) jump, which makes this the go-to conformity diagnostic.
     """
     mesh = sigma.space.mesh
-    n1d = default_quad(sigma.space.element)
-    t, w = gauss_rule_1d(n1d)
+    t, w = gauss_rule_1d(default_quad(sigma.space.element))
     # reference points of the four local edges, traversed lo -> hi for
-    # orientation +1 and hi -> lo for -1: shape (4, 2, n1d, 2), flattened
+    # orientation +1 and hi -> lo for -1: shape (4, 2, len(t), 2), flattened
     tloc = np.stack([t, 1.0 - t])
     xhat = (EDGE_STARTS[:, None, None, :] + tloc[None, :, :, None]
             * EDGE_DIRS[:, None, None, :]).reshape(-1, 2)
@@ -358,7 +357,7 @@ def normal_jump_norm(sigma: FEFunction) -> float:
     # every edge needs both of its cells: gather all values, chunk by chunk
     for chunk in cell_chunks(mesh, xhat):
         vals[chunk[0]] = evaluate_batch(sigma, xhat, chunk)
-    vals = vals.reshape(mesh.n_quads, 4, 2, n1d, 2, 2)
+    vals = vals.reshape(mesh.n_quads, 4, 2, len(t), 2, 2)
 
     interior = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
     quad, local = np.divmod(mesh.edge_slots[interior], 4)  # (ni, 2) each

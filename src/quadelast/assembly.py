@@ -132,13 +132,14 @@ class BlockSystem:
         return x[:a], x[a:b], x[b:]
 
 
-def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, quad: int):
-    """The tables of one Gauss rule: the weights w, the reference
-    divergences (dimS, q) and the displacement basis (dimV, q), which every
-    cell shares, and per chunk of :func:`mapping.cell_chunks` the cells,
-    X, w J, w / J, the unscaled Piola values DF phi (n, dimS, q, 2) and the
-    rotation basis (dimQ, n, q)."""
-    rule = gauss_rule(quad)
+def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace):
+    """The tables of the Gauss rule of order :func:`default_quad`: the
+    weights w, the reference divergences (dimS, q) and the displacement
+    basis (dimV, q), which every cell shares, and per chunk of
+    :func:`mapping.cell_chunks` the cells, X, w J, w / J, the unscaled
+    Piola values DF phi (n, dimS, q, 2) and the rotation basis
+    (dimQ, n, q)."""
+    rule = gauss_rule(default_quad(stress.element))
     w = rule.weights
     basis = stress.element.basis
     phi = basis.eval(rule.points)
@@ -173,8 +174,7 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     mesh = stress.mesh
     if not (disp.mesh is mesh and rot.mesh is mesh):
         raise ValueError("spaces must be built on the same mesh object")
-    quad = default_quad(stress.element)
-    w, dPhi, Psi, chunks = _tabulate(stress, disp, rot, quad)
+    w, dPhi, Psi, chunks = _tabulate(stress, disp, rot)
     dimS = dPhi.shape[0]
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
     # (u, div t): J cancels, so the local matrix is the fixed reference
@@ -236,7 +236,7 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
         rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(), load.ravel(),
                           minlength=rhs.size)
     if g is not None:
-        rhs[: stress.n_dofs] = boundary_term(stress, g, quad)
+        rhs[: stress.n_dofs] = boundary_term(stress, g)
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
         cell_matrices=cell_matrices, cell_dofs=cell_dofs, rhs=rhs,
@@ -249,8 +249,7 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
     stress rows (E, dimS, dimS), the mass of both displacement components
     (E, dimV, dimV) and the rotation mass (E, dimQ, dimQ).  The global
     matrix sums them over ``BlockSystem.local_blocks``, like K."""
-    _, dPhi, psi, chunks = _tabulate(stress, disp, rot,
-                                     default_quad(stress.element))
+    _, dPhi, psi, chunks = _tabulate(stress, disp, rot)
     G, Mv, Mq = (np.empty((stress.mesh.n_quads, k, k))
                  for k in (stress.local_dim, disp.local_dim, rot.local_dim))
     for cells, _, wJ, woJ, UPV, Q in chunks:
@@ -263,27 +262,26 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
     return G, Mv, Mq
 
 
-def boundary_term(stress: FESpace, g, n1d: int) -> np.ndarray:
+def boundary_term(stress: FESpace, g) -> np.ndarray:
     """Stress-block vector of the consistent Dirichlet term ``int g.(t n) ds``.
 
     By the normal-trace identity of the Piola transform the physical edge
     integral equals the reference one: for each boundary edge,
-    ``int_ehat g(F(t)) . nhat phi(t) dt`` accumulated into the edge dofs.
-    ``n1d`` is the Gauss order on each edge; :func:`assemble` passes
-    :func:`default_quad`.
+    ``int_ehat g(F(t)) . nhat phi(t) dt`` accumulated into the edge dofs,
+    by Gauss of order :func:`default_quad` on each edge.
     """
     mesh = stress.mesh
-    t, w = gauss_rule_1d(n1d)
+    t, w = gauss_rule_1d(default_quad(stress.element))
     edge_pts = EDGE_STARTS[:, None, :] + t[:, None] * EDGE_DIRS[:, None, :]
-    phi = stress.element.basis.eval(edge_pts)  # (dim, 4, n1d, 2)
+    phi = stress.element.basis.eval(edge_pts)  # (dim, 4, npts, 2)
 
     quad, local = np.divmod(mesh.edge_slots[mesh.boundary_edges(), 0], 4)
     dof = np.array(stress.element.edge_dofs)[local]  # (nb, r)
     trace = np.einsum("bkpc,bc->bkp", phi[dof, local[:, None]],
                       EDGE_NORMALS[local])
-    N, _ = ref_shape(edge_pts[local])  # (nb, n1d, 4)
+    N, _ = ref_shape(edge_pts[local])  # (nb, npts, 4)
     X = np.einsum("bpk,bkx->bpx", N, mesh.element_corners()[quad])
-    gx = np.asarray(g(X))  # (nb, n1d, 2)
+    gx = np.asarray(g(X))  # (nb, npts, 2)
     vals = np.einsum("p,bkp,bpr->rbk", w, trace, gx)
     vals *= stress.row_signs[quad[:, None], dof]
     return np.bincount(stress.dofs[:, quad[:, None], dof].ravel(),

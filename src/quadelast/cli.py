@@ -316,8 +316,10 @@ def run_mesh(config: RunConfig) -> str:
     n = config.levels[0]
     mesh = build_mesh(config, n)
     quality = mesh_quality(mesh)
-    lines = [
-        f"mesh: {config.mesh_family} n={n} distortion={config.distortion:g}",
+    lines = [  # the square family ignores the distortion
+        f"mesh: {config.mesh_family} n={n}" + (
+            f" distortion={config.distortion:g}"
+            if config.mesh_family == "trapezoid" else ""),
         f"vertices: {mesh.n_vertices}  quads: {mesh.n_quads}  "
         f"edges: {mesh.n_edges}",
         f"h_max: {quality.h_max:.6e}  "
@@ -354,7 +356,6 @@ def _add_shared_flags(sub, levels_default):
                      help="trapezoid offset as a fraction of the cell height")
     sub.add_argument("--levels", type=_parse_levels, default=levels_default,
                      help="comma-separated mesh subdivisions, e.g. 2,4,8")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _add_material_flags(sub):
@@ -401,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(lock, (2, 4, 8, 16, 32))
     _add_shared_flags(diag, (2, 4))
     _add_shared_flags(mesh, (4,))
+    for sub in (conv, lock, diag):
+        sub.add_argument("--out", help="output path (default stdout)")
+    mesh.add_argument("--out", help="mesh file to write (summary on stdout)")
 
     _add_material_flags(conv)
     lock.set_defaults(element="bdm1", mesh_family="trapezoid")

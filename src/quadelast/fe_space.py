@@ -23,7 +23,8 @@ discontinuous space has no edge moments: it is numbered cell by cell.
 Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
 ``FESpace.dofs`` tabulates for every element; :func:`scatter` sums
-per-element blocks into global matrices through it.
+per-element blocks through it into the blocks M, Bd, Ba and the inf-sup
+Gram (the solver sums S itself, vectors go through ``np.bincount``).
 """
 
 from __future__ import annotations
@@ -226,11 +227,10 @@ def scatter(blocks, shape) -> sp.csr_matrix:
     ).tocsr()
 
 
-def unmapped_basis(space: FESpace, X: np.ndarray,
-                   cells=slice(None)) -> np.ndarray:
+def unmapped_basis(space: FESpace, X: np.ndarray, cells) -> np.ndarray:
     """``element.basis`` at (X - x_K)/h_K + 1/2 for physical points X
-    (cells, npts, 2) of the cells ``cells``, by default all; its Horner
-    sums give each cell the same bits in any batch.  (dim, cells, npts)."""
+    (cells, npts, 2) of the cells ``cells``; its Horner sums give each
+    cell the same bits in any batch.  (dim, cells, npts)."""
     mesh = space.mesh
     centers = mesh.vertices[mesh.quads[cells]].mean(axis=1)
     eta = (X - centers[:, None, :]) / mesh.diameters[cells, None, None] + 0.5
@@ -253,13 +253,11 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
     if space.kind == COMPOSE:
-        vals = np.einsum("rek,kp->epr", C, Phi[..., 0], optimize=True)
-        return vals if space.components > 1 else vals[..., 0]
+        return np.einsum("rek,kp->epr", C, Phi[..., 0], optimize=True)
 
     # Piola rows
     ref = np.einsum("rek,kpc->repc", C, Phi, optimize=True)
-    vals = (piola_values(DF, ref) / J[..., None]).transpose(1, 2, 0, 3)
-    return vals if space.components > 1 else vals[:, :, 0, :]
+    return (piola_values(DF, ref) / J[..., None]).transpose(1, 2, 0, 3)
 
 
 def evaluate_div_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
@@ -272,5 +270,4 @@ def evaluate_div_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
     C = space.local_coefficients(f.coefficients, cells)
     dPhi = space.element.basis.div(xhat)  # (dim, npts)
     ref = np.einsum("rek,kp->epr", C, dPhi, optimize=True)
-    vals = ref / J[..., None]
-    return vals if space.components > 1 else vals[..., 0]
+    return ref / J[..., None]

@@ -241,7 +241,8 @@ def read_mesh(path) -> QuadMesh:
             raise ValueError(f"negative count in the header: {nv} {nq}")
         vertices = _read_rows(fh, nv, float)
         quads = _read_rows(fh, nq, np.int64)
-    # a truncated file gives short sections; QuadMesh checks the columns
-    if (len(vertices), len(quads)) != (nv, nq):
+        left_over = any(map(str.strip, fh))
+    # a file too short or too long breaks it; QuadMesh checks the columns
+    if left_over or (len(vertices), len(quads)) != (nv, nq):
         raise ValueError(f"the header promises {nv} vertices and {nq} quads")
     return QuadMesh(vertices, quads)

@@ -82,10 +82,9 @@ class ManufacturedSolution:
     """Closed-form solution fields of the elasticity system.
 
     ``g`` is the Dirichlet displacement trace (here simply u restricted to
-    the boundary).  ``fields(x)`` returns ``(sigma(x), f(x), u(x), p(x))``;
-    by default it calls the four closures, and a solution whose fields
-    share work passes one function that does it once.  All closures accept
-    points of shape (..., 2).
+    the boundary).  ``fields(x)`` returns ``(sigma(x), f(x), u(x), p(x))``
+    in one call, so a solution whose fields share work does it once.  All
+    closures accept points of shape (..., 2).
     """
 
     params: LameParams
@@ -93,14 +92,11 @@ class ManufacturedSolution:
     p: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
-    fields: Callable[[np.ndarray], tuple] | None = None
+    fields: Callable[[np.ndarray], tuple]
     g: Callable[[np.ndarray], np.ndarray] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g", self.u)
-        if self.fields is None:
-            object.__setattr__(self, "fields", lambda x: (
-                self.sigma(x), self.f(x), self.u(x), self.p(x)))
 
 
 def trig_solution(params: LameParams) -> ManufacturedSolution:

@@ -19,6 +19,7 @@ cell by cell, and every solution is verified against its residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,9 +49,11 @@ class ResidualTooLarge(SolverError):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Result of :func:`solve`; ``factorization`` names its one path."""
+
     solution: np.ndarray
     residual: float  # ||Kx - b|| / ||b||  (or absolute for b = 0)
-    factorization: str  # always "sparse"
+    factorization: ClassVar[str] = "sparse"
     multipliers: int  # size of the factored trace system
     factor_nnz: int  # nnz of its L + U factors; 0 when nothing is factored
 
@@ -221,5 +224,5 @@ def solve(system: BlockSystem) -> SolveReport:
         raise SingularSystem("non-finite entries in the solution")
     return SolveReport(
         solution=x, residual=_check_residual(cell_apply(A, D, x), b),
-        factorization="sparse", multipliers=factor.multipliers,
+        multipliers=factor.multipliers,
         factor_nnz=0 if factor.lu is None else int(factor.lu.nnz))

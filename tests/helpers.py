@@ -56,7 +56,9 @@ def linear_solution(params: LameParams,
     def f(x):
         return np.zeros(np.asarray(x).shape[:-1] + (2,))
 
-    return ManufacturedSolution(params=params, u=u, p=p, sigma=sigma, f=f)
+    return ManufacturedSolution(
+        params=params, u=u, p=p, sigma=sigma, f=f,
+        fields=lambda x: (sigma(x), f(x), u(x), p(x)))
 
 
 def trig_closures(params: LameParams) -> dict:
@@ -295,7 +297,7 @@ def einsum_gram(stress, disp, rot):
     G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
     G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
     psi = disp.element.basis.eval(rule.points)[..., 0]
-    Q = unmapped_basis(rot, X)
+    Q = unmapped_basis(rot, X, slice(None))
     return (G, np.einsum("eq,iq,jq->eij", wJ, psi, psi),
             np.einsum("eq,ieq,jeq->eij", wJ, Q, Q))
 

@@ -239,9 +239,10 @@ def _flag_help(capsys, command):
 def test_mesh_flags_have_the_studies_help(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
     mesh, conv = _flag_help(capsys, "mesh"), _flag_help(capsys, "convergence")
-    for flag in ("--mesh", "--distortion", "--levels", "--out"):
+    for flag in ("--mesh", "--distortion", "--levels"):
         assert mesh[flag] == conv[flag]
     assert "trapezoid offset" in mesh["--distortion"]
+    assert "mesh file" in mesh["--out"]
     assert "--element" not in mesh
 
 
@@ -379,6 +380,16 @@ def test_mesh_summary_reports_quality(capsys):
     assert code == 0
     assert "h_max: 7.071068e-01" in out
     assert "shape_regularity" in out
+
+
+def test_mesh_summary_names_distortion_only_for_trapezoids(capsys):
+    # the square family ignores --distortion, so its summary does not name it
+    square = run_cli(capsys, "mesh", "--mesh", "square", "--levels", "4",
+                     "--distortion", "0.3")[1]
+    assert square.splitlines()[0] == "mesh: square n=4"
+    trapezoid = run_cli(capsys, "mesh", "--mesh", "trapezoid", "--levels",
+                        "4", "--distortion", "0.3")[1]
+    assert trapezoid.splitlines()[0] == "mesh: trapezoid n=4 distortion=0.3"
 
 
 def test_solver_failure_exit_code_names_level(capsys, monkeypatch):

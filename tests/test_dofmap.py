@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from quadelast.assembly import assemble, boundary_term, ynorm_gram
+from quadelast.assembly import (assemble, boundary_term, default_quad,
+                                ynorm_gram)
 from quadelast.fe_space import (
     build_elasticity_spaces,
     build_stress_space,
@@ -135,7 +136,7 @@ def listed_blocks(stress, disp, rot, params, quad):
     Phi = stress.element.basis.eval(rule.points)
     dPhi = stress.element.basis.div(rule.points)
     Psi = disp.element.basis.eval(rule.points)[..., 0]
-    Q = unmapped_basis(rot, X)
+    Q = unmapped_basis(rot, X, slice(None))
     dimS = Phi.shape[0]
     sgn, sdof = stress.row_signs, stress.row_dofs
     vdof, qdof = disp.row_dofs, rot.row_dofs
@@ -321,10 +322,9 @@ def test_local_coefficients_match_row_blocks(family, mesh_name):
 ])
 def test_boundary_term_matches_loop(family, mesh_name, g):
     S = build_stress_space(MESHES[mesh_name](), family)
-    for n1d in (2, 9):
-        expected = loop_boundary_term(S, g, n1d)
-        got = boundary_term(S, g, n1d=n1d)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    expected = loop_boundary_term(S, g, default_quad(S.element))
+    got = boundary_term(S, g)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -198,7 +198,7 @@ def test_transforms_dilation():
     xhat = np.random.RandomState(4).uniform(0, 1, size=(5, 2))
     np.testing.assert_allclose(on_all_cells(evaluate_batch, u, xhat)[0],
                                reference_values(u, xhat)[..., 0])
-    np.testing.assert_allclose(on_all_cells(evaluate_batch, v, xhat)[0],
+    np.testing.assert_allclose(on_all_cells(evaluate_batch, v, xhat)[0, :, 0],
                                reference_values(v, xhat)[:, 0] / 2.0)
     np.testing.assert_allclose(on_all_cells(evaluate_batch, sigma, xhat)[0],
                                reference_values(sigma, xhat) / 2.0)
@@ -245,7 +245,8 @@ def test_commuting_curl(F):
     coeffs = np.zeros(space.n_dofs)
     coeffs[space.row_dofs[0]] = (interpolate(space.element, curl_ref)
                                  * space.row_signs[0])
-    rhs = on_all_cells(evaluate_batch, FEFunction(space, coeffs), xhat)[0]
+    rhs = on_all_cells(evaluate_batch, FEFunction(space, coeffs),
+                       xhat)[0, :, 0]
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 

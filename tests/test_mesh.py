@@ -172,7 +172,7 @@ def test_read_mesh_reads_the_square(tmp_path):
 
 def test_read_mesh_skips_blank_lines_without_warning(tmp_path):
     path = tmp_path / "square.txt"
-    path.write_text(SQUARE_FILE.replace("0 1 2 3", "\n0 1 2 3"))
+    path.write_text(SQUARE_FILE.replace("0 1 2 3", "\n0 1 2 3") + "\n \n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mesh = read_mesh(path)
@@ -182,14 +182,17 @@ def test_read_mesh_skips_blank_lines_without_warning(tmp_path):
 @pytest.mark.parametrize("text,match", [
     (SQUARE_FILE[:-len("0 1 2 3\n")], "header promises"),  # no quad line
     ("quadmesh 4 1\n0 0\n1 0\n", "header promises"),  # truncated
+    (SQUARE_FILE + "garbage here\n", "header promises"),  # trailing text
+    (SQUARE_FILE + "0 1 2 3\n", "header promises"),  # a quad row too many
     (SQUARE_FILE.replace("1 1\n", "1\n"), "columns"),  # short vertex line
     (SQUARE_FILE.replace("0 1 2 3", "0 1 2"), "shape"),  # short quad
     (SQUARE_FILE.replace("1 1\n", "1 x\n"), "convert"),  # not a number
     (SQUARE_FILE.replace("0 1 2 3", "0 1 2 3.5"), "convert"),  # not an int
     (SQUARE_FILE.replace("4 1", "-4 1"), "negative count"),
     (SQUARE_FILE.replace("4 1", "4 -1"), "negative count"),
-], ids=["no-quads", "truncated", "short-vertex", "short-quad", "token",
-        "float-index", "negative-vertices", "negative-quads"])
+], ids=["no-quads", "truncated", "trailing-text", "extra-quad",
+        "short-vertex", "short-quad", "token", "float-index",
+        "negative-vertices", "negative-quads"])
 def test_read_mesh_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.txt"
     path.write_text(text)

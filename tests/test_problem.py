@@ -8,7 +8,7 @@ from quadelast.problem import (
     trig_solution,
 )
 
-from helpers import compliance_apply, linear_solution, trig_closures
+from helpers import compliance_apply, trig_closures
 
 MATERIAL = LameParams(mu=79.3, lam=123.0)
 
@@ -191,10 +191,3 @@ def test_trig_fields_match_independent_closures(params):
     point = np.array([0.3, 0.7])  # a single point, shape (2,)
     np.testing.assert_array_equal(sol.fields(point)[0],
                                   oracle["sigma"](point))
-
-
-def test_default_fields_compose_the_closures():
-    sol = linear_solution(MATERIAL)
-    x = np.random.default_rng(6).uniform(0, 1, size=(9, 2))
-    for name, value in zip(("sigma", "f", "u", "p"), sol.fields(x)):
-        np.testing.assert_array_equal(value, getattr(sol, name)(x))

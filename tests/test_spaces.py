@@ -217,7 +217,7 @@ def test_rotation_space_unmapped_span(r):
     X, _, _ = geometry_at(mesh.element_corners(), xhat)
     target = np.polynomial.polynomial.polyval2d(X[..., 0], X[..., 1], cpoly)
 
-    basis = unmapped_basis(space, X)  # (dim, nq, npts)
+    basis = unmapped_basis(space, X, slice(None))  # (dim, nq, npts)
     coeffs = np.zeros(space.n_dofs)
     for e in range(mesh.n_quads):
         A = basis[:, e].T
