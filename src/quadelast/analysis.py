@@ -145,10 +145,10 @@ def infsup_estimate(system, gram) -> float:
             f"inf-sup estimate is capped at {INFSUP_CAP} unknowns; "
             f"system has {system.n}"
         )
-    A, D = system.cell_matrices, system.cell_dofs
+    D = system.cell_dofs
     G, Mv, Mq = gram
     pairs = list(zip((G, G, Mv, Mv, Mq), system.local_blocks))
-    if any(a.shape != (len(A),) + 2 * (b.stop - b.start,) for a, b in pairs):
+    if any(a.shape != (len(D),) + 2 * (b.stop - b.start,) for a, b in pairs):
         raise ValueError(f"Gram array shapes {[a.shape for a in gram]} do "
                          f"not fit the local slices {system.local_blocks}")
     # N sums each cell's five diagonal blocks over their dofs; it is
@@ -164,10 +164,10 @@ def infsup_estimate(system, gram) -> float:
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite") from None
     try:
-        factor = HybridFactor(A, D, system.n)
+        factor = HybridFactor(system)
     except SolverError:
         return 0.0
-    K = spla.LinearOperator(N.shape, matvec=lambda x: cell_apply(A, D, x),
+    K = spla.LinearOperator(N.shape, matvec=lambda x: cell_apply(system, x),
                             dtype=float)
     Kinv = spla.LinearOperator(N.shape, matvec=factor.solve, dtype=float)
     # a fixed start vector makes the estimate reproducible; it is random

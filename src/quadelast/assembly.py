@@ -12,9 +12,15 @@ compliance), Bd (divergence moments) and Ba (asymmetry moments):
 
 Displacement and rotation are discontinuous, so every cell contributes one
 dense matrix [[L, B^T], [B, 0]] over its own dofs, L its share of M and
-B = [Bd; Ba] its rows.  The system stores these cell matrices with their
-global dofs; the solver condenses them cell by cell, and the global blocks
-are summed from them only when asked for.
+B = [Bd; Ba] its rows.  That matrix depends on the cell only through its
+corners relative to the first corner and through its dof signs, so the
+system stores one unsigned matrix A_c per translation class
+(:func:`mapping.translation_classes`), tabulated on the class's first
+cell, and per cell its class, its dof signs S_e and its global dofs: cell
+e's matrix is S_e A_c S_e.  The solver condenses the cells from the class
+matrices; the per-cell matrices and the global blocks are derived only
+when asked for (the reference-tensor idea of Kirby, Knepley, Logg and
+Scott, 2005, applied to translations).
 
 All integrals are pulled back to the reference square.  Two blocks simplify
 there: in (u, div t) the Jacobian cancels exactly (the block is the same
@@ -25,10 +31,12 @@ Only M retains the rational 1/J factor on non-parallelogram elements.
 The right-hand side carries (f, v) in the displacement block and, for
 inhomogeneous Dirichlet data g, the consistent boundary term
 ``int_e g . (t n) ds`` in the stress block.  :func:`ynorm_gram` builds
-the solution norm's Gram matrix from the same tables, three diagonal
-blocks per cell.  Both tabulate one batch of :func:`mapping.cell_chunks`
-at a time into their preallocated per-cell arrays, so beyond those arrays
-their memory does not grow with the mesh.
+the solution norm's Gram matrix from the same tables, once per class, and
+expands it to three diagonal blocks per cell.  Both tabulate the class
+representatives one batch of :func:`mapping.cell_chunks` at a time; the
+load (f, v) needs each cell's physical points and takes one more pass
+over all cells, so beyond the stored arrays the memory does not grow
+with the mesh.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_basis
 from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
-                      ref_shape)
+                      ref_shape, translation_classes)
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
@@ -68,22 +76,37 @@ def default_quad(element) -> int:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled system as one dense matrix per cell; unknowns ordered
-    stress, displacement, rotation.
+    """Assembled system as one unsigned dense matrix per translation class;
+    unknowns ordered stress, displacement, rotation.
 
-    ``cell_matrices[e]`` is cell e's [[L, B^T], [B, 0]] in the signed global
-    basis, its local unknowns ordered stress row 0, stress row 1,
-    displacement components 0 and 1, rotation; ``cell_dofs[e]`` lists their
-    global dofs.  The global matrix is the sum of the cell matrices over
-    ``cell_dofs``; its blocks M, Bd and Ba are derived from them.
+    Cell e's matrix [[L, B^T], [B, 0]] in the signed global basis is
+    S_e A_c S_e, A_c = ``class_matrices[cell_class[e]]`` and S_e the
+    diagonal of ``cell_signs[e]``: the stress row signs for both rows, then
+    ones.  Its local unknowns are ordered stress row 0, stress row 1,
+    displacement components 0 and 1, rotation; ``cell_dofs[e]`` lists
+    their global dofs.  The global matrix is the sum of the cell matrices
+    over ``cell_dofs``; :attr:`cell_matrices` and the blocks M, Bd and Ba
+    are derived from the class matrices.  A system with one class per cell
+    (``cell_class = arange(E)``, ``cell_signs = 1``) stores its cell
+    matrices as they are.
     """
 
     n_sigma: int
     n_v: int
     n_q: int
-    cell_matrices: np.ndarray  # (E, k, k)
+    class_matrices: np.ndarray  # (C, k, k), unsigned
+    cell_class: np.ndarray  # (E,) int
+    cell_signs: np.ndarray  # (E, k) of +-1
     cell_dofs: np.ndarray  # (E, k) int
     rhs: np.ndarray
+
+    @property
+    def cell_matrices(self) -> np.ndarray:
+        """Every cell's matrix S_e A_c S_e, (E, k, k), formed anew on each
+        access; the solver never forms it."""
+        s = self.cell_signs
+        return (self.class_matrices[self.cell_class]
+                * (s[:, :, None] * s[:, None, :]))
 
     @property
     def n(self) -> int:
@@ -132,25 +155,25 @@ class BlockSystem:
         return x[:a], x[a:b], x[b:]
 
 
-def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace):
+def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, cells):
     """The tables of the Gauss rule of order :func:`default_quad`: the
-    weights w, the reference divergences (dimS, q) and the displacement
-    basis (dimV, q), which every cell shares, and per chunk of
-    :func:`mapping.cell_chunks` the cells, X, w J, w / J, the unscaled
-    Piola values DF phi (n, dimS, q, 2) and the rotation basis
-    (dimQ, n, q)."""
+    rule, the reference divergences (dimS, q) and the displacement basis
+    (dimV, q), which every cell shares, and per chunk of
+    :func:`mapping.cell_chunks` over the cells ``cells`` the chunk's
+    cells, w J, w / J, the unscaled Piola values DF phi (n, dimS, q, 2)
+    and the rotation basis (dimQ, n, q)."""
     rule = gauss_rule(default_quad(stress.element))
     w = rule.weights
     basis = stress.element.basis
     phi = basis.eval(rule.points)
 
     def chunks():
-        for cells, X, DF, J in cell_chunks(stress.mesh, rule.points):
-            yield (cells, X, w[None, :] * J, w[None, :] / J,
+        for batch, _, DF, J in cell_chunks(stress.mesh, rule.points, cells):
+            yield (batch, w[None, :] * J, w[None, :] / J,
                    piola_values(DF[:, None], phi),
-                   unmapped_basis(rot, X, cells))
+                   unmapped_basis(rot, rule.points, batch))
 
-    return (w, basis.div(rule.points),
+    return (rule, basis.div(rule.points),
             disp.element.basis.eval(rule.points)[..., 0], chunks())
 
 
@@ -169,12 +192,15 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     ``f`` is the body force (displacement-block load) and ``g`` the Dirichlet
     displacement trace (stress-block consistent boundary term); either may be
     None for a zero contribution.  Every integral, the boundary term
-    included, uses the tensor-Gauss order :func:`default_quad`.
+    included, uses the tensor-Gauss order :func:`default_quad`.  The cell
+    matrices are tabulated on one cell per translation class.
     """
     mesh = stress.mesh
     if not (disp.mesh is mesh and rot.mesh is mesh):
         raise ValueError("spaces must be built on the same mesh object")
-    w, dPhi, Psi, chunks = _tabulate(stress, disp, rot)
+    cell_class, representatives = translation_classes(mesh)
+    rule, dPhi, Psi, chunks = _tabulate(stress, disp, rot, representatives)
+    w = rule.weights
     dimS = dPhi.shape[0]
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
     # (u, div t): J cancels, so the local matrix is the fixed reference
@@ -182,19 +208,21 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)  # (dimV, dimS)
     # cell matrices [[L, B^T], [B, 0]] with B = [Bd; Ba]: rows displacement
     # 0, displacement 1, rotation; columns stress rows 0, 1.  Every cell's
-    # global dofs (E, k) in that local order:
+    # global dofs (E, k) in that local order, and their signs:
     cell_dofs = np.concatenate(
         [*stress.dofs, *(stress.n_dofs + disp.dofs),
          stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
     s0, s1, v0, v1, q = _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
     s, b = slice(0, s1.stop), slice(s1.stop, None)
-    cell_matrices = np.zeros(cell_dofs.shape + cell_dofs.shape[1:])
-    load = None if f is None else np.zeros((2,) + disp.row_dofs.shape)
+    cell_signs = np.ones(cell_dofs.shape)
+    cell_signs[:, s] = np.tile(stress.row_signs, 2)
+    k = cell_dofs.shape[1]
+    class_matrices = np.zeros((len(representatives), k, k))
 
-    for cells, X, wJ, w_over_J, UPV, Q in chunks:
-        A = cell_matrices[cells]  # a view: the chunk is written in place
-        sgn = stress.row_signs[cells]  # (n, dimS)
-        nc = len(sgn)
+    for cells, _, w_over_J, UPV, Q in chunks:
+        nc = len(cells)
+        # a view: the representatives' classes are consecutive
+        A = class_matrices[cell_class[cells[0]]:][:nc]
 
         # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j
         # the integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C
@@ -211,35 +239,35 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
         L = np.einsum("xayb,eiajb->exiyj", C, T, optimize=True).reshape(
             nc, 2 * dimS, 2 * dimS)
         # keeps M symmetric to the last bit
-        L = 0.5 * (L + L.transpose(0, 2, 1))
-        sgn2 = np.tile(sgn, 2)
-        L *= sgn2[:, :, None] * sgn2[:, None, :]
-        A[:, s, s] = L
+        A[:, s, s] = 0.5 * (L + L.transpose(0, 2, 1))
 
         # ---- (p, as t): as(e_0 (x) v) = v_2, as(e_1 (x) v) = -v_1; the
         # Piola 1/J cancels the volume J, leaving weight w alone
         for v, cols, comp, s_as in ((v0, s0, 1, 1.0), (v1, s1, 0, -1.0)):
-            A[:, v, cols] = np.einsum("ek,mk->emk", sgn, D0)
+            A[:, v, cols] = D0
             A[:, q, cols] = s_as * np.einsum(
-                "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
+                "meq,ekq,q->emk", Q, UPV[..., comp], w)
         A[:, s, b] = A[:, b, s].transpose(0, 2, 1)
-
-        if f is not None:
-            fx = np.asarray(f(X))  # (n, q, 2)
-            for rho in range(2):
-                load[rho, cells] = np.einsum("eq,mq->em", wJ * fx[..., rho],
-                                             Psi)
 
     # ---- right-hand side
     rhs = np.zeros(stress.n_dofs + disp.n_dofs + rot.n_dofs)
     if f is not None:
+        # (f, v) needs every cell's physical points
+        load = np.zeros((2,) + disp.row_dofs.shape)
+        for cells, X, _, J in cell_chunks(mesh, rule.points):
+            wJ = w[None, :] * J
+            fx = np.asarray(f(X))  # (n, q, 2)
+            for rho in range(2):
+                load[rho, cells] = np.einsum("eq,mq->em", wJ * fx[..., rho],
+                                             Psi)
         rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(), load.ravel(),
                           minlength=rhs.size)
     if g is not None:
         rhs[: stress.n_dofs] = boundary_term(stress, g)
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
-        cell_matrices=cell_matrices, cell_dofs=cell_dofs, rhs=rhs,
+        class_matrices=class_matrices, cell_class=cell_class,
+        cell_signs=cell_signs, cell_dofs=cell_dofs, rhs=rhs,
     )
 
 
@@ -248,18 +276,25 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
     as ``(G, Mv, Mq)``: per cell (tau, tau) + (div tau, div tau) for both
     stress rows (E, dimS, dimS), the mass of both displacement components
     (E, dimV, dimV) and the rotation mass (E, dimQ, dimQ).  The global
-    matrix sums them over ``BlockSystem.local_blocks``, like K."""
-    _, dPhi, psi, chunks = _tabulate(stress, disp, rot)
-    G, Mv, Mq = (np.empty((stress.mesh.n_quads, k, k))
+    matrix sums them over ``BlockSystem.local_blocks``, like K.
+
+    The three arrays are computed once per translation class and
+    expanded to every cell: G signed by the cell's stress row signs, the
+    masses as they are.
+    """
+    cell_class, representatives = translation_classes(stress.mesh)
+    _, dPhi, psi, chunks = _tabulate(stress, disp, rot, representatives)
+    G, Mv, Mq = (np.empty((len(representatives), k, k))
                  for k in (stress.local_dim, disp.local_dim, rot.local_dim))
-    for cells, _, wJ, woJ, UPV, Q in chunks:
-        G[cells] = np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-        G[cells] += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
-        sgn = stress.row_signs[cells]
-        G[cells] *= sgn[:, :, None] * sgn[:, None, :]
-        Mv[cells] = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-        Mq[cells] = np.einsum("eq,ieq,jeq->eij", wJ, Q, Q)
-    return G, Mv, Mq
+    for cells, wJ, woJ, UPV, Q in chunks:
+        c = slice(cell_class[cells[0]], cell_class[cells[0]] + len(cells))
+        G[c] = (np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+                + np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi))
+        Mv[c] = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+        Mq[c] = np.einsum("eq,ieq,jeq->eij", wJ, Q, Q)
+    sgn = stress.row_signs
+    return (G[cell_class] * (sgn[:, :, None] * sgn[:, None, :]),
+            Mv[cell_class], Mq[cell_class])
 
 
 def boundary_term(stress: FESpace, g) -> np.ndarray:

@@ -3,9 +3,9 @@
 Each subcommand builds a :class:`RunConfig` from the parsed flags, runs the
 corresponding study and writes a deterministic CSV or markdown table to
 stdout or to ``--out``.  Exit codes: 0 on success, 1 when the linear solver
-fails (the failing level is named in the message), 2 on configuration
-errors.  No flag sets a quadrature order: the discretization fixes it
-(:func:`assembly.default_quad`).
+fails or a run runs out of memory (a failing study level is named in the
+message), 2 on configuration errors.  No flag sets a quadrature order:
+the discretization fixes it (:func:`assembly.default_quad`).
 """
 
 import argparse
@@ -137,16 +137,21 @@ def build_mesh(config: RunConfig, n: int):
 
 def _run_level(config: RunConfig, n: int, solution, where: str):
     """The system of one study level and its errors; a solver failure is
-    raised again with ``where`` and the level in front of its message."""
-    spaces = build_elasticity_spaces(build_mesh(config, n), config.element)
-    system = assemble(*spaces, solution.params, f=solution.f, g=solution.g)
+    raised again with ``where`` and the level in front of its message, and
+    running out of memory as a SolverError that names the level."""
     try:
+        spaces = build_elasticity_spaces(build_mesh(config, n),
+                                         config.element)
+        system = assemble(*spaces, solution.params, f=solution.f,
+                          g=solution.g)
         report = solve(system)
+        fields = (FEFunction(s, c)
+                  for s, c in zip(spaces, system.split(report.solution)))
+        return system, compute_errors(*fields, solution)
     except SolverError as exc:
         raise type(exc)(f"{where}level n={n}: {exc}") from exc
-    fields = (FEFunction(s, c)
-              for s, c in zip(spaces, system.split(report.solution)))
-    return system, compute_errors(*fields, solution)
+    except MemoryError:
+        raise SolverError(f"{where}level n={n}: out of memory") from None
 
 
 def _table(header, rows, fmt: str) -> str:
@@ -460,6 +465,9 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the studies read no file; a write failed
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -13,7 +13,9 @@ kinds:
   (displacements).
 * ``unmapped`` -- the rotation multiplier: the element's basis at
   (x - x_K)/h_K + 1/2 in physical coordinates, x_K the vertex centroid
-  and h_K the diameter of the cell (:func:`unmapped_basis`).
+  and h_K the diameter of the cell, all three taken relative to the
+  cell's first corner, so a translated cell gets the same basis bit for
+  bit (:func:`unmapped_basis`).
 
 One builder numbers all three spaces through the element's ``edge_dofs``
 and ``interior_dofs``, tables derived from its dof list: edge moments first
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import QuadMesh
-from .mapping import piola_values
+from .mapping import piola_values, ref_shape, relative_corners
 from .reference_elements import (
     ReferenceElement,
     bdm1_element,
@@ -227,13 +229,19 @@ def scatter(blocks, shape) -> sp.csr_matrix:
     ).tocsr()
 
 
-def unmapped_basis(space: FESpace, X: np.ndarray, cells) -> np.ndarray:
-    """``element.basis`` at (X - x_K)/h_K + 1/2 for physical points X
-    (cells, npts, 2) of the cells ``cells``; its Horner sums give each
-    cell the same bits in any batch.  (dim, cells, npts)."""
+def unmapped_basis(space: FESpace, xhat: np.ndarray, cells) -> np.ndarray:
+    """``element.basis`` at (x - x_K)/h_K + 1/2 at the reference points
+    ``xhat`` (npts, 2) of the cells ``cells``, x_K the vertex centroid and
+    h_K the diameter.  x - x_K, x_K and h_K are computed from the
+    :func:`mapping.relative_corners`, like DF, so every cell of a
+    translation class gets the same bits, in any batch.
+    (dim, cells, npts)."""
     mesh = space.mesh
-    centers = mesh.vertices[mesh.quads[cells]].mean(axis=1)
-    eta = (X - centers[:, None, :]) / mesh.diameters[cells, None, None] + 0.5
+    rel = relative_corners(mesh.vertices[mesh.quads[cells]])
+    x = np.einsum("qc,ecd->eqd", ref_shape(xhat)[0], rel, optimize=True)
+    h = np.linalg.norm(rel[:, :, None, :] - rel[:, None, :, :],
+                       axis=-1).max(axis=(1, 2))
+    eta = (x - rel.mean(axis=1)[:, None, :]) / h[:, None, None] + 0.5
     return space.element.basis.eval(eta)[..., 0]
 
 
@@ -245,11 +253,12 @@ def evaluate_batch(f: FEFunction, xhat: np.ndarray, chunk) -> np.ndarray:
     displacement, (n, npts) for rotation, n the cells of the chunk.
     """
     space = f.space
-    cells, X, DF, J = chunk
+    cells, _, DF, J = chunk
     C = space.local_coefficients(f.coefficients, cells)
 
     if space.kind == UNMAPPED:
-        return np.einsum("ek,kep->ep", C[0], unmapped_basis(space, X, cells))
+        return np.einsum("ek,kep->ep", C[0],
+                         unmapped_basis(space, xhat, cells))
 
     Phi = space.element.basis.eval(xhat)  # (dim, npts, ncomp)
     if space.kind == COMPOSE:

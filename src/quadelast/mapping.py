@@ -15,12 +15,22 @@ by term; a plain ``np.einsum`` over the cells is up to 100x slower.
 
 Work per cell runs in fixed batches: :func:`cell_chunks`, the one caller
 of :func:`geometry_at` besides mesh validation, yields the geometry of
-``CELL_CHUNK`` consecutive cells at a time; assembly, the norm Gram, error
-evaluation and every diagnostic tabulate one chunk, write its cells'
-results and move on, so their temporaries do not grow with the mesh.  Cell
-matrices and Gram arrays are the same, bit for bit, whatever the chunk;
-sums over the cells and BLAS contractions over a whole chunk agree to
-round-off.
+``CELL_CHUNK`` cells at a time, of the whole mesh or of a given set of
+cells; assembly, the norm Gram, error evaluation and every diagnostic
+tabulate one chunk, write its cells' results and move on, so their
+temporaries do not grow with the mesh.  A cell's matrix and Gram arrays
+are the same, bit for bit, in any batch; sums over the cells and BLAS
+contractions over a whole chunk agree to round-off.
+
+DF and J depend only on the corners relative to the first corner, and so
+does the rotation basis (``fe_space.unmapped_basis``).  Cells whose
+relative corners are equal bit for bit form one translation class
+(:func:`translation_classes`), and every cell of a class has the same
+cell matrix and Gram arrays up to its dof signs, so assembly and the norm
+Gram tabulate one cell per class.  A structured mesh has a few classes
+(one on squares at the power-of-two study levels, 26 on trapezoids at
+n = 32); a mesh with no repeated shape has one class per cell and runs
+the same code.
 """
 
 from __future__ import annotations
@@ -32,12 +42,15 @@ import numpy as np
 __all__ = [
     "CELL_CHUNK",
     "QuadratureRule",
+    "cell_batches",
     "cell_chunks",
+    "relative_corners",
     "ref_shape",
     "geometry_at",
     "piola_values",
     "gauss_rule",
     "gauss_rule_1d",
+    "translation_classes",
 ]
 
 
@@ -88,28 +101,63 @@ def geometry_at(corners: np.ndarray, xhat: np.ndarray):
     # DF from the corners relative to the first one (the gradients sum to
     # zero): the absolute coordinates (~1) would cancel down to DF (~1/n)
     # and lose digits as n grows
-    DF = np.einsum("qcj,eci->eqij", dN, corners - corners[:, :1],
+    DF = np.einsum("qcj,eci->eqij", dN, relative_corners(corners),
                    optimize=True)
     J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
     return X, DF, J
 
 
-#: Cells per batch of :func:`cell_chunks`.  The process peak of the
-#: locking sweep (bdm1 trapezoids, n = 2 to 32, 2 vCPUs) is 101-105 MB for
-#: 32 to 256 cells, 109 MB at 512 and 119 MB in one whole-mesh batch; its
-#: wall time did not separate 32 to 512 cells beyond run-to-run noise.
+def relative_corners(corners: np.ndarray) -> np.ndarray:
+    """Corners (E, 4, 2) relative to each cell's first corner: the input
+    of DF, J and the rotation basis, and what defines a translation
+    class."""
+    return corners - corners[:, :1]
+
+
+def translation_classes(mesh):
+    """Each cell's translation class and the first cell of every class.
+
+    Two cells share a class when their :func:`relative_corners` are equal
+    bit for bit; there is no tolerance.  Classes are numbered by their
+    first cell, so the representatives come in increasing order and
+    ``cell_class[representatives]`` counts up from 0.  Returns
+    ``(cell_class (E,), representatives (C,))``.
+    """
+    rel = relative_corners(mesh.vertices[mesh.quads]).reshape(mesh.n_quads, 8)
+    # each row as one 64-byte value, so equal means bit-identical
+    _, first, inverse = np.unique(rel.view(np.dtype((np.void, 64))).ravel(),
+                                  return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()], np.sort(first)
+
+
+#: Cells per batch of :func:`cell_batches`.  It bounds the transient
+#: per-cell arrays of every pass over the cells: the class tabulation, the
+#: load, the error evaluation, the diagnostics and the class matrices the
+#: solver gathers.  It was chosen when assembly stored one matrix per cell
+#: and has not been tuned again since.
 CELL_CHUNK = 128
 
 
-def cell_chunks(mesh, xhat: np.ndarray):
-    """Consecutive cells of ``mesh`` in batches of ``CELL_CHUNK``.
+def cell_batches(cells):
+    """``cells`` in consecutive batches of ``CELL_CHUNK``: slices of
+    ``range(cells)`` for a count, pieces of an index array otherwise."""
+    if np.isscalar(cells):
+        for start in range(0, cells, CELL_CHUNK):
+            yield slice(start, start + CELL_CHUNK)
+    else:
+        for start in range(0, len(cells), CELL_CHUNK):
+            yield cells[start:start + CELL_CHUNK]
 
-    Yields ``(cells, X, DF, J)``: the slice of cells and their
-    :func:`geometry_at` at the reference points ``xhat``.
+
+def cell_chunks(mesh, xhat: np.ndarray, cells=None):
+    """The cells of ``mesh``, by default all of them, else the index
+    array ``cells``, in batches of :func:`cell_batches`.
+
+    Yields ``(cells, X, DF, J)``: the batch's cells (a slice or an index
+    array) and their :func:`geometry_at` at the reference points ``xhat``.
     """
-    for start in range(0, mesh.n_quads, CELL_CHUNK):
-        cells = slice(start, start + CELL_CHUNK)
-        yield (cells, *geometry_at(mesh.vertices[mesh.quads[cells]], xhat))
+    for batch in cell_batches(mesh.n_quads if cells is None else cells):
+        yield (batch, *geometry_at(mesh.vertices[mesh.quads[batch]], xhat))
 
 
 def piola_values(DF: np.ndarray, vhat: np.ndarray) -> np.ndarray:

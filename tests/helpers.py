@@ -1,7 +1,9 @@
 """Helpers that only the tests use: patch-test data, the canonical
 interpolant of one reference element, the compliance applied to a stack of
-matrices, the monolithic sparse LU oracle of the solver, a system with one
-cell's compliance negated, a system with its asymmetry block removed, a
+matrices, the monolithic sparse LU oracle of the solver, a square mesh
+with jittered interior vertices, the per-cell oracle of assembly, a
+system made of one class per cell, a system with one cell's compliance
+negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, the displacement space
 paired with a stress space, the basis gradients by ``polyder``, a
 recorder of the quadrature orders the package integrates at, the Gram
@@ -21,10 +23,12 @@ import scipy.sparse.linalg as spla
 import quadelast.analysis
 import quadelast.assembly
 import quadelast.cli
-from quadelast.assembly import default_quad
+from quadelast.assembly import boundary_term, default_quad
 from quadelast.fe_space import (FEFunction, build_displacement_space, scatter,
                                 unmapped_basis)
-from quadelast.mapping import cell_chunks, gauss_rule, geometry_at, ref_shape
+from quadelast.mapping import (cell_chunks, gauss_rule, geometry_at,
+                               piola_values, ref_shape)
+from quadelast.mesh import QuadMesh, generate_square_mesh
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.reference_elements import ReferenceElement
 from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
@@ -139,14 +143,91 @@ def monolithic_solve(system) -> np.ndarray:
     return x
 
 
-def scattered_trace_system(factor):
-    """Oracle of ``solver._trace_system`` for a ``HybridFactor``: every
-    slot's block scattered, padding slots into a phantom last row and
+def jittered_square_mesh(n: int, seed: int = 0) -> QuadMesh:
+    """The n x n square mesh with every interior vertex moved by a seeded
+    uniform offset of up to 0.2 h in each direction: no two cells are
+    translates of each other."""
+    mesh = generate_square_mesh(n)
+    v = mesh.vertices.copy()
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    v[interior] += rng.uniform(-0.2, 0.2, size=(int(interior.sum()), 2)) / n
+    return QuadMesh(v, mesh.quads)
+
+
+def percell_assemble(stress, disp, rot, params, f=None, g=None):
+    """Oracle of ``assembly.assemble``: every cell's signed matrix
+    (E, k, k) tabulated on that cell, one ``cell_chunks`` batch of all the
+    cells at a time, and the right-hand side."""
+    mesh = stress.mesh
+    rule = gauss_rule(default_quad(stress.element))
+    w = rule.weights
+    phi = stress.element.basis.eval(rule.points)
+    dPhi = stress.element.basis.div(rule.points)
+    Psi = disp.element.basis.eval(rule.points)[..., 0]
+    dimS = dPhi.shape[0]
+    C = compliance_matrix(params).reshape(2, 2, 2, 2)
+    D0 = np.einsum("kq,mq,q->mk", dPhi, Psi, w)
+    dimV, dimQ = disp.local_dim, rot.local_dim
+    s = slice(0, 2 * dimS)
+    s0, s1 = slice(0, dimS), slice(dimS, 2 * dimS)
+    v0 = slice(2 * dimS, 2 * dimS + dimV)
+    v1 = slice(v0.stop, v0.stop + dimV)
+    q = slice(v1.stop, v1.stop + dimQ)
+    b = slice(s1.stop, None)
+    k = q.stop
+    cell_matrices = np.zeros((mesh.n_quads, k, k))
+    load = np.zeros((2,) + disp.row_dofs.shape)
+    for cells, X, DF, J in cell_chunks(mesh, rule.points):
+        A = cell_matrices[cells]
+        sgn = stress.row_signs[cells]
+        nc = len(sgn)
+        UPV = piola_values(DF[:, None], phi)
+        Q = unmapped_basis(rot, rule.points, cells)
+        UPVw = UPV * (w[None, :] / J)[:, None, :, None]
+        Aflat = UPV.transpose(0, 1, 3, 2).reshape(nc, dimS * 2, -1)
+        Bflat = UPVw.transpose(0, 1, 3, 2).reshape(nc, dimS * 2, -1)
+        T = (Bflat @ Aflat.transpose(0, 2, 1)).reshape(nc, dimS, 2, dimS, 2)
+        L = np.einsum("xayb,eiajb->exiyj", C, T, optimize=True).reshape(
+            nc, 2 * dimS, 2 * dimS)
+        L = 0.5 * (L + L.transpose(0, 2, 1))
+        sgn2 = np.tile(sgn, 2)
+        L *= sgn2[:, :, None] * sgn2[:, None, :]
+        A[:, s, s] = L
+        for v, cols, comp, s_as in ((v0, s0, 1, 1.0), (v1, s1, 0, -1.0)):
+            A[:, v, cols] = np.einsum("ek,mk->emk", sgn, D0)
+            A[:, q, cols] = s_as * np.einsum(
+                "meq,ekq,q->emk", Q, UPV[..., comp], w) * sgn[:, None, :]
+        A[:, s, b] = A[:, b, s].transpose(0, 2, 1)
+        if f is not None:
+            fx = np.asarray(f(X))
+            for rho in range(2):
+                load[rho, cells] = np.einsum(
+                    "eq,mq->em", w[None, :] * J * fx[..., rho], Psi)
+    n = stress.n_dofs + disp.n_dofs + rot.n_dofs
+    rhs = np.bincount((stress.n_dofs + disp.dofs).ravel(), load.ravel(),
+                      minlength=n)
+    if g is not None:
+        rhs[: stress.n_dofs] = boundary_term(stress, g)
+    return cell_matrices, rhs
+
+
+def scattered_trace_system(T, slot_mult, n_mult):
+    """Oracle of ``solver._trace_system``: every slot's block of the cell
+    blocks ``T`` scattered, padding slots into a phantom last row and
     column, which are then sliced off."""
-    T = factor.C.transpose(0, 2, 1) @ factor.Y
     Se = 0.5 * (T + T.transpose(0, 2, 1))
-    n, slots = factor.multipliers, factor.slot_mult
-    return scatter([(Se, slots, slots)], (n + 1, n + 1))[:n, :n].tocsc()
+    n = n_mult
+    return scatter([(Se, slot_mult, slot_mult)], (n + 1, n + 1))[:n, :n].tocsc()
+
+
+def own_classes(system, cell_matrices):
+    """The system with the signed ``cell_matrices`` (E, k, k) as its class
+    matrices, one class per cell and every cell sign +1."""
+    return dataclasses.replace(
+        system, class_matrices=cell_matrices,
+        cell_class=np.arange(len(cell_matrices)),
+        cell_signs=np.ones(system.cell_dofs.shape))
 
 
 def negated_cell_compliance(system, cell: int = 0):
@@ -154,17 +235,17 @@ def negated_cell_compliance(system, cell: int = 0):
     cell stays invertible, but the trace system is no longer positive
     definite, so the solver refuses it."""
     k_sigma = int(np.sum(system.cell_dofs[cell] < system.n_sigma))
-    A = system.cell_matrices.copy()
+    A = system.cell_matrices
     A[cell, :k_sigma, :k_sigma] *= -1.0
-    return dataclasses.replace(system, cell_matrices=A)
+    return own_classes(system, A)
 
 
 def without_asymmetry(system):
     """The system with the rotation rows and columns of every cell matrix
     zeroed: its asymmetry block Ba keeps its pattern, with zero values."""
-    keep = system.cell_dofs < system.n_sigma + system.n_v
-    A = system.cell_matrices * keep[:, :, None] * keep[:, None, :]
-    return dataclasses.replace(system, cell_matrices=A)
+    keep = system.cell_dofs[0] < system.n_sigma + system.n_v
+    A = system.class_matrices * keep[:, None] * keep[None, :]
+    return dataclasses.replace(system, class_matrices=A)
 
 
 def gram_matrix(system, gram):
@@ -288,7 +369,7 @@ def einsum_gram(stress, disp, rot):
     """The arrays (G, Mv, Mq) of ``assembly.ynorm_gram``, on the whole mesh
     at once from ``mapping.geometry_at``."""
     rule = gauss_rule(default_quad(stress.element))
-    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
+    _, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
     w = rule.weights
     UPV = einsum_piola_values(DF, stress.element.basis.eval(rule.points))
     dPhi = stress.element.basis.div(rule.points)
@@ -297,7 +378,7 @@ def einsum_gram(stress, disp, rot):
     G += np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi)
     G *= stress.row_signs[:, :, None] * stress.row_signs[:, None, :]
     psi = disp.element.basis.eval(rule.points)[..., 0]
-    Q = unmapped_basis(rot, X, slice(None))
+    Q = unmapped_basis(rot, rule.points, slice(None))
     return (G, np.einsum("eq,iq,jq->eij", wJ, psi, psi),
             np.einsum("eq,ieq,jeq->eij", wJ, Q, Q))
 

@@ -260,7 +260,9 @@ def test_infsup_dimension_cap():
     # before any factorization, so nothing of this size is ever assembled
     n = INFSUP_CAP + 1
     system = BlockSystem(n_sigma=n, n_v=0, n_q=0,
-                         cell_matrices=np.zeros((0, 0, 0)),
+                         class_matrices=np.zeros((0, 0, 0)),
+                         cell_class=np.zeros(0, dtype=np.int64),
+                         cell_signs=np.zeros((0, 0)),
                          cell_dofs=np.zeros((0, 0), dtype=np.int64),
                          rhs=np.zeros(n))
     with pytest.raises(ValueError, match="capped"):
@@ -680,7 +682,7 @@ def test_infsup_factors_only_the_trace_system(monkeypatch):
     monkeypatch.setattr(spla, "splu", recording)
     assert infsup_estimate(system, gram) > 0.0
     (shape,) = shapes
-    factor = HybridFactor(system.cell_matrices, system.cell_dofs, system.n)
+    factor = HybridFactor(system)
     assert shape == (factor.multipliers,) * 2
 
 

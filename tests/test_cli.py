@@ -413,6 +413,27 @@ def test_locking_solver_failure_names_nu_and_level(capsys, monkeypatch):
     assert "nu=0.3, level n=2" in err and "synthetic breakdown" in err
 
 
+def test_out_of_memory_names_level_without_traceback(capsys, monkeypatch):
+    def exhausted(system):
+        raise MemoryError("Unable to allocate 2.21 GiB for an array")
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    code, out, err = run_cli(capsys, "convergence", "--levels", "2,4")
+    assert code == 1 and out == ""
+    assert err == ("solver failure: convergence run failed at level n=2: "
+                   "out of memory\n")
+
+
+def test_out_of_memory_outside_a_level_exits_1(capsys, monkeypatch):
+    def exhausted(*spaces):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "ynorm_gram", exhausted)
+    code, out, err = run_cli(capsys, "diagnostics", "--levels", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("out of memory") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def study_tables():
     """Tables of every shape the writers see: several levels, one level,

@@ -132,11 +132,11 @@ def listed_blocks(stress, disp, rot, params, quad):
     rule = gauss_rule(quad)
     w = rule.weights
     nq = stress.mesh.n_quads
-    X, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
+    _, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
     Phi = stress.element.basis.eval(rule.points)
     dPhi = stress.element.basis.div(rule.points)
     Psi = disp.element.basis.eval(rule.points)[..., 0]
-    Q = unmapped_basis(rot, X, slice(None))
+    Q = unmapped_basis(rot, rule.points, slice(None))
     dimS = Phi.shape[0]
     sgn, sdof = stress.row_signs, stress.row_dofs
     vdof, qdof = disp.row_dofs, rot.row_dofs

@@ -112,10 +112,10 @@ def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params):
     # same CSC pattern, explicit zeros included, and the same bits, so
     # SuperLU sees the matrix the scatter-and-slice path built
     system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
-    factor = HybridFactor(system.cell_matrices, system.cell_dofs, system.n)
-    T = factor.C.transpose(0, 2, 1) @ factor.Y
+    factor = HybridFactor(system)
+    T = factor.cell_traces()
     S = _trace_system(T, factor.slot_mult, factor.multipliers)
-    ref = scattered_trace_system(factor)
+    ref = scattered_trace_system(T, factor.slot_mult, factor.multipliers)
     assert S.has_canonical_format and S.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(S, name), getattr(ref, name))
@@ -136,8 +136,7 @@ def test_load_on_shared_dofs_matches_monolithic_oracle(family):
 @pytest.mark.parametrize("family", ["bdm1", "rt2"])
 def test_one_factor_solves_several_right_hand_sides(family):
     _, system = assembled(generate_trapezoidal_mesh(4), family)
-    A, D = system.cell_matrices, system.cell_dofs
-    factor = HybridFactor(A, D, system.n)
+    factor = HybridFactor(system)
     assert factor.solution is None
     rng = np.random.RandomState(5)
     for _ in range(3):
@@ -145,10 +144,10 @@ def test_one_factor_solves_several_right_hand_sides(family):
         x = factor.solve(rhs)
         xm = monolithic_solve(dataclasses.replace(system, rhs=rhs))
         assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
-        assert (np.linalg.norm(cell_apply(A, D, x) - rhs)
+        assert (np.linalg.norm(cell_apply(system, x) - rhs)
                 <= 1e-10 * np.linalg.norm(rhs))
         # the load carried in the factor's own cell solve gives the same x
-        carried = HybridFactor(A, D, system.n, rhs=rhs).solution
+        carried = HybridFactor(system, rhs=rhs).solution
         assert abs(carried - xm).max() <= 1e-10 * abs(xm).max()
 
 
@@ -238,7 +237,8 @@ def singular_system():
     K = np.zeros((4, 4))
     K[:2, :2] = np.identity(2)
     K[3, :2] = K[:2, 3] = [1.0, 0.5]
-    return BlockSystem(n_sigma=2, n_v=1, n_q=1, cell_matrices=K[None],
+    return BlockSystem(n_sigma=2, n_v=1, n_q=1, class_matrices=K[None],
+                       cell_class=np.arange(1), cell_signs=np.ones((1, 4)),
                        cell_dofs=np.arange(4)[None], rhs=np.ones(4))
 
 
