@@ -8,18 +8,20 @@ leaves the small symmetric positive definite multiplier ("trace") system
 
     S = sum_K C_K K_K^{-1} C_K^T,
 
-with C_K the signed selection of cell K's shared dofs.  Cell K's matrix
-is S_K A_c S_K, A_c the unsigned matrix of its translation class and S_K
-its dof signs, so K_K^{-1} = S_K A_c^{-1} S_K: the columns of A_c^{-1}
-at the local dofs that cells share are solved for once per class, and
+with C_K the signed selection of cell K's shared dofs.  Every cell has
+the same slots: the local dofs at which any cell lists a shared dof (the
+stress edge moments), with sign 0 where the cell's dof is not shared.
+Cell K's matrix is S_K A_c S_K, A_c the unsigned matrix of its
+translation class and S_K its dof signs, so K_K^{-1} = S_K A_c^{-1} S_K:
+the columns of A_c^{-1} at the slots are solved for once per class, and
 each cell's block of S and its multiplier correction are read off them.
 S is factored by symmetric-mode SuperLU with no pivoting; a positive pivot
 everywhere is the SPD and singularity check.  :class:`HybridFactor` keeps
 that factor, so K^{-1} applies to any later right-hand side;
 :func:`cell_apply` applies K cell by cell, and every solution is verified
-against its residual.  Per-cell work gathers the class matrices of one
-batch of :func:`mapping.cell_batches` at a time, so no per-cell matrix is
-stored.
+against its residual.  One helper applies the class matrices, gathered
+for one batch of :func:`mapping.cell_batches` at a time, so no per-cell
+matrix is stored.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ class SolveReport:
 def _multipliers(cell_dofs: np.ndarray, n: int):
     """Multiplier numbering of the dofs that two cells list.
 
-    Returns the listing count of every global dof and, per cell, one slot
-    per shared dof, padded to the largest number m of shared dofs in a
-    cell: the slot's local dof (E, m), its multiplier (E, m) and its sign
-    (E, m), +1 in the first listing and -1 in the second.  Padding slots
-    have local dof 0, sign 0 and a phantom multiplier numbered after the
-    real ones.
+    Returns the listing count of every global dof; the slots (m,), the
+    local dofs at which any cell lists a shared dof (on a mesh, the
+    stress edge moments), the same for every cell; and, per cell and
+    slot, the multiplier (E, m) and its sign (E, m), +1 in the first
+    listing and -1 in the second.  Where a cell's dof at a slot is not
+    shared, the slot has sign 0 and the phantom multiplier, numbered after
+    the real ones.
     """
     flat = cell_dofs.ravel()
     count = np.bincount(flat, minlength=n)
@@ -85,23 +88,20 @@ def _multipliers(cell_dofs: np.ndarray, n: int):
     first = np.zeros(flat.size, dtype=bool)
     first[np.unique(flat, return_index=True)[1]] = True
     on = shared[cell_dofs]
-    m = int(on.sum(axis=1).max(initial=0))
-    e, i = np.nonzero(on)
-    slot = (np.cumsum(on, axis=1) - 1)[e, i]
-    local = np.zeros((len(cell_dofs), m), dtype=np.int64)
-    mult = np.full((len(cell_dofs), m), int(np.count_nonzero(shared)))
-    sign = np.zeros((len(cell_dofs), m))
-    local[e, slot] = i
-    mult[e, slot] = number[cell_dofs[e, i]]
-    sign[e, slot] = np.where(first.reshape(cell_dofs.shape)[e, i], 1.0, -1.0)
-    return count, local, mult, sign
+    slots = np.flatnonzero(on.any(axis=0))
+    on = on[:, slots]
+    mult = np.where(on, number[cell_dofs[:, slots]],
+                    int(np.count_nonzero(shared)))
+    sign = np.where(on, np.where(first.reshape(cell_dofs.shape)[:, slots],
+                                 1.0, -1.0), 0.0)
+    return count, slots, mult, sign
 
 
 def _trace_system(T: np.ndarray, slot_mult: np.ndarray,
                   n_mult: int) -> sp.csc_matrix:
     """The trace system S, summed from the cells' blocks ``T`` (E, m, m),
-    symmetrized, on their real slots: a padding slot points at the phantom
-    multiplier ``n_mult`` and is left out."""
+    symmetrized, on their real slots: a slot whose dof the cell does not
+    share points at the phantom multiplier ``n_mult`` and is left out."""
     Se = 0.5 * (T + T.transpose(0, 2, 1))
     real = slot_mult < n_mult
     pairs = real[:, :, None] & real[:, None, :]
@@ -146,40 +146,43 @@ def _check_residual(Kx, b) -> float:
     return residual
 
 
+def _class_apply(mats: np.ndarray, cell_class: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """``mats[cell_class[e]] @ v[e]`` for every cell e, gathering the class
+    matrices of one batch of cells at a time."""
+    out = np.empty((len(v), mats.shape[1]))
+    for cells in cell_batches(len(v)):
+        out[cells] = np.einsum("ekl,el->ek", mats[cell_class[cells]],
+                               v[cells])
+    return out
+
+
 class HybridFactor:
     """K^{-1} by hybridization, for K the operator of a :class:`BlockSystem`.
 
-    A load ``rhs`` is solved with the factor, and ``solution`` is
-    K^{-1} rhs; :meth:`solve` takes any later right-hand side.  Raises
-    SingularSystem when a dof belongs to no cell, a class matrix is
-    singular or the trace system is not numerically positive definite,
-    and ValueError when a dof is listed by three or more cells.
+    ``columns`` (C, k, m) holds each class inverse's columns at the slots,
+    the same for every cell.  A load ``rhs`` is solved with the factor, and
+    ``solution`` is K^{-1} rhs; :meth:`solve` takes any later right-hand
+    side.  Raises SingularSystem when a dof belongs to no cell, a class
+    matrix is singular or the trace system is not numerically positive
+    definite, and ValueError when a dof is listed by three or more cells.
     """
 
     def __init__(self, system: BlockSystem, rhs=None):
         D = self.cell_dofs = system.cell_dofs
         self.cell_class, self.cell_signs = system.cell_class, system.cell_signs
-        self.count, self.slot_local, self.slot_mult, sign = _multipliers(
+        self.count, self.slots, self.slot_mult, sign = _multipliers(
             D, system.n)
         if np.any(self.count == 0):
             raise SingularSystem(
                 "a dof belongs to no cell; the system is singular")
         self.multipliers = int(np.count_nonzero(self.count == 2))
         # a slot's sign in the class basis: its multiplier's sign times the
-        # cell's sign of its local dof
-        self.slot_sign = sign * np.take_along_axis(self.cell_signs,
-                                                   self.slot_local, axis=1)
-
-        # the class inverses' columns at the local dofs that some cell
-        # shares, then a zero column, and each slot's position among them;
-        # padding slots point at the zero column
+        # cell's sign of the slot's local dof
+        self.slot_sign = sign * self.cell_signs[:, self.slots]
         self.class_matrices = system.class_matrices
-        real = sign != 0.0
-        shared = np.unique(self.slot_local[real])
-        self.slot_column = np.where(
-            real, np.searchsorted(shared, self.slot_local), len(shared))
-        unit = np.zeros((D.shape[1], len(shared) + 1))
-        unit[shared, np.arange(len(shared))] = 1.0
+        unit = np.zeros((D.shape[1], len(self.slots)))
+        unit[self.slots, np.arange(len(self.slots))] = 1.0
         try:
             self.columns = np.linalg.solve(system.class_matrices, unit)
         except np.linalg.LinAlgError as exc:
@@ -189,11 +192,10 @@ class HybridFactor:
         if rhs is not None:
             # LU solves, not products with the inverses: x = A^{-1} b is not
             # backward stable on nearly incompressible cells
-            y = np.empty(D.shape)
+            y = self._cell_loads(rhs)
             for cells in cell_batches(len(D)):
                 A = system.class_matrices[self.cell_class[cells]]
-                y[cells] = np.linalg.solve(
-                    A, self._cell_loads(rhs, cells)[..., None])[..., 0]
+                y[cells] = np.linalg.solve(A, y[cells, :, None])[..., 0]
         S = _trace_system(self.cell_traces(), self.slot_mult,
                           self.multipliers)
         self.lu = None
@@ -208,39 +210,32 @@ class HybridFactor:
 
     def cell_traces(self) -> np.ndarray:
         """Each cell's block C^T K_K^{-1} C of the trace system, (E, m, m):
-        the class inverse on the cell's shared slots, times their signs."""
+        its class inverse's block at the slots, times the slot signs."""
         sgn = self.slot_sign
-        T = self.columns[self.cell_class[:, None, None],
-                         self.slot_local[:, :, None],
-                         self.slot_column[:, None, :]]
+        T = self.columns[:, self.slots][self.cell_class]
         T *= sgn[:, :, None]
         T *= sgn[:, None, :]
         return T
 
-    def _cell_loads(self, b: np.ndarray, cells) -> np.ndarray:
-        """The loads of the cells ``cells`` in their class basis: each
-        shared dof's entry of ``b`` split between its two cells, times the
-        cell's signs."""
-        d = self.cell_dofs[cells]
-        return b[d] / self.count[d] * self.cell_signs[cells]
+    def _cell_loads(self, b: np.ndarray) -> np.ndarray:
+        """The cells' loads in their class basis, (E, k): each shared dof's
+        entry of ``b`` split between its two cells, times the cell's
+        signs."""
+        D = self.cell_dofs
+        return b[D] / self.count[D] * self.cell_signs
 
     def _recover(self, y: np.ndarray) -> np.ndarray:
         """K^{-1} b from ``y`` (E, k), the class inverses applied to b's
         cell loads: multipliers, then cell by cell.  Overwrites ``y``."""
-        Cy = self.slot_sign * np.take_along_axis(y, self.slot_local, axis=1)
-        g = np.bincount(self.slot_mult.ravel(), Cy.ravel(),
+        g = np.bincount(self.slot_mult.ravel(),
+                        (self.slot_sign * y[:, self.slots]).ravel(),
                         minlength=self.multipliers + 1)
         lam = np.zeros(self.multipliers + 1)
         if self.lu is not None:
             lam[:-1] = self.lu.solve(g[:-1])
-        # y -= A_c^{-1} C lam, from the class inverses' shared columns
-        z = np.zeros((len(y), self.columns.shape[2]))
-        np.put_along_axis(z, self.slot_column,
-                          self.slot_sign * lam[self.slot_mult], axis=1)
-        for cells in cell_batches(len(y)):
-            y[cells] -= np.einsum("ekj,ej->ek",
-                                  self.columns[self.cell_class[cells]],
-                                  z[cells])
+        # y -= A_c^{-1} C lam, from the class inverses' columns at the slots
+        y -= _class_apply(self.columns, self.cell_class,
+                          self.slot_sign * lam[self.slot_mult])
         y *= self.cell_signs
         return (np.bincount(self.cell_dofs.ravel(), y.ravel(),
                             minlength=self.count.size) / self.count)
@@ -251,23 +246,15 @@ class HybridFactor:
         # inverses make each later cell solve a matrix-vector product
         if self._inverses is None:
             self._inverses = np.linalg.inv(self.class_matrices)
-        y = np.empty(self.cell_dofs.shape)
-        for cells in cell_batches(len(y)):
-            y[cells] = np.einsum("ekl,el->ek",
-                                 self._inverses[self.cell_class[cells]],
-                                 self._cell_loads(b, cells))
-        return self._recover(y)
+        return self._recover(_class_apply(self._inverses, self.cell_class,
+                                          self._cell_loads(b)))
 
 
 def cell_apply(system: BlockSystem, x: np.ndarray) -> np.ndarray:
     """K x, applied cell by cell from the class matrices without
     assembling K."""
     D, s = system.cell_dofs, system.cell_signs
-    Ax = np.empty(D.shape)
-    for cells in cell_batches(len(D)):
-        Ax[cells] = np.einsum("ekl,el->ek",
-                              system.class_matrices[system.cell_class[cells]],
-                              x[D[cells]] * s[cells])
+    Ax = _class_apply(system.class_matrices, system.cell_class, x[D] * s)
     Ax *= s
     return np.bincount(D.ravel(), Ax.ravel(), minlength=x.size)
 

@@ -214,8 +214,8 @@ def percell_assemble(stress, disp, rot, params, f=None, g=None):
 
 def scattered_trace_system(T, slot_mult, n_mult):
     """Oracle of ``solver._trace_system``: every slot's block of the cell
-    blocks ``T`` scattered, padding slots into a phantom last row and
-    column, which are then sliced off."""
+    blocks ``T`` scattered, the slots a cell does not share into a phantom
+    last row and column, which are then sliced off."""
     Se = 0.5 * (T + T.transpose(0, 2, 1))
     n = n_mult
     return scatter([(Se, slot_mult, slot_mult)], (n + 1, n + 1))[:n, :n].tocsc()

@@ -163,6 +163,20 @@ def test_report_counts_multipliers_and_factor_fill():
     assert solve(single).factor_nnz == 0
 
 
+@pytest.mark.parametrize("nu", [0.4996, 0.4998])
+def test_nearly_incompressible_cell_load_is_solved_by_lu(nu):
+    # one bdm1 cell has no multipliers, so its load's cell solve alone sets
+    # the residual; products with the class inverse, in place of the LU
+    # solve, are not backward stable here and push it past the tolerance
+    # (the monolithic sparse LU oracle fails its own residual check here)
+    params = LameParams.from_young_poisson(1000.0, nu)
+    sol = trig_solution(params)
+    S, V, Q = build_elasticity_spaces(generate_square_mesh(1), "bdm1")
+    report = solve(assemble(S, V, Q, params, f=sol.f, g=sol.g))
+    assert report.multipliers == 0
+    assert report.residual <= 1e-10
+
+
 def test_residual_verified_on_report():
     _, system = assembled(generate_square_mesh(4), "rt2")
     report = solve(system)
