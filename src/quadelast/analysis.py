@@ -114,16 +114,17 @@ def compute_errors(sigma: FEFunction, u: FEFunction, p: FEFunction,
     err, ref = np.zeros(4), np.zeros(4)
     for chunk in cell_chunks(mesh, rule.points):
         _, X, _, J = chunk
-        wJ = rule.weights[None, :] * J
+        wJ = (rule.weights[None, :] * J).ravel()
         exact_vals = exact.fields(X)  # sigma, div = f, u, p
         discrete = (evaluate_batch(sigma, rule.points, chunk),
                     evaluate_div_batch(sigma, rule.points, chunk),
                     evaluate_batch(u, rule.points, chunk),
                     evaluate_batch(p, rule.points, chunk))
         for i, (ex, dh) in enumerate(zip(exact_vals, discrete)):
-            axes = tuple(range(2, ex.ndim))
-            err[i] += np.sum(wJ * np.sum((dh - ex) ** 2, axis=axes))
-            ref[i] += np.sum(wJ * np.sum(ex ** 2, axis=axes))
+            ex = ex.reshape(wJ.size, -1)
+            d = dh.reshape(wJ.size, -1) - ex
+            err[i] += np.einsum("p,pc,pc->", wJ, d, d)
+            ref[i] += np.einsum("p,pc,pc->", wJ, ex, ex)
     errors = [float(e) for e in np.sqrt(err)]
     pcts = [_pct(e, float(r)) for e, r in zip(errors, np.sqrt(ref))]
     return ErrorReport(mesh.h, *errors, *pcts)

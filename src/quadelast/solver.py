@@ -99,15 +99,14 @@ def _multipliers(cell_dofs: np.ndarray, n: int):
 
 def _trace_system(T: np.ndarray, slot_mult: np.ndarray,
                   n_mult: int) -> sp.csc_matrix:
-    """The trace system S, summed from the cells' blocks ``T`` (E, m, m),
-    symmetrized, on their real slots: a slot whose dof the cell does not
+    """The trace system S, summed from the cells' symmetric blocks ``T``
+    (E, m, m) on their real slots: a slot whose dof the cell does not
     share points at the phantom multiplier ``n_mult`` and is left out."""
-    Se = 0.5 * (T + T.transpose(0, 2, 1))
     real = slot_mult < n_mult
     pairs = real[:, :, None] & real[:, None, :]
-    rows = np.broadcast_to(slot_mult[:, :, None], Se.shape)[pairs]
-    cols = np.broadcast_to(slot_mult[:, None, :], Se.shape)[pairs]
-    return sp.csc_matrix((Se[pairs], (rows, cols)), shape=(n_mult, n_mult))
+    rows = np.broadcast_to(slot_mult[:, :, None], T.shape)[pairs]
+    cols = np.broadcast_to(slot_mult[:, None, :], T.shape)[pairs]
+    return sp.csc_matrix((T[pairs], (rows, cols)), shape=(n_mult, n_mult))
 
 
 def spd_factor(N: sp.csc_matrix):
@@ -118,22 +117,32 @@ def spd_factor(N: sp.csc_matrix):
     are positive.  With a zero pivot threshold SuperLU keeps every diagonal
     pivot it can, so the pivots are the diagonal of U unless a zero pivot
     forced a row exchange (perm_r differs from perm_c).  Every pivot must
-    exceed ``PIVOT_TOL`` times the largest diagonal entry of N.
+    exceed ``PIVOT_TOL`` times the largest diagonal entry of N.  Reading
+    the pivots makes scipy build L and U as matrices, so N is let go
+    first: a caller that holds no other reference frees it before then.
     """
+    floor = PIVOT_TOL * N.diagonal().max()
     try:
         lu = spla.splu(N, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
+    del N
     if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > PIVOT_TOL * N.diagonal().max())):
+            and np.all(lu.U.diagonal() > floor)):
         return None
     return lu
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of ``v`` by einsum's own loop: on long vectors
+    ``np.linalg.norm`` calls a threaded BLAS dot, which can stall."""
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
 def _check_residual(Kx, b) -> float:
-    bnorm = np.linalg.norm(b)
-    residual = float(np.linalg.norm(Kx - b))
+    bnorm = _norm(b)
+    residual = _norm(Kx - b)
     if bnorm == 0.0:
         if residual > 1e-12:
             raise ResidualTooLarge(
@@ -196,23 +205,25 @@ class HybridFactor:
             for cells in cell_batches(len(D)):
                 A = system.class_matrices[self.cell_class[cells]]
                 y[cells] = np.linalg.solve(A, y[cells, :, None])[..., 0]
-        S = _trace_system(self.cell_traces(), self.slot_mult,
-                          self.multipliers)
         self.lu = None
         if self.multipliers:
-            self.lu = spd_factor(S)
+            # no name keeps S, so it is freed inside spd_factor
+            self.lu = spd_factor(_trace_system(
+                self.cell_traces(), self.slot_mult, self.multipliers))
             if self.lu is None:
                 raise SingularSystem(
                     "trace system not positive definite beyond tolerance; "
                     "system nearly singular")
-        del S  # only the factor stays alive through the recovery
         self.solution = None if y is None else self._recover(y)
 
     def cell_traces(self) -> np.ndarray:
         """Each cell's block C^T K_K^{-1} C of the trace system, (E, m, m):
-        its class inverse's block at the slots, times the slot signs."""
+        its class inverse's block at the slots, symmetrized once per class,
+        times the slot signs.  The signs are 0 or ±1, so this is bit for bit
+        the symmetrized signed block."""
         sgn = self.slot_sign
-        T = self.columns[:, self.slots][self.cell_class]
+        A = self.columns[:, self.slots]
+        T = (0.5 * (A + A.transpose(0, 2, 1)))[self.cell_class]
         T *= sgn[:, :, None]
         T *= sgn[:, None, :]
         return T

@@ -1,8 +1,11 @@
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, geometry_at
@@ -119,6 +122,58 @@ def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params):
     assert S.has_canonical_format and S.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(S, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
+                         ids=ORACLE_IDS)
+def test_cell_traces_are_symmetric_bit_for_bit(family, mesh_fn, n, params):
+    system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
+    T = HybridFactor(system).cell_traces()
+    assert np.array_equal(T, T.transpose(0, 2, 1))
+
+
+# before 3.11 CPython keeps a call's arguments on the caller's stack until
+# the call returns, so the trace system cannot be freed inside spd_factor
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="call arguments outlive the call before 3.11")
+@pytest.mark.parametrize("family", ["bdm1", "rt2"])
+def test_trace_system_freed_before_pivots_are_read(family, monkeypatch):
+    splu, freed_at_U = spla.splu, []
+
+    class RecordingLU:
+        """splu that records, at each read of U, whether the matrix it
+        factored has been freed."""
+
+        def __init__(self, N, **kwargs):
+            self._matrix = weakref.ref(N)
+            self._lu = splu(N, **kwargs)
+
+        @property
+        def U(self):
+            freed_at_U.append(self._matrix() is None)
+            return self._lu.U
+
+        perm_r = property(lambda self: self._lu.perm_r)
+        perm_c = property(lambda self: self._lu.perm_c)
+        nnz = property(lambda self: self._lu.nnz)
+
+        def solve(self, b):
+            return self._lu.solve(b)
+
+    monkeypatch.setattr(spla, "splu", RecordingLU)
+    _, system = assembled(generate_trapezoidal_mesh(4), family)
+    report = solve(system)
+    assert freed_at_U == [True]
+    assert report.residual <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt2"])
+def test_residual_matches_blas_norms(family):
+    _, system = assembled(generate_trapezoidal_mesh(8), family)
+    report = solve(system)
+    r = cell_apply(system, report.solution) - system.rhs
+    expected = np.linalg.norm(r) / np.linalg.norm(system.rhs)
+    assert abs(report.residual - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt2"])
