@@ -124,13 +124,13 @@ class BlockSystem:
                         for i, j in pairs], shape)
 
     @cached_property
-    def M(self) -> sp.csr_matrix:
+    def M(self) -> sp.csc_matrix:
         """Compliance block (A s, t)."""
         s = slice(0, self.local_blocks[1].stop)
         return self._scatter([(s, s)], 0, (self.n_sigma, self.n_sigma))
 
     @cached_property
-    def Bd(self) -> sp.csr_matrix:
+    def Bd(self) -> sp.csc_matrix:
         """Divergence block (div s, v): displacement row rho against stress
         row rho."""
         s0, s1, v0, v1, _ = self.local_blocks
@@ -138,7 +138,7 @@ class BlockSystem:
                              (self.n_v, self.n_sigma))
 
     @cached_property
-    def Ba(self) -> sp.csr_matrix:
+    def Ba(self) -> sp.csc_matrix:
         """Asymmetry block (as s, q)."""
         s0, s1, _, _, q = self.local_blocks
         return self._scatter([(q, s0), (q, s1)], self.n_sigma + self.n_v,

@@ -24,9 +24,10 @@ discontinuous space has no edge moments: it is numbered cell by cell.
 
 Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
-``FESpace.dofs`` tabulates for every element; :func:`scatter` sums
-per-element blocks through it into the blocks M, Bd, Ba and the inf-sup
-Gram (the solver sums S itself, vectors go through ``np.bincount``).
+``FESpace.dofs`` tabulates for every element.  :func:`scatter` is the one
+sum of per-element blocks into a sparse matrix: the solver's trace system
+S, the blocks M, Bd, Ba and the inf-sup Gram; vectors are summed by
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -212,21 +213,26 @@ def grid_unknowns(family: str, n: int) -> int:
                                (q_element(r - 1), 2), (p_element(r - 1), 1)))
 
 
-def scatter(blocks, shape) -> sp.csr_matrix:
-    """Sum per-element dense blocks into one sparse matrix.
+def scatter(blocks, shape) -> sp.csc_matrix:
+    """Sum per-element dense blocks into one sparse matrix, in CSC.
 
     ``blocks`` holds ``(values, rows, cols)`` triples: ``values[e, i, j]``
-    is added at global ``(rows[e, i], cols[e, j])``.
+    is added at global ``(rows[e, i], cols[e, j])``.  An entry whose row
+    or column index equals the matrix size is left out: that index is a
+    phantom, such as the multiplier the solver gives a slot whose dof the
+    cell does not share.  An index past it raises ValueError.
     """
     data, ii, jj = [], [], []
     for values, rows, cols in blocks:
-        data.append(values.ravel())
-        ii.append(np.broadcast_to(rows[:, :, None], values.shape).ravel())
-        jj.append(np.broadcast_to(cols[:, None, :], values.shape).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(ii), np.concatenate(jj))),
-        shape=shape,
-    ).tocsr()
+        keep = ((rows != shape[0])[:, :, None]
+                & (cols != shape[1])[:, None, :])
+        data.append(values[keep])
+        ii.append(np.broadcast_to(rows[:, :, None], values.shape)[keep])
+        jj.append(np.broadcast_to(cols[:, None, :], values.shape)[keep])
+    # one block is summed as it is: concatenating it would copy every entry
+    data, ii, jj = (a[0] if len(a) == 1 else np.concatenate(a)
+                    for a in (data, ii, jj))
+    return sp.csc_matrix((data, (ii, jj)), shape=shape)
 
 
 def unmapped_basis(space: FESpace, xhat: np.ndarray, cells) -> np.ndarray:

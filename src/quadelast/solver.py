@@ -15,13 +15,14 @@ Cell K's matrix is S_K A_c S_K, A_c the unsigned matrix of its
 translation class and S_K its dof signs, so K_K^{-1} = S_K A_c^{-1} S_K:
 the columns of A_c^{-1} at the slots are solved for once per class, and
 each cell's block of S and its multiplier correction are read off them.
-S is factored by symmetric-mode SuperLU with no pivoting; a positive pivot
-everywhere is the SPD and singularity check.  :class:`HybridFactor` keeps
-that factor, so K^{-1} applies to any later right-hand side;
-:func:`cell_apply` applies K cell by cell, and every solution is verified
-against its residual.  One helper applies the class matrices, gathered
-for one batch of :func:`mapping.cell_batches` at a time, so no per-cell
-matrix is stored.
+:func:`fe_space.scatter` sums the blocks into S, leaving out the unshared
+slots, and S is factored by symmetric-mode SuperLU with no pivoting; a
+positive pivot everywhere is the SPD and singularity check.
+:class:`HybridFactor` keeps that factor, so K^{-1} applies to any later
+right-hand side; :func:`cell_apply` applies K cell by cell, and every
+solution is verified against its residual.  One helper applies the class
+matrices, gathered for one batch of :func:`mapping.cell_batches` at a
+time, so no per-cell matrix is stored.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
+from .fe_space import scatter
 from .mapping import cell_batches
 
 __all__ = ["HybridFactor", "SolveReport", "SolverError", "SingularSystem",
@@ -97,20 +98,8 @@ def _multipliers(cell_dofs: np.ndarray, n: int):
     return count, slots, mult, sign
 
 
-def _trace_system(T: np.ndarray, slot_mult: np.ndarray,
-                  n_mult: int) -> sp.csc_matrix:
-    """The trace system S, summed from the cells' symmetric blocks ``T``
-    (E, m, m) on their real slots: a slot whose dof the cell does not
-    share points at the phantom multiplier ``n_mult`` and is left out."""
-    real = slot_mult < n_mult
-    pairs = real[:, :, None] & real[:, None, :]
-    rows = np.broadcast_to(slot_mult[:, :, None], T.shape)[pairs]
-    cols = np.broadcast_to(slot_mult[:, None, :], T.shape)[pairs]
-    return sp.csc_matrix((T[pairs], (rows, cols)), shape=(n_mult, n_mult))
-
-
-def spd_factor(N: sp.csc_matrix):
-    """Symmetric-mode SuperLU factor of the symmetric sparse matrix N, or
+def spd_factor(N):
+    """Symmetric-mode SuperLU factor of the symmetric CSC matrix N, or
     None unless N is numerically positive definite.
 
     A symmetric matrix is positive definite exactly when its LDL^T pivots
@@ -208,8 +197,10 @@ class HybridFactor:
         self.lu = None
         if self.multipliers:
             # no name keeps S, so it is freed inside spd_factor
-            self.lu = spd_factor(_trace_system(
-                self.cell_traces(), self.slot_mult, self.multipliers))
+            m = self.multipliers
+            self.lu = spd_factor(scatter(
+                [(self.cell_traces(), self.slot_mult, self.slot_mult)],
+                (m, m)))
             if self.lu is None:
                 raise SingularSystem(
                     "trace system not positive definite beyond tolerance; "

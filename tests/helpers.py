@@ -7,8 +7,9 @@ negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, the displacement space
 paired with a stress space, the basis gradients by ``polyder``, a
 recorder of the quadrature orders the package integrates at, the Gram
-matrix summed from its cell arrays, the trace system scattered through a
-phantom row and sliced, the four independent closures of the
+matrix summed from its cell arrays, the trace system summed by
+``coo_matrix`` through a phantom row and sliced, a 2-norm that calls no
+BLAS, the four independent closures of the
 trigonometric benchmark solution, evaluation on every cell of a mesh, the
 plain-``einsum`` forms of the batched geometry, Piola, interpolation and
 Gram contractions, and the four hand-written CSV and markdown table
@@ -18,6 +19,7 @@ import dataclasses
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import quadelast.analysis
@@ -139,8 +141,15 @@ def monolithic_solve(system) -> np.ndarray:
         raise SingularSystem(f"pivot {piv.min():.3e} below tolerance")
     x = lu.solve(b)
     assert np.all(np.isfinite(x))
-    assert np.linalg.norm(K @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
+    assert norm(K @ x - b) <= RESIDUAL_TOL * norm(b)
     return x
+
+
+def norm(v: np.ndarray) -> float:
+    """The 2-norm of the vector ``v`` by numpy's pairwise sum: on long
+    vectors ``np.linalg.norm`` calls a threaded BLAS dot, which can stall
+    for milliseconds."""
+    return float(np.sqrt(np.sum(v * v)))
 
 
 def jittered_square_mesh(n: int, seed: int = 0) -> QuadMesh:
@@ -213,12 +222,16 @@ def percell_assemble(stress, disp, rot, params, f=None, g=None):
 
 
 def scattered_trace_system(T, slot_mult, n_mult):
-    """Oracle of ``solver._trace_system``: every slot's block of the cell
-    blocks ``T`` scattered, the slots a cell does not share into a phantom
-    last row and column, which are then sliced off."""
+    """Oracle of the trace system that ``solver.HybridFactor`` factors:
+    every slot's block of the cell blocks ``T`` summed by ``coo_matrix``,
+    the slots a cell does not share into a phantom last row and column,
+    which are then sliced off."""
     Se = 0.5 * (T + T.transpose(0, 2, 1))
     n = n_mult
-    return scatter([(Se, slot_mult, slot_mult)], (n + 1, n + 1))[:n, :n].tocsc()
+    rows = np.broadcast_to(slot_mult[:, :, None], Se.shape).ravel()
+    cols = np.broadcast_to(slot_mult[:, None, :], Se.shape).ravel()
+    S = sp.coo_matrix((Se.ravel(), (rows, cols)), shape=(n + 1, n + 1))
+    return S.tocsr()[:n, :n].tocsc()
 
 
 def own_classes(system, cell_matrices):

@@ -373,5 +373,21 @@ def test_scatter_sums_repeated_entries():
             for i in range(2):
                 for j in range(2):
                     expected[r[e, i], c[e, j]] += vals[e, i, j]
-    assert isinstance(got, sp.csr_matrix)
+    assert isinstance(got, sp.csc_matrix)
     assert np.array_equal(got.toarray(), expected)
+    # row 3 and column 2 are the phantoms of a (3, 2) matrix: entries on
+    # them are left out, and an index past them raises
+    rows = np.array([[0, 3], [1, 2]])
+    cols = np.array([[0, 2], [1, 0]])
+    got = scatter([(values, rows, cols)], (3, 2))
+    expected = np.zeros((3, 2))
+    for e in range(2):
+        for i in range(2):
+            for j in range(2):
+                if rows[e, i] < 3 and cols[e, j] < 2:
+                    expected[rows[e, i], cols[e, j]] += values[e, i, j]
+    assert isinstance(got, sp.csc_matrix)
+    assert got.nnz == 5 and np.array_equal(got.toarray(), expected)
+    for past in ((rows + 1, cols), (rows, cols + 1)):
+        with pytest.raises(ValueError):
+            scatter([(values, *past)], (3, 2))

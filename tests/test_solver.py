@@ -1,11 +1,15 @@
 import dataclasses
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+import quadelast.solver
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, geometry_at
@@ -17,14 +21,14 @@ from quadelast.solver import (
     ResidualTooLarge,
     SingularSystem,
     SolverError,
-    _trace_system,
     cell_apply,
     solve,
+    spd_factor,
 )
 from quadelast.analysis import compute_errors
 
 from helpers import (linear_solution, monolithic_solve,
-                     negated_cell_compliance, on_all_cells,
+                     negated_cell_compliance, norm, on_all_cells,
                      scattered_trace_system)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
@@ -45,7 +49,7 @@ def dense_solve(system):
 
 def relative_residual(system, x):
     K = system.full_matrix()
-    return np.linalg.norm(K @ x - system.rhs) / np.linalg.norm(system.rhs)
+    return norm(K @ x - system.rhs) / norm(system.rhs)
 
 
 def test_sparse_and_dense_paths_agree():
@@ -111,17 +115,58 @@ def test_solve_matches_monolithic_oracle(family, mesh_fn, n, params):
 
 @pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
                          ids=ORACLE_IDS)
-def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params):
-    # same CSC pattern, explicit zeros included, and the same bits, so
-    # SuperLU sees the matrix the scatter-and-slice path built
+def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params,
+                                               monkeypatch):
+    # the matrix the factor hands to SuperLU has the CSC pattern of the
+    # coo_matrix-and-slice oracle, explicit zeros included, and its bits
     system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
+    factored = []
+    monkeypatch.setattr(quadelast.solver, "spd_factor",
+                        lambda N: factored.append(N) or spd_factor(N))
     factor = HybridFactor(system)
-    T = factor.cell_traces()
-    S = _trace_system(T, factor.slot_mult, factor.multipliers)
-    ref = scattered_trace_system(T, factor.slot_mult, factor.multipliers)
+    (S,) = factored
+    ref = scattered_trace_system(factor.cell_traces(), factor.slot_mult,
+                                 factor.multipliers)
+    assert isinstance(S, sp.csc_matrix)
     assert S.has_canonical_format and S.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(S, name), getattr(ref, name))
+
+
+def test_trace_system_is_built_without_a_copy_of_its_entries(monkeypatch):
+    # rt2 trapezoid n = 32 has 247,936 real slot pairs: the data and index
+    # arrays that scatter keeps take 5.95 MB and S 2.63 MB.  Building S
+    # traced 11.21 MB, 2.63 MB beyond both (the COO conversion's int32
+    # indices and the keep mask); with a concatenate copy of the one block
+    # it traced 12.16 MB, through a CSR matrix 11.85 MB, and through a
+    # phantom row, CSR and a slice 11.83 MB.  The bound allows half the
+    # kept arrays, 2.98 MB, beyond them and S.
+    system = assemble(*build_elasticity_spaces(
+        generate_trapezoidal_mesh(32), "rt2"), PARAMS)
+    HybridFactor(system)  # scipy's first calls allocate once
+    cell_traces, traced = HybridFactor.cell_traces, []
+
+    def start_after_cell_traces(factor):
+        T = cell_traces(factor)
+        tracemalloc.start()
+        return T
+
+    def stop_before_spd_factor(N):
+        traced.append((tracemalloc.get_traced_memory()[1],
+                       N.data.nbytes + N.indices.nbytes + N.indptr.nbytes))
+        tracemalloc.stop()
+        return spd_factor(N)
+
+    monkeypatch.setattr(HybridFactor, "cell_traces", start_after_cell_traces)
+    monkeypatch.setattr(quadelast.solver, "spd_factor", stop_before_spd_factor)
+    try:
+        factor = HybridFactor(system)
+    finally:
+        tracemalloc.stop()
+    [(peak, out)] = traced
+    real = np.count_nonzero(factor.slot_mult != factor.multipliers, axis=1)
+    kept = 3 * 8 * int(np.sum(real ** 2))  # float64 data, int64 indices
+    assert peak <= kept + out + kept / 2, (peak, kept, out)
 
 
 @pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
