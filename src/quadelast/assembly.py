@@ -50,6 +50,7 @@ import scipy.sparse as sp
 from .fe_space import FESpace, scatter, unmapped_basis
 from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
                       ref_shape, translation_classes)
+from .mesh import dissection_leaves
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
@@ -88,7 +89,9 @@ class BlockSystem:
     over ``cell_dofs``; :attr:`cell_matrices` and the blocks M, Bd and Ba
     are derived from the class matrices.  A system with one class per cell
     (``cell_class = arange(E)``, ``cell_signs = 1``) stores its cell
-    matrices as they are.
+    matrices as they are.  ``cell_leaf`` places the cells in a nested
+    dissection, which orders the solver's multipliers; ``arange(E)`` is the
+    dissection of the index line.
     """
 
     n_sigma: int
@@ -98,6 +101,7 @@ class BlockSystem:
     cell_class: np.ndarray  # (E,) int
     cell_signs: np.ndarray  # (E, k) of +-1
     cell_dofs: np.ndarray  # (E, k) int
+    cell_leaf: np.ndarray  # (E,) int, leaf ids of mesh.dissection_leaves
     rhs: np.ndarray
 
     @property
@@ -267,7 +271,8 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     return BlockSystem(
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
         class_matrices=class_matrices, cell_class=cell_class,
-        cell_signs=cell_signs, cell_dofs=cell_dofs, rhs=rhs,
+        cell_signs=cell_signs, cell_dofs=cell_dofs,
+        cell_leaf=dissection_leaves(mesh), rhs=rhs,
     )
 
 

@@ -36,6 +36,7 @@ the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,8 +191,10 @@ class QuadratureRule:
             object.__setattr__(self, name, a)
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(k: int) -> QuadratureRule:
-    """k x k tensor Gauss--Legendre rule; exact on Q_{2k-1}."""
+    """k x k tensor Gauss--Legendre rule; exact on Q_{2k-1}.  Cached: every
+    caller shares one read-only rule per order."""
     if k < 1:
         raise ValueError("quadrature order k must be >= 1")
     x, w = np.polynomial.legendre.leggauss(k)
@@ -204,9 +207,14 @@ def gauss_rule(k: int) -> QuadratureRule:
     )
 
 
+@lru_cache(maxsize=None)
 def gauss_rule_1d(k: int):
-    """k-point Gauss--Legendre points and weights on [0,1]."""
+    """k-point Gauss--Legendre points and weights on [0,1], read-only and
+    cached like :func:`gauss_rule`."""
     if k < 1:
         raise ValueError("quadrature order k must be >= 1")
     x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w

@@ -18,6 +18,7 @@ from .reference_elements import EDGE_STARTS
 __all__ = [
     "QuadMesh",
     "MeshQuality",
+    "dissection_leaves",
     "generate_square_mesh",
     "generate_trapezoidal_mesh",
     "mesh_quality",
@@ -164,6 +165,38 @@ def mesh_quality(mesh: QuadMesh) -> MeshQuality:
                              tri[..., 2, :]).min(axis=1)
     return MeshQuality(h_max=mesh.h,
                        shape_regularity=float((mesh.diameters / rho).max()))
+
+
+def dissection_leaves(mesh: QuadMesh) -> np.ndarray:
+    """Each cell's leaf in a geometric nested dissection of the mesh
+    (George, 1973; Lipton, Rose & Tarjan, 1979).
+
+    The cells are bisected at the median of their centroids, level by
+    level: every region is sorted along the longer extent of its
+    centroids and its lower half goes left.  After ceil(log2 E) levels
+    every region holds one cell.  A cell's leaf id is its path from the
+    root, one bit per level (0 left), most significant first; so the ids
+    are unique, and two cells part at the node where their ids first
+    differ.
+    """
+    centroid = mesh.element_corners().mean(axis=1)
+    E = len(centroid)
+    leaf = np.zeros(E, dtype=np.int64)
+    for level in range(max(E - 1, 0).bit_length()):
+        regions = 1 << level
+        lo = np.full((2, regions), np.inf)
+        hi = -lo
+        # one axis at a time: ufunc.at is several times slower on rows
+        for x, low, high in zip(centroid.T, lo, hi):
+            np.minimum.at(low, leaf, x)
+            np.maximum.at(high, leaf, x)
+        axis = np.argmax(hi - lo, axis=0)[leaf]
+        order = np.lexsort((centroid[np.arange(E), axis], leaf))
+        size = np.bincount(leaf, minlength=regions)
+        rank = np.empty(E, dtype=np.int64)
+        rank[order] = np.arange(E) - (np.cumsum(size) - size)[leaf[order]]
+        leaf = 2 * leaf + (rank >= (size[leaf] + 1) // 2)
+    return leaf
 
 
 def _grid_quads(n: int) -> np.ndarray:

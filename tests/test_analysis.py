@@ -264,6 +264,7 @@ def test_infsup_dimension_cap():
                          cell_class=np.zeros(0, dtype=np.int64),
                          cell_signs=np.zeros((0, 0)),
                          cell_dofs=np.zeros((0, 0), dtype=np.int64),
+                         cell_leaf=np.zeros(0, dtype=np.int64),
                          rhs=np.zeros(n))
     with pytest.raises(ValueError, match="capped"):
         infsup_estimate(system, np.zeros((0, 0, 0)))

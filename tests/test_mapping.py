@@ -171,6 +171,24 @@ def test_gauss_rule_1d():
     assert np.isclose(w @ x ** 5, 1.0 / 6.0)
 
 
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_gauss_rules_are_cached_read_only_and_unchanged(k):
+    rule, (t, w) = gauss_rule(k), gauss_rule_1d(k)
+    assert gauss_rule(k) is rule
+    assert all(a is b for a, b in zip(gauss_rule_1d(k), (t, w)))
+    for a in (rule.points, rule.weights, t, w):
+        assert not a.flags.writeable
+    # the bits of the rules as computed on every call before the cache
+    x, v = np.polynomial.legendre.leggauss(k)
+    x, v = 0.5 * (x + 1.0), 0.5 * v
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    np.testing.assert_array_equal(t, x)
+    np.testing.assert_array_equal(w, v)
+    np.testing.assert_array_equal(rule.points,
+                                  np.column_stack([X.ravel(), Y.ravel()]))
+    np.testing.assert_array_equal(rule.weights, np.outer(v, v).ravel())
+
+
 @pytest.mark.parametrize("F", [IDENTITY, PARALLELOGRAM, TRAPEZOID])
 def test_area_identity(F):
     r = gauss_rule(2)

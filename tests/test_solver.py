@@ -353,7 +353,8 @@ def singular_system():
     K[3, :2] = K[:2, 3] = [1.0, 0.5]
     return BlockSystem(n_sigma=2, n_v=1, n_q=1, class_matrices=K[None],
                        cell_class=np.arange(1), cell_signs=np.ones((1, 4)),
-                       cell_dofs=np.arange(4)[None], rhs=np.ones(4))
+                       cell_dofs=np.arange(4)[None], cell_leaf=np.arange(1),
+                       rhs=np.ones(4))
 
 
 def test_singular_system_raises_sparse():
@@ -378,6 +379,24 @@ def test_dof_listed_by_three_cells_rejected():
     D[2, 0] = D[0, 0] = D[1, 0]
     with pytest.raises(ValueError, match="three or more cells"):
         solve(dataclasses.replace(system, cell_dofs=D))
+
+
+@pytest.mark.parametrize("message,raises", [
+    # the two texts scipy's SuperLU raised at rt2 trapezoid n = 256 under a
+    # 1.5 GB address-space limit, and its text for an exactly singular S
+    ("SUPERLU_MALLOC fails for buf in intCalloc() at line 173 in file "
+     "../scipy/sparse/linalg/_dsolve/SuperLU/SRC/memory.c", MemoryError),
+    ("Malloc fails for local work[].", MemoryError),
+    ("Factor is exactly singular", SingularSystem)])
+def test_superlu_allocation_failure_is_out_of_memory(message, raises,
+                                                     monkeypatch):
+    def failing(N, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(spla, "splu", failing)
+    _, system = assembled(generate_trapezoidal_mesh(2), "rt2")
+    with pytest.raises(raises):
+        solve(system)
 
 
 def test_exception_hierarchy():
