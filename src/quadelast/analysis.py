@@ -33,11 +33,12 @@ from .solver import HybridFactor, SolverError, cell_apply
 #: quadrature-converged for every element family in scope.
 NORM_QUAD = 12
 
-#: Largest system size accepted by the inf-sup estimate.  On trapezoids,
-#: 2 vCPUs, scipy 1.17, one estimate in a fresh process: 0.13 s at 7,040
-#: unknowns (rt2 n=16), 0.65 s and a 128 MB process peak at 27,904 (rt2
-#: n=32), 1.5 s and 239 MB at 45,568 (bdm1 n=64).  The cap is a safety
-#: bound on one estimate's time and memory, not a measured limit.
+#: Largest system size accepted by the inf-sup estimate.  One estimate in a
+#: fresh process on trapezoids (2 vCPUs, scipy 1.17, OpenBLAS at its default
+#: 2 threads, 3 runs): 0.05-0.06 s at 7,040 unknowns (rt2 n=16), 0.20-0.24 s
+#: and a 100 MB peak at 27,904 (rt2 n=32), 0.57-0.61 s and 188 MB at 45,568
+#: (bdm1 n=64), the same with 1 thread; a host where 2 threads stall reads
+#: 3-6x more.  A safety bound on time and memory, not a measured limit.
 INFSUP_CAP = 50_000
 
 QUANTITIES = ("sigma", "div", "u", "p")
@@ -137,9 +138,9 @@ def infsup_estimate(system, gram) -> float:
     lambda N x, K the saddle-point operator and N the Gram matrix summed
     from the arrays of :func:`assembly.ynorm_gram` (the numerical
     inf-sup test of Chapelle & Bathe, 1993).  Shift-invert Lanczos about
-    zero finds it, with K applied cell by cell and inverted by the solver's
-    hybridized factor; a system the factor refuses, as ``solve`` does, has
-    constant 0.  Raises ValueError unless N is positive definite.
+    zero finds it; ARPACK applies only N and K^-1, by the solver's hybrid
+    factor, so the K operator only gives the shape.  A system the factor
+    refuses, as ``solve`` does, gives 0.  Raises ValueError unless N is SPD.
     """
     if system.n > INFSUP_CAP:
         raise ValueError(

@@ -14,8 +14,8 @@ Displacement and rotation are discontinuous, so every cell contributes one
 dense matrix [[L, B^T], [B, 0]] over its own dofs, L its share of M and
 B = [Bd; Ba] its rows.  That matrix depends on the cell only through its
 corners relative to the first corner and through its dof signs, so the
-system stores one unsigned matrix A_c per translation class
-(:func:`mapping.translation_classes`), tabulated on the class's first
+system stores one unsigned matrix A_c per translation class of the mesh
+(``QuadMesh.translation_classes``), tabulated on the class's first
 cell, and per cell its class, its dof signs S_e and its global dofs: cell
 e's matrix is S_e A_c S_e.  The solver condenses the cells from the class
 matrices; the per-cell matrices and the global blocks are derived only
@@ -49,8 +49,7 @@ import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_basis
 from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
-                      ref_shape, translation_classes)
-from .mesh import dissection_leaves
+                      ref_shape)
 from .problem import LameParams, compliance_matrix
 from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
 
@@ -101,7 +100,7 @@ class BlockSystem:
     cell_class: np.ndarray  # (E,) int
     cell_signs: np.ndarray  # (E, k) of +-1
     cell_dofs: np.ndarray  # (E, k) int
-    cell_leaf: np.ndarray  # (E,) int, leaf ids of mesh.dissection_leaves
+    cell_leaf: np.ndarray  # (E,) int, QuadMesh.dissection_leaves
     rhs: np.ndarray
 
     @property
@@ -197,12 +196,12 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     displacement trace (stress-block consistent boundary term); either may be
     None for a zero contribution.  Every integral, the boundary term
     included, uses the tensor-Gauss order :func:`default_quad`.  The cell
-    matrices are tabulated on one cell per translation class.
+    matrices are tabulated on one cell per translation class of the mesh.
     """
     mesh = stress.mesh
     if not (disp.mesh is mesh and rot.mesh is mesh):
         raise ValueError("spaces must be built on the same mesh object")
-    cell_class, representatives = translation_classes(mesh)
+    cell_class, representatives = mesh.translation_classes
     rule, dPhi, Psi, chunks = _tabulate(stress, disp, rot, representatives)
     w = rule.weights
     dimS = dPhi.shape[0]
@@ -272,7 +271,7 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
         n_sigma=stress.n_dofs, n_v=disp.n_dofs, n_q=rot.n_dofs,
         class_matrices=class_matrices, cell_class=cell_class,
         cell_signs=cell_signs, cell_dofs=cell_dofs,
-        cell_leaf=dissection_leaves(mesh), rhs=rhs,
+        cell_leaf=mesh.dissection_leaves, rhs=rhs,
     )
 
 
@@ -287,7 +286,7 @@ def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
     expanded to every cell: G signed by the cell's stress row signs, the
     masses as they are.
     """
-    cell_class, representatives = translation_classes(stress.mesh)
+    cell_class, representatives = stress.mesh.translation_classes
     _, dPhi, psi, chunks = _tabulate(stress, disp, rot, representatives)
     G, Mv, Mq = (np.empty((len(representatives), k, k))
                  for k in (stress.local_dim, disp.local_dim, rot.local_dim))

@@ -11,6 +11,7 @@ the discretization fixes it (:func:`assembly.default_quad`).
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,23 +136,32 @@ def build_mesh(config: RunConfig, n: int):
     return generate_trapezoidal_mesh(n, d=config.distortion)
 
 
-def _run_level(config: RunConfig, n: int, solution, where: str):
-    """The system of one study level and its errors; a solver failure is
-    raised again with ``where`` and the level in front of its message, and
-    running out of memory as a SolverError that names the level."""
+@contextmanager
+def _at_level(where: str, n: int):
+    """A SolverError or MemoryError raised again naming ``where`` and n."""
     try:
-        spaces = build_elasticity_spaces(build_mesh(config, n),
-                                         config.element)
-        system = assemble(*spaces, solution.params, f=solution.f,
-                          g=solution.g)
-        report = solve(system)
-        fields = (FEFunction(s, c)
-                  for s, c in zip(spaces, system.split(report.solution)))
-        return system, compute_errors(*fields, solution)
+        yield
     except SolverError as exc:
         raise type(exc)(f"{where}level n={n}: {exc}") from exc
     except MemoryError:
         raise SolverError(f"{where}level n={n}: out of memory") from None
+
+
+def _levels(config: RunConfig, where: str):
+    """Each level's ``(n, spaces)``, its mesh and spaces built once."""
+    for n in config.levels:
+        with _at_level(where, n):
+            yield n, build_elasticity_spaces(build_mesh(config, n),
+                                             config.element)
+
+
+def _run_level(n: int, spaces, solution, where: str):
+    """The system of one study level and its errors."""
+    with _at_level(where, n):
+        system = assemble(*spaces, solution.params, f=solution.f,
+                          g=solution.g)
+        x = system.split(solve(system).solution)
+        return system, compute_errors(*map(FEFunction, spaces, x), solution)
 
 
 def _table(header, rows, fmt: str) -> str:
@@ -170,10 +180,10 @@ def _table(header, rows, fmt: str) -> str:
 
 def run_convergence(config: RunConfig) -> ConvergenceTable:
     """Solve the trigonometric benchmark on each level and tabulate errors."""
+    where = "convergence run failed at "
     solution = trig_solution(config.params)
-    return ConvergenceTable(rows=tuple(
-        _run_level(config, n, solution, "convergence run failed at ")[1]
-        for n in config.levels))
+    return ConvergenceTable(rows=tuple(_run_level(*level, solution, where)[1]
+                                       for level in _levels(config, where)))
 
 
 def format_convergence(table: ConvergenceTable, fmt: str) -> str:
@@ -209,12 +219,12 @@ class LockingRow:
 
 def run_locking(config: RunConfig) -> tuple:
     """Error-vs-dofs sweep over Poisson ratios at fixed Young modulus."""
-    rows = []
+    rows, levels = [], list(_levels(config, "locking run failed at "))
     for nu in config.poisson:
         params = LameParams.from_young_poisson(config.young, nu)
         solution = trig_solution(params)
-        for n in config.levels:
-            system, rep = _run_level(config, n, solution,
+        for n, spaces in levels:
+            system, rep = _run_level(n, spaces, solution,
                                      f"locking run failed at nu={nu}, ")
             rows.append(LockingRow(nu=nu, n=n, total_dofs=system.n,
                                    e_sigma=rep.e_sigma, e_u=rep.e_u))
@@ -260,8 +270,7 @@ def run_diagnostics(config: RunConfig) -> tuple:
             raise ConfigError(
                 f"inf-sup diagnostic is capped at {INFSUP_CAP} unknowns; "
                 f"level n={n} has {total}")
-    levels = [build_elasticity_spaces(build_mesh(config, n), config.element)
-              for n in config.levels]
+    levels = [spaces for _, spaces in _levels(config, "diagnostics at ")]
 
     stress, disp, _ = levels[0]
     results = []
@@ -283,10 +292,8 @@ def run_diagnostics(config: RunConfig) -> tuple:
     ierr = stress_l2_error(interpolate_stress(stress, identity), identity)
     results.append(Diagnostic("identity-field representation", ierr, 1e-10))
 
-    estimates = []
-    for sp_n in levels:
-        system = assemble(*sp_n, config.params)
-        estimates.append(infsup_estimate(system, ynorm_gram(*sp_n)))
+    estimates = [infsup_estimate(assemble(*spaces, config.params),
+                                 ynorm_gram(*spaces)) for spaces in levels]
     lo, hi = min(estimates), max(estimates)
     # a zero estimate (a level the solver refuses) fails
     variation = (hi - lo) / lo if lo > 0 else float("inf")

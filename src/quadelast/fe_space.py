@@ -13,7 +13,7 @@ kinds:
   (displacements).
 * ``unmapped`` -- the rotation multiplier: the element's basis at
   (x - x_K)/h_K + 1/2 in physical coordinates, x_K the vertex centroid
-  and h_K the diameter of the cell, all three taken relative to the
+  and h_K the diameter the mesh stores, all three taken relative to the
   cell's first corner, so a translated cell gets the same basis bit for
   bit (:func:`unmapped_basis`).
 
@@ -238,16 +238,14 @@ def scatter(blocks, shape) -> sp.csc_matrix:
 def unmapped_basis(space: FESpace, xhat: np.ndarray, cells) -> np.ndarray:
     """``element.basis`` at (x - x_K)/h_K + 1/2 at the reference points
     ``xhat`` (npts, 2) of the cells ``cells``, x_K the vertex centroid and
-    h_K the diameter.  x - x_K, x_K and h_K are computed from the
-    :func:`mapping.relative_corners`, like DF, so every cell of a
-    translation class gets the same bits, in any batch.
-    (dim, cells, npts)."""
+    h_K ``mesh.diameters``.  x - x_K and x_K come from the
+    :func:`mapping.relative_corners`, like DF and h_K, so every cell of a
+    translation class gets the same bits, in any batch.  (dim, cells, npts)."""
     mesh = space.mesh
     rel = relative_corners(mesh.vertices[mesh.quads[cells]])
     x = np.einsum("qc,ecd->eqd", ref_shape(xhat)[0], rel, optimize=True)
-    h = np.linalg.norm(rel[:, :, None, :] - rel[:, None, :, :],
-                       axis=-1).max(axis=(1, 2))
-    eta = (x - rel.mean(axis=1)[:, None, :]) / h[:, None, None] + 0.5
+    eta = ((x - rel.mean(axis=1)[:, None, :])
+           / mesh.diameters[cells][:, None, None] + 0.5)
     return space.element.basis.eval(eta)[..., 0]
 
 

@@ -22,15 +22,14 @@ temporaries do not grow with the mesh.  A cell's matrix and Gram arrays
 are the same, bit for bit, in any batch; sums over the cells and BLAS
 contractions over a whole chunk agree to round-off.
 
-DF and J depend only on the corners relative to the first corner, and so
-does the rotation basis (``fe_space.unmapped_basis``).  Cells whose
-relative corners are equal bit for bit form one translation class
-(:func:`translation_classes`), and every cell of a class has the same
-cell matrix and Gram arrays up to its dof signs, so assembly and the norm
-Gram tabulate one cell per class.  A structured mesh has a few classes
-(one on squares at the power-of-two study levels, 26 on trapezoids at
-n = 32); a mesh with no repeated shape has one class per cell and runs
-the same code.
+DF, J, the cell diameters and ``fe_space.unmapped_basis`` depend only on
+the :func:`relative_corners`.  Cells whose relative corners are equal bit
+for bit form one translation class (``QuadMesh.translation_classes``), and
+every cell of a class has the same cell matrix and Gram arrays up to its
+dof signs, so assembly and the norm Gram tabulate one cell per class.  A
+structured mesh has a few classes (one on squares at the power-of-two
+study levels, 26 on trapezoids at n = 32); a mesh with no repeated shape
+has one class per cell and runs the same code.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "piola_values",
     "gauss_rule",
     "gauss_rule_1d",
-    "translation_classes",
 ]
 
 
@@ -110,25 +108,9 @@ def geometry_at(corners: np.ndarray, xhat: np.ndarray):
 
 def relative_corners(corners: np.ndarray) -> np.ndarray:
     """Corners (E, 4, 2) relative to each cell's first corner: the input
-    of DF, J and the rotation basis, and what defines a translation
-    class."""
+    of DF, J, the cell diameters and the rotation basis, and what defines
+    a translation class."""
     return corners - corners[:, :1]
-
-
-def translation_classes(mesh):
-    """Each cell's translation class and the first cell of every class.
-
-    Two cells share a class when their :func:`relative_corners` are equal
-    bit for bit; there is no tolerance.  Classes are numbered by their
-    first cell, so the representatives come in increasing order and
-    ``cell_class[representatives]`` counts up from 0.  Returns
-    ``(cell_class (E,), representatives (C,))``.
-    """
-    rel = relative_corners(mesh.vertices[mesh.quads]).reshape(mesh.n_quads, 8)
-    # each row as one 64-byte value, so equal means bit-identical
-    _, first, inverse = np.unique(rel.view(np.dtype((np.void, 64))).ravel(),
-                                  return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse.ravel()], np.sort(first)
 
 
 #: Cells per batch of :func:`cell_batches`.  It bounds the transient

@@ -1,24 +1,24 @@
 """Quadrilateral meshes of the unit square.
 
-Provides the mesh container with oriented edge topology, the two structured
-generators used in the convergence studies (uniform squares and congruent
-trapezoids), shape-regularity metrics, and a plain-text mesh format.
+The mesh container, which owns its edge topology, cell diameters, translation
+classes and nested dissection; the generators of uniform squares and congruent
+trapezoids; the shape-regularity metric; and a plain-text mesh format.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .mapping import geometry_at
+from .mapping import geometry_at, relative_corners
 from .reference_elements import EDGE_STARTS
 
 __all__ = [
     "QuadMesh",
     "MeshQuality",
-    "dissection_leaves",
     "generate_square_mesh",
     "generate_trapezoidal_mesh",
     "mesh_quality",
@@ -102,7 +102,7 @@ class QuadMesh:
         later[first_slot] = False
         edge_slots[edge[later], 1] = np.flatnonzero(later)
 
-        p = vertices[quads]
+        p = relative_corners(vertices[quads])
         diameters = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :],
                                    axis=-1).max(axis=(1, 2))
 
@@ -133,6 +133,51 @@ class QuadMesh:
     def element_corners(self) -> np.ndarray:
         """Corner coordinates per element, shape (nq, 4, 2)."""
         return self.vertices[self.quads]
+
+    @cached_property
+    def translation_classes(self) -> tuple:
+        """Read-only ``(cell_class (E,), representatives (C,))``: cells
+        whose :func:`mapping.relative_corners` are equal bit for bit share
+        a class, and classes are numbered by their first cell, the
+        representative, so ``cell_class[representatives]`` counts up."""
+        rel = relative_corners(self.element_corners()).reshape(-1, 8)
+        # each row as one 64-byte value, so equal means bit-identical
+        _, first, inverse = np.unique(rel.view("V64").ravel(),
+                                      return_index=True, return_inverse=True)
+        classes = np.argsort(np.argsort(first))[inverse], np.sort(first)
+        for a in classes:
+            a.setflags(write=False)
+        return classes
+
+    @cached_property
+    def dissection_leaves(self) -> np.ndarray:
+        """Each cell's leaf in a geometric nested dissection (George, 1973;
+        Lipton, Rose & Tarjan, 1979), read-only.  The cells are bisected at
+        the median of their centroids, level by level: every region is
+        sorted along the longer extent of its centroids and its lower half
+        goes left, until each region holds one cell.  A leaf id is the
+        cell's path from the root, one bit per level (0 left), most
+        significant first: the ids are unique, and two cells part where
+        their ids first differ."""
+        centroid = self.element_corners().mean(axis=1)
+        E = len(centroid)
+        leaf = np.zeros(E, dtype=np.int64)
+        for level in range(max(E - 1, 0).bit_length()):
+            regions = 1 << level
+            lo = np.full((2, regions), np.inf)
+            hi = -lo
+            # one axis at a time: ufunc.at is several times slower on rows
+            for x, low, high in zip(centroid.T, lo, hi):
+                np.minimum.at(low, leaf, x)
+                np.maximum.at(high, leaf, x)
+            axis = np.argmax(hi - lo, axis=0)[leaf]
+            order = np.lexsort((centroid[np.arange(E), axis], leaf))
+            size = np.bincount(leaf, minlength=regions)
+            rank = np.empty(E, dtype=np.int64)
+            rank[order] = np.arange(E) - (np.cumsum(size) - size)[leaf[order]]
+            leaf = 2 * leaf + (rank >= (size[leaf] + 1) // 2)
+        leaf.setflags(write=False)
+        return leaf
 
 
 @dataclass(frozen=True)
@@ -165,38 +210,6 @@ def mesh_quality(mesh: QuadMesh) -> MeshQuality:
                              tri[..., 2, :]).min(axis=1)
     return MeshQuality(h_max=mesh.h,
                        shape_regularity=float((mesh.diameters / rho).max()))
-
-
-def dissection_leaves(mesh: QuadMesh) -> np.ndarray:
-    """Each cell's leaf in a geometric nested dissection of the mesh
-    (George, 1973; Lipton, Rose & Tarjan, 1979).
-
-    The cells are bisected at the median of their centroids, level by
-    level: every region is sorted along the longer extent of its
-    centroids and its lower half goes left.  After ceil(log2 E) levels
-    every region holds one cell.  A cell's leaf id is its path from the
-    root, one bit per level (0 left), most significant first; so the ids
-    are unique, and two cells part at the node where their ids first
-    differ.
-    """
-    centroid = mesh.element_corners().mean(axis=1)
-    E = len(centroid)
-    leaf = np.zeros(E, dtype=np.int64)
-    for level in range(max(E - 1, 0).bit_length()):
-        regions = 1 << level
-        lo = np.full((2, regions), np.inf)
-        hi = -lo
-        # one axis at a time: ufunc.at is several times slower on rows
-        for x, low, high in zip(centroid.T, lo, hi):
-            np.minimum.at(low, leaf, x)
-            np.maximum.at(high, leaf, x)
-        axis = np.argmax(hi - lo, axis=0)[leaf]
-        order = np.lexsort((centroid[np.arange(E), axis], leaf))
-        size = np.bincount(leaf, minlength=regions)
-        rank = np.empty(E, dtype=np.int64)
-        rank[order] = np.arange(E) - (np.cumsum(size) - size)[leaf[order]]
-        leaf = 2 * leaf + (rank >= (size[leaf] + 1) // 2)
-    return leaf
 
 
 def _grid_quads(n: int) -> np.ndarray:

@@ -20,8 +20,8 @@ slots, and S is factored by symmetric-mode SuperLU with no pivoting; a
 positive pivot everywhere is the SPD and singularity check.  SuperLU keeps
 S's own order (``NATURAL``): the multipliers are numbered in a nested
 dissection taken from the mesh (George, 1973).  The cells are bisected
-recursively at the median of their centroids
-(:func:`mesh.dissection_leaves`), each multiplier belongs to the
+recursively at the median of their centroids (the mesh's own
+``QuadMesh.dissection_leaves``), each multiplier belongs to the
 bisection that separates its two cells, and the separators are numbered
 in postorder, after the two halves they separate.  On trapezoid meshes
 at n = 16-128 this leaves 6-11% less fill than SuperLU's minimum-degree

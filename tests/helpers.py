@@ -12,13 +12,18 @@ matrix summed from its cell arrays, the trace system summed by
 BLAS, the four independent closures of the
 trigonometric benchmark solution, evaluation on every cell of a mesh, the
 plain-``einsum`` forms of the batched geometry, Piola, interpolation and
-Gram contractions, and the four hand-written CSV and markdown table
-formatters that the CLI's one table writer replaced."""
+Gram contractions, the four hand-written CSV and markdown table
+formatters that the CLI's one table writer replaced, and a context that
+runs an oracle on one BLAS thread."""
 
+import contextlib
+import ctypes
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -471,3 +476,51 @@ def format_locking_md(rows) -> str:
         lines.append(f"| {r.nu:g} | {r.n} | {r.total_dofs} "
                      f"| {r.e_sigma:.2e} | {r.e_u:.2e} |")
     return "\n".join(lines) + "\n"
+
+
+#: (set, get) thread-count symbols of an OpenBLAS copy: numpy's bundled
+#: 64-bit-integer build, scipy's bundled build, a plain build.
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}set_num_threads{suffix}", f"{prefix}get_num_threads{suffix}")
+    for prefix, suffix in (("scipy_openblas_", "64_"),
+                           ("scipy_openblas_", ""), ("openblas_", "")))
+
+
+def openblas_thread_controls() -> list:
+    """``(set, get)`` thread-count functions of the OpenBLAS copies that
+    numpy and scipy bundle (``numpy.libs``, ``scipy.libs``), found through
+    ctypes by their exported symbols.  A copy without both symbols, or a
+    build that bundles none, gives no entry."""
+    controls = []
+    for module in (np, scipy):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for names in OPENBLAS_THREAD_SYMBOLS:
+                if all(hasattr(handle, name) for name in names):
+                    set_threads, get_threads = map(handle.__getattr__, names)
+                    set_threads.argtypes = [ctypes.c_int]
+                    set_threads.restype = None
+                    get_threads.argtypes = []
+                    get_threads.restype = ctypes.c_int
+                    controls.append((set_threads, get_threads))
+                    break
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's bundled OpenBLAS on one
+    thread each, and restore their thread counts after it.  For an
+    oracle's own dense computations only: OpenBLAS stalls on two threads
+    on some hosts, and the code under test keeps the default threads.
+    Where no copy is found it does nothing."""
+    controls = openblas_thread_controls()
+    counts = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, counts):
+            set_threads(count)

@@ -45,6 +45,7 @@ from quadelast.reference_elements import (
 
 from helpers import (einsum_gram, flip_edge_sign, gram_matrix,
                      linear_solution, negated_cell_compliance, on_all_cells,
+                     one_blas_thread, openblas_thread_controls,
                      paired_displacement, polyder_gradients,
                      record_quadrature_orders, without_asymmetry)
 from test_assembly import random_quad_mesh
@@ -416,16 +417,26 @@ def test_asymmetry_decreases_under_refinement():
 # the batched dof weights and the adjugate pullback.
 
 def dense_infsup(system, gram):
-    """Smallest |eigenvalue| of N^(-1/2) K N^(-1/2), dense."""
+    """Smallest |eigenvalue| of N^(-1/2) K N^(-1/2), dense, on one BLAS
+    thread."""
     K = system.full_matrix().toarray()
     N = gram_matrix(system, gram).toarray()
-    w, U = la.eigh(N)
-    if w.min() <= 0.0:
-        raise ValueError("Gram matrix is not positive definite")
-    nmh = (U / np.sqrt(w)) @ U.T
-    S = nmh @ K @ nmh
-    S = 0.5 * (S + S.T)
-    return float(np.min(np.abs(la.eigvalsh(S))))
+    with one_blas_thread():
+        w, U = la.eigh(N)
+        if w.min() <= 0.0:
+            raise ValueError("Gram matrix is not positive definite")
+        nmh = (U / np.sqrt(w)) @ U.T
+        S = nmh @ K @ nmh
+        S = 0.5 * (S + S.T)
+        return float(np.min(np.abs(la.eigvalsh(S))))
+
+
+def test_one_blas_thread_restores_the_thread_counts():
+    controls = openblas_thread_controls()
+    before = [get() for _, get in controls]
+    with one_blas_thread():
+        assert [get() for _, get in controls] == [1] * len(controls)
+    assert [get() for _, get in controls] == before
 
 
 def apply_dofs(elem, field, order):

@@ -5,6 +5,7 @@ last bit, a mesh with one class per cell solves like any other, and the
 assembled system and the solve's peak no longer hold E dense cell
 matrices."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 
 from quadelast.assembly import assemble, ynorm_gram
 from quadelast.fe_space import build_elasticity_spaces
-from quadelast.mapping import translation_classes
 from quadelast.mesh import (QuadMesh, generate_square_mesh,
                             generate_trapezoidal_mesh)
 from quadelast.problem import LameParams, trig_solution
@@ -32,7 +32,7 @@ MESHES = {"square": lambda: generate_square_mesh(8),
 def test_one_class_on_squares(n):
     # at the study levels, powers of two, every grid spacing is the same
     # double; linspace's 1/3 and 2/3 - 1/3 are not
-    cell_class, representatives = translation_classes(generate_square_mesh(n))
+    cell_class, representatives = generate_square_mesh(n).translation_classes
     assert np.array_equal(cell_class, np.zeros(n * n, dtype=int))
     assert np.array_equal(representatives, [0])
 
@@ -40,8 +40,8 @@ def test_one_class_on_squares(n):
 @pytest.mark.parametrize("n,count", [(2, 4), (4, 8), (8, 14), (16, 20),
                                      (32, 26)])
 def test_class_count_on_trapezoids(n, count):
-    cell_class, representatives = translation_classes(
-        generate_trapezoidal_mesh(n))
+    mesh = generate_trapezoidal_mesh(n)
+    cell_class, representatives = mesh.translation_classes
     assert len(representatives) == count
     # numbered by first cell: the representatives count up from class 0
     assert np.array_equal(cell_class[representatives], np.arange(count))
@@ -50,7 +50,7 @@ def test_class_count_on_trapezoids(n, count):
 
 def test_one_class_per_cell_on_a_jittered_mesh():
     mesh = jittered_square_mesh(8)
-    cell_class, representatives = translation_classes(mesh)
+    cell_class, representatives = mesh.translation_classes
     assert np.array_equal(cell_class, np.arange(mesh.n_quads))
     assert np.array_equal(representatives, np.arange(mesh.n_quads))
 
@@ -62,11 +62,21 @@ def test_classes_need_bitwise_equal_corners():
     v = mesh.vertices.copy()
     vertex = mesh.quads[5, 2]
     v[vertex, 0] = np.nextafter(v[vertex, 0], 2.0)
-    cell_class, representatives = translation_classes(QuadMesh(v, mesh.quads))
+    cell_class, representatives = QuadMesh(v, mesh.quads).translation_classes
     touching = np.any(mesh.quads == vertex, axis=1)
     assert touching.sum() == 4 and len(representatives) == 5
     assert len(np.unique(cell_class[touching])) == 4
     assert len(np.unique(cell_class[~touching])) == 1
+
+
+def test_classes_and_leaves_are_cached_and_read_only():
+    mesh = generate_trapezoidal_mesh(8)
+    assert mesh.translation_classes is mesh.translation_classes
+    assert mesh.dissection_leaves is mesh.dissection_leaves
+    for array in (*mesh.translation_classes, mesh.dissection_leaves):
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.translation_classes = None
 
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
@@ -79,7 +89,7 @@ def test_expanded_cell_matrices_match_percell_oracle(family, mesh_name):
     np.testing.assert_array_equal(system.cell_matrices, cell_matrices)
     np.testing.assert_array_equal(system.rhs, rhs)
     assert len(system.class_matrices) == len(
-        translation_classes(spaces[0].mesh)[1])
+        spaces[0].mesh.translation_classes[1])
     # the Gram, expanded from its classes, is the whole-mesh oracle's
     for got, want in zip(ynorm_gram(*spaces), einsum_gram(*spaces)):
         np.testing.assert_array_equal(got, want)

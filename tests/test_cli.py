@@ -13,7 +13,7 @@ from quadelast.cli import (
     run_locking,
 )
 from quadelast.fe_space import FEFunction
-from quadelast.mesh import generate_trapezoidal_mesh, read_mesh
+from quadelast.mesh import QuadMesh, generate_trapezoidal_mesh, read_mesh
 from quadelast.solver import SolverError
 
 from helpers import (flip_edge_sign, format_convergence_csv,
@@ -517,6 +517,65 @@ def test_run_locking_rows():
                                  levels=(2,), poisson=(0.3, 0.49)))
     assert [r.nu for r in rows] == [0.3, 0.49]
     assert all(r.total_dofs == 60 for r in rows)
+
+
+def record_mesh_work(monkeypatch):
+    """The meshes ``cli.build_mesh`` returns, and the ``(name, mesh)`` of
+    every computation of a mesh's translation classes or dissection."""
+    built, computed = [], []
+    real_build = cli.build_mesh
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_mesh", build)
+    for name in ("translation_classes", "dissection_leaves"):
+        prop = vars(QuadMesh)[name]
+
+        def counted(mesh, name=name, compute=prop.func):
+            computed.append((name, mesh))
+            return compute(mesh)
+        monkeypatch.setattr(prop, "func", counted)
+    return built, computed
+
+
+def test_locking_builds_each_level_once(monkeypatch):
+    # one mesh and one set of spaces per level for the whole nu sweep, and
+    # each mesh's classes and dissection computed once for its two
+    # assemblies
+    built, computed = record_mesh_work(monkeypatch)
+    rows = run_locking(RunConfig(element="bdm1", mesh_family="trapezoid",
+                                 levels=(2, 4, 8), poisson=(0.3, 0.49)))
+    assert len(rows) == 6 and len(built) == 3 and len(computed) == 6
+    assert {(name, id(mesh)) for name, mesh in computed} == {
+        (name, id(mesh)) for mesh in built
+        for name in ("translation_classes", "dissection_leaves")}
+
+
+def test_mesh_command_and_read_mesh_compute_no_classes(monkeypatch,
+                                                       tmp_path):
+    built, computed = record_mesh_work(monkeypatch)
+    path = str(tmp_path / "mesh.txt")
+    cli.run_mesh(RunConfig(mesh_family="trapezoid", levels=(8,), out=path))
+    read_mesh(path)
+    assert len(built) == 1 and computed == []
+
+
+@pytest.mark.parametrize("command", ["convergence", "locking", "diagnostics"])
+def test_out_of_memory_building_a_level_names_it(capsys, monkeypatch,
+                                                 command):
+    real_build = cli.build_elasticity_spaces
+
+    def exhausted(mesh, element):
+        if mesh.n_quads > 4:
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+        return real_build(mesh, element)
+
+    monkeypatch.setattr(cli, "build_elasticity_spaces", exhausted)
+    code, out, err = run_cli(capsys, command, "--levels", "2,4")
+    assert code == 1 and out == ""
+    assert err.startswith("solver failure: ") and "Traceback" not in err
+    assert err.endswith("level n=4: out of memory\n")
 
 
 def test_runconfig_defaults_validate():

@@ -9,8 +9,7 @@ import scipy.sparse.linalg as spla
 import quadelast.solver
 from quadelast.assembly import assemble
 from quadelast.fe_space import build_elasticity_spaces
-from quadelast.mesh import (dissection_leaves, generate_square_mesh,
-                            generate_trapezoidal_mesh)
+from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.problem import LameParams
 from quadelast.solver import HybridFactor, spd_factor
 
@@ -30,7 +29,7 @@ def levels(E: int) -> int:
 @pytest.mark.parametrize("kind", sorted(MESHES))
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 16])
 def test_leaf_ids_are_unique_paths(kind, n):
-    leaf = dissection_leaves(MESHES[kind](n))
+    leaf = MESHES[kind](n).dissection_leaves
     assert len(np.unique(leaf)) == n * n
     assert leaf.min() >= 0 and leaf.max() < 2 ** levels(n * n)
 
@@ -40,7 +39,7 @@ def test_leaf_ids_are_unique_paths(kind, n):
 def test_first_split_is_at_the_median(kind, n):
     mesh = MESHES[kind](n)
     centroid = mesh.element_corners().mean(axis=1)
-    right = dissection_leaves(mesh) >> (levels(n * n) - 1) == 1
+    right = mesh.dissection_leaves >> (levels(n * n) - 1) == 1
     assert np.count_nonzero(~right) == (n * n + 1) // 2
     # the split runs along the longer extent of the centroids
     axis = np.argmax(np.ptp(centroid, axis=0))
@@ -52,7 +51,7 @@ def test_regions_are_split_along_their_longer_extent():
     # a 4 x 1 strip of 8 x 8 cells: the first two cuts are vertical
     mesh = generate_square_mesh(8)
     strip = type(mesh)(mesh.vertices * [1.0, 0.25], mesh.quads)
-    top = dissection_leaves(strip) >> (levels(64) - 2)
+    top = strip.dissection_leaves >> (levels(64) - 2)
     x = strip.element_corners().mean(axis=1)[:, 0]
     for quarter in range(3):
         assert x[top == quarter].max() < x[top == quarter + 1].min()
