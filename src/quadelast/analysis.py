@@ -10,22 +10,16 @@ of a computed stress.  Fields are evaluated one batch of
 temporaries do not grow with the mesh.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import default_quad
-from .fe_space import (
-    FEFunction,
-    FESpace,
-    evaluate_batch,
-    evaluate_div_batch,
-    scatter,
-)
+from .fe_space import FEFunction, FESpace, evaluate_batch, evaluate_div_batch
 from .mapping import cell_chunks, gauss_rule, gauss_rule_1d, piola_values
 from .problem import ManufacturedSolution
-from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
+from .reference_elements import EDGE_NORMALS, edge_points
 from .solver import HybridFactor, SolverError, cell_apply
 
 #: Quadrature order of :func:`compute_errors` alone (the policy is in
@@ -135,33 +129,29 @@ def infsup_estimate(system, gram) -> float:
     """Smallest singular value of the system in the solution norm.
 
     The discrete inf-sup constant is the smallest |lambda| of K x =
-    lambda N x, K the saddle-point operator and N the Gram matrix summed
-    from the arrays of :func:`assembly.ynorm_gram` (the numerical
-    inf-sup test of Chapelle & Bathe, 1993).  Shift-invert Lanczos about
-    zero finds it; ARPACK applies only N and K^-1, by the solver's hybrid
-    factor, so the K operator only gives the shape.  A system the factor
-    refuses, as ``solve`` does, gives 0.  Raises ValueError unless N is SPD.
+    lambda N x, K the saddle-point operator and N the five diagonal
+    blocks of the Gram system: :func:`assembly.ynorm_gram`'s ``gram`` on
+    K's classes, signs and dofs (the numerical inf-sup test of Chapelle &
+    Bathe, 1993).  Shift-invert Lanczos about zero finds it; ARPACK
+    applies only N and K^-1, by the solver's hybrid factor, so the K
+    operator only gives the shape.  A system the factor refuses, as
+    ``solve`` does, gives 0.  Raises ValueError unless ``gram`` has the
+    class matrices' shape and N is SPD.
     """
     if system.n > INFSUP_CAP:
-        raise ValueError(
-            f"inf-sup estimate is capped at {INFSUP_CAP} unknowns; "
-            f"system has {system.n}"
-        )
-    D = system.cell_dofs
-    G, Mv, Mq = gram
-    pairs = list(zip((G, G, Mv, Mv, Mq), system.local_blocks))
-    if any(a.shape != (len(D),) + 2 * (b.stop - b.start,) for a, b in pairs):
-        raise ValueError(f"Gram array shapes {[a.shape for a in gram]} do "
-                         f"not fit the local slices {system.local_blocks}")
-    # N sums each cell's five diagonal blocks over their dofs; it is
-    # positive definite if every block is and its diagonal has no zero
-    N = scatter([(block, D[:, b], D[:, b]) for block, b in pairs],
-                (system.n, system.n))
+        raise ValueError(f"inf-sup estimate is capped at {INFSUP_CAP} "
+                         f"unknowns; system has {system.n}")
+    if np.shape(gram) != system.class_matrices.shape:
+        raise ValueError(f"Gram shape {np.shape(gram)} is not the class "
+                         f"matrices' {system.class_matrices.shape}")
+    blocks = system.local_blocks
+    N = replace(system, class_matrices=gram).block_sum(
+        zip(blocks, blocks), 0, (system.n, system.n))
+    # N is positive definite if every class matrix is and its diagonal has
+    # no zero; cholesky returns NaN for a NaN entry instead of raising
     try:
-        for block in (G, Mv, Mq):
-            np.linalg.cholesky(block)
-        # cholesky returns NaN for a NaN entry instead of raising
-        if not (np.all(np.isfinite(N.data)) and np.all(N.diagonal() > 0.0)):
+        np.linalg.cholesky(gram)
+        if not (np.all(np.isfinite(gram)) and np.all(N.diagonal() > 0.0)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite") from None
@@ -352,9 +342,7 @@ def normal_jump_norm(sigma: FEFunction) -> float:
     t, w = gauss_rule_1d(default_quad(sigma.space.element))
     # reference points of the four local edges, traversed lo -> hi for
     # orientation +1 and hi -> lo for -1: shape (4, 2, len(t), 2), flattened
-    tloc = np.stack([t, 1.0 - t])
-    xhat = (EDGE_STARTS[:, None, None, :] + tloc[None, :, :, None]
-            * EDGE_DIRS[:, None, None, :]).reshape(-1, 2)
+    xhat = edge_points(np.stack([t, 1.0 - t])).reshape(-1, 2)
     vals = np.empty((mesh.n_quads, len(xhat), 2, 2))
     # every edge needs both of its cells: gather all values, chunk by chunk
     for chunk in cell_chunks(mesh, xhat):

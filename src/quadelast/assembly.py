@@ -31,12 +31,13 @@ Only M retains the rational 1/J factor on non-parallelogram elements.
 The right-hand side carries (f, v) in the displacement block and, for
 inhomogeneous Dirichlet data g, the consistent boundary term
 ``int_e g . (t n) ds`` in the stress block.  :func:`ynorm_gram` builds
-the solution norm's Gram matrix from the same tables, once per class, and
-expands it to three diagonal blocks per cell.  Both tabulate the class
-representatives one batch of :func:`mapping.cell_chunks` at a time; the
-load (f, v) needs each cell's physical points and takes one more pass
-over all cells, so beyond the stored arrays the memory does not grow
-with the mesh.
+the solution norm's Gram matrix from the same tables, in the layout of
+the class matrices.  Both tabulate the class representatives one batch
+of :func:`mapping.cell_chunks` at a time; the load (f, v) needs each
+cell's physical points and takes one more pass over all cells, so beyond
+the stored arrays the memory does not grow with the mesh.
+:meth:`BlockSystem.block_sum` sums slices of the class matrices into the
+global blocks M, Bd, Ba and the inf-sup Gram.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_basis
-from .mapping import (cell_chunks, gauss_rule, gauss_rule_1d, piola_values,
-                      ref_shape)
+from .mapping import (cell_batches, cell_chunks, gauss_rule, gauss_rule_1d,
+                      piola_values, ref_shape)
 from .problem import LameParams, compliance_matrix
-from .reference_elements import EDGE_DIRS, EDGE_NORMALS, EDGE_STARTS
+from .reference_elements import EDGE_NORMALS, edge_points
 
 __all__ = ["BlockSystem", "assemble", "boundary_term", "default_quad",
            "ynorm_gram"]
@@ -85,12 +86,14 @@ class BlockSystem:
     ones.  Its local unknowns are ordered stress row 0, stress row 1,
     displacement components 0 and 1, rotation; ``cell_dofs[e]`` lists
     their global dofs.  The global matrix is the sum of the cell matrices
-    over ``cell_dofs``; :attr:`cell_matrices` and the blocks M, Bd and Ba
-    are derived from the class matrices.  A system with one class per cell
-    (``cell_class = arange(E)``, ``cell_signs = 1``) stores its cell
-    matrices as they are.  ``cell_leaf`` places the cells in a nested
-    dissection, which orders the solver's multipliers; ``arange(E)`` is the
-    dissection of the index line.
+    over ``cell_dofs``; :meth:`block_sum` sums its blocks from the class
+    matrices, and :attr:`cell_matrices` is formed only on access.  A
+    system with one class per cell (``cell_class = arange(E)``,
+    ``cell_signs = 1``) stores its cell matrices as they are.  With
+    :func:`ynorm_gram`'s array as ``class_matrices`` a system is the Gram
+    system, on the same classes, signs and dofs.  ``cell_leaf`` places
+    the cells in a nested dissection, which orders the solver's
+    multipliers; ``arange(E)`` is the dissection of the index line.
     """
 
     n_sigma: int
@@ -106,7 +109,7 @@ class BlockSystem:
     @property
     def cell_matrices(self) -> np.ndarray:
         """Every cell's matrix S_e A_c S_e, (E, k, k), formed anew on each
-        access; the solver never forms it."""
+        access; the package never forms it."""
         s = self.cell_signs
         return (self.class_matrices[self.cell_class]
                 * (s[:, :, None] * s[:, None, :]))
@@ -118,34 +121,42 @@ class BlockSystem:
     @cached_property
     def local_blocks(self) -> tuple:
         """Local slices of stress row 0, stress row 1, displacement 0,
-        displacement 1 and rotation."""
-        return _local_slices(self.cell_dofs, self.n_sigma, self.n_v)
+        displacement 1 and rotation, read off the global dof ranges."""
+        s, sv, k = (int(np.sum(self.cell_dofs[:1] < n))
+                    for n in (self.n_sigma, self.n_sigma + self.n_v, self.n))
+        return _local_slices(s // 2, (sv - s) // 2, k - sv)
 
-    def _scatter(self, pairs, row_offset, shape):
-        A, D = self.cell_matrices, self.cell_dofs
-        return scatter([(A[:, i, j], D[:, i] - row_offset, D[:, j])
-                        for i, j in pairs], shape)
+    def block_sum(self, pairs, row_offset, shape) -> sp.csc_matrix:
+        """The global block of the local slice pairs ``(i, j)`` in
+        ``pairs``: every cell's A_c[i, j] s_i s_j, gathered from the class
+        matrices, summed at its dofs (rows less ``row_offset``) into a CSC
+        matrix of ``shape`` by :func:`fe_space.scatter`."""
+        A, c = self.class_matrices, self.cell_class
+        s, D = self.cell_signs, self.cell_dofs
+        return scatter([(A[:, i, j][c] * (s[:, i, None] * s[:, None, j]),
+                         D[:, i] - row_offset, D[:, j]) for i, j in pairs],
+                       shape)
 
     @cached_property
     def M(self) -> sp.csc_matrix:
         """Compliance block (A s, t)."""
         s = slice(0, self.local_blocks[1].stop)
-        return self._scatter([(s, s)], 0, (self.n_sigma, self.n_sigma))
+        return self.block_sum([(s, s)], 0, (self.n_sigma, self.n_sigma))
 
     @cached_property
     def Bd(self) -> sp.csc_matrix:
         """Divergence block (div s, v): displacement row rho against stress
         row rho."""
         s0, s1, v0, v1, _ = self.local_blocks
-        return self._scatter([(v0, s0), (v1, s1)], self.n_sigma,
-                             (self.n_v, self.n_sigma))
+        return self.block_sum([(v0, s0), (v1, s1)], self.n_sigma,
+                              (self.n_v, self.n_sigma))
 
     @cached_property
     def Ba(self) -> sp.csc_matrix:
         """Asymmetry block (as s, q)."""
         s0, s1, _, _, q = self.local_blocks
-        return self._scatter([(q, s0), (q, s1)], self.n_sigma + self.n_v,
-                             (self.n_q, self.n_sigma))
+        return self.block_sum([(q, s0), (q, s1)], self.n_sigma + self.n_v,
+                              (self.n_q, self.n_sigma))
 
     def full_matrix(self) -> sp.csc_matrix:
         """The symmetric indefinite matrix [[M, Bd^T, Ba^T], [Bd,], [Ba,]]."""
@@ -158,33 +169,35 @@ class BlockSystem:
         return x[:a], x[a:b], x[b:]
 
 
-def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace, cells):
+def _tabulate(stress: FESpace, disp: FESpace, rot: FESpace):
     """The tables of the Gauss rule of order :func:`default_quad`: the
     rule, the reference divergences (dimS, q) and the displacement basis
     (dimV, q), which every cell shares, and per chunk of
-    :func:`mapping.cell_chunks` over the cells ``cells`` the chunk's
-    cells, w J, w / J, the unscaled Piola values DF phi (n, dimS, q, 2)
-    and the rotation basis (dimQ, n, q)."""
+    :func:`mapping.cell_chunks` over the class representatives the
+    chunk's classes (a slice: they count up), w J, w / J, the unscaled
+    Piola values DF phi (n, dimS, q, 2) and the rotation basis (dimQ, n, q)."""
     rule = gauss_rule(default_quad(stress.element))
     w = rule.weights
     basis = stress.element.basis
     phi = basis.eval(rule.points)
+    representatives = stress.mesh.translation_classes[1]
 
     def chunks():
-        for batch, _, DF, J in cell_chunks(stress.mesh, rule.points, cells):
-            yield (batch, w[None, :] * J, w[None, :] / J,
+        for classes, (cells, _, DF, J) in zip(
+                cell_batches(len(representatives)),
+                cell_chunks(stress.mesh, rule.points, representatives)):
+            yield (classes, w[None, :] * J, w[None, :] / J,
                    piola_values(DF[:, None], phi),
-                   unmapped_basis(rot, rule.points, batch))
+                   unmapped_basis(rot, rule.points, cells))
 
     return (rule, basis.div(rule.points),
             disp.element.basis.eval(rule.points)[..., 0], chunks())
 
 
-def _local_slices(cell_dofs: np.ndarray, n_sigma: int, n_v: int) -> tuple:
+def _local_slices(dimS: int, dimV: int, dimQ: int) -> tuple:
     """Local slices of stress row 0, stress row 1, displacement 0,
-    displacement 1 and rotation, read off the global dof ranges."""
-    s, sv = (int(np.sum(cell_dofs[:1] < n)) for n in (n_sigma, n_sigma + n_v))
-    cuts = (0, s // 2, s, (s + sv) // 2, sv, cell_dofs.shape[1])
+    displacement 1 and rotation, for the spaces' local dimensions."""
+    cuts = np.cumsum([0, dimS, dimS, dimV, dimV, dimQ]).tolist()
     return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
 
@@ -201,8 +214,7 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     mesh = stress.mesh
     if not (disp.mesh is mesh and rot.mesh is mesh):
         raise ValueError("spaces must be built on the same mesh object")
-    cell_class, representatives = mesh.translation_classes
-    rule, dPhi, Psi, chunks = _tabulate(stress, disp, rot, representatives)
+    rule, dPhi, Psi, chunks = _tabulate(stress, disp, rot)
     w = rule.weights
     dimS = dPhi.shape[0]
     C = compliance_matrix(params).reshape(2, 2, 2, 2)
@@ -215,17 +227,16 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     cell_dofs = np.concatenate(
         [*stress.dofs, *(stress.n_dofs + disp.dofs),
          stress.n_dofs + disp.n_dofs + rot.dofs[0]], axis=1)
-    s0, s1, v0, v1, q = _local_slices(cell_dofs, stress.n_dofs, disp.n_dofs)
+    s0, s1, v0, v1, q = _local_slices(dimS, disp.local_dim, rot.local_dim)
     s, b = slice(0, s1.stop), slice(s1.stop, None)
     cell_signs = np.ones(cell_dofs.shape)
     cell_signs[:, s] = np.tile(stress.row_signs, 2)
-    k = cell_dofs.shape[1]
-    class_matrices = np.zeros((len(representatives), k, k))
+    cell_class, representatives = mesh.translation_classes
+    class_matrices = np.zeros((len(representatives), q.stop, q.stop))
 
-    for cells, _, w_over_J, UPV, Q in chunks:
-        nc = len(cells)
-        # a view: the representatives' classes are consecutive
-        A = class_matrices[cell_class[cells[0]]:][:nc]
+    for classes, _, w_over_J, UPV, Q in chunks:
+        nc = len(UPV)
+        A = class_matrices[classes]
 
         # ---- M block: (A s, t).  With s = e_x (x) v_i and t = e_y (x) v_j
         # the integrand is C[xa, yb] v_i,a v_j,b for the compliance matrix C
@@ -275,30 +286,26 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
     )
 
 
-def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> tuple:
-    """Gram matrix of the H(div) x L2 x L2 solution norm, signs included,
-    as ``(G, Mv, Mq)``: per cell (tau, tau) + (div tau, div tau) for both
-    stress rows (E, dimS, dimS), the mass of both displacement components
-    (E, dimV, dimV) and the rotation mass (E, dimQ, dimQ).  The global
-    matrix sums them over ``BlockSystem.local_blocks``, like K.
-
-    The three arrays are computed once per translation class and
-    expanded to every cell: G signed by the cell's stress row signs, the
-    masses as they are.
-    """
-    cell_class, representatives = stress.mesh.translation_classes
-    _, dPhi, psi, chunks = _tabulate(stress, disp, rot, representatives)
-    G, Mv, Mq = (np.empty((len(representatives), k, k))
-                 for k in (stress.local_dim, disp.local_dim, rot.local_dim))
-    for cells, wJ, woJ, UPV, Q in chunks:
-        c = slice(cell_class[cells[0]], cell_class[cells[0]] + len(cells))
-        G[c] = (np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
-                + np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi))
-        Mv[c] = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
-        Mq[c] = np.einsum("eq,ieq,jeq->eij", wJ, Q, Q)
-    sgn = stress.row_signs
-    return (G[cell_class] * (sgn[:, :, None] * sgn[:, None, :]),
-            Mv[cell_class], Mq[cell_class])
+def ynorm_gram(stress: FESpace, disp: FESpace, rot: FESpace) -> np.ndarray:
+    """Gram matrix of the H(div) x L2 x L2 solution norm, one unsigned
+    matrix per translation class (C, k, k) in the local order of
+    ``BlockSystem.class_matrices``: (tau, tau) + (div tau, div tau) on
+    both stress rows, the mass on both displacement components, the
+    rotation mass and zero elsewhere.  ``dataclasses.replace(system,
+    class_matrices=gram)`` is the Gram system on K's classes, signs and
+    dofs; its five diagonal blocks sum to the global Gram matrix."""
+    _, dPhi, psi, chunks = _tabulate(stress, disp, rot)
+    blocks = _local_slices(stress.local_dim, disp.local_dim, rot.local_dim)
+    k = blocks[-1].stop
+    gram = np.zeros((len(stress.mesh.translation_classes[1]), k, k))
+    for classes, wJ, woJ, UPV, Q in chunks:
+        G = (np.einsum("eq,eaqc,ebqc->eab", woJ, UPV, UPV)
+             + np.einsum("eq,aq,bq->eab", woJ, dPhi, dPhi))
+        Mv = np.einsum("eq,iq,jq->eij", wJ, psi, psi)
+        Mq = np.einsum("eq,ieq,jeq->eij", wJ, Q, Q)
+        for b, block in zip(blocks, (G, G, Mv, Mv, Mq)):
+            gram[classes, b, b] = block
+    return gram
 
 
 def boundary_term(stress: FESpace, g) -> np.ndarray:
@@ -311,7 +318,7 @@ def boundary_term(stress: FESpace, g) -> np.ndarray:
     """
     mesh = stress.mesh
     t, w = gauss_rule_1d(default_quad(stress.element))
-    edge_pts = EDGE_STARTS[:, None, :] + t[:, None] * EDGE_DIRS[:, None, :]
+    edge_pts = edge_points(t)
     phi = stress.element.basis.eval(edge_pts)  # (dim, 4, npts, 2)
 
     quad, local = np.divmod(mesh.edge_slots[mesh.boundary_edges(), 0], 4)

@@ -26,8 +26,8 @@ Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
 ``FESpace.dofs`` tabulates for every element.  :func:`scatter` is the one
 sum of per-element blocks into a sparse matrix: the solver's trace system
-S, the blocks M, Bd, Ba and the inf-sup Gram; vectors are summed by
-``np.bincount``.
+S, and ``BlockSystem.block_sum``'s M, Bd, Ba and inf-sup Gram; vectors
+are summed by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ def grid_unknowns(family: str, n: int) -> int:
 
 
 def scatter(blocks, shape) -> sp.csc_matrix:
-    """Sum per-element dense blocks into one sparse matrix, in CSC.
+    """Sum per-element dense blocks into one sparse matrix, in CSC: the
+    solver's trace system and every ``BlockSystem.block_sum``.
 
     ``blocks`` holds ``(values, rows, cols)`` triples: ``values[e, i, j]``
     is added at global ``(rows[e, i], cols[e, j])``.  An entry whose row

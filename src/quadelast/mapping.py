@@ -18,14 +18,14 @@ of :func:`geometry_at` besides mesh validation, yields the geometry of
 ``CELL_CHUNK`` cells at a time, of the whole mesh or of a given set of
 cells; assembly, the norm Gram, error evaluation and every diagnostic
 tabulate one chunk, write its cells' results and move on, so their
-temporaries do not grow with the mesh.  A cell's matrix and Gram arrays
+temporaries do not grow with the mesh.  A cell's matrix and Gram matrix
 are the same, bit for bit, in any batch; sums over the cells and BLAS
 contractions over a whole chunk agree to round-off.
 
 DF, J, the cell diameters and ``fe_space.unmapped_basis`` depend only on
 the :func:`relative_corners`.  Cells whose relative corners are equal bit
 for bit form one translation class (``QuadMesh.translation_classes``), and
-every cell of a class has the same cell matrix and Gram arrays up to its
+every cell of a class has the same cell matrix and Gram matrix up to its
 dof signs, so assembly and the norm Gram tabulate one cell per class.  A
 structured mesh has a few classes (one on squares at the power-of-two
 study levels, 26 on trapezoids at n = 32); a mesh with no repeated shape
@@ -175,13 +175,9 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gauss_rule(k: int) -> QuadratureRule:
-    """k x k tensor Gauss--Legendre rule; exact on Q_{2k-1}.  Cached: every
-    caller shares one read-only rule per order."""
-    if k < 1:
-        raise ValueError("quadrature order k must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(k)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    """k x k tensor product of :func:`gauss_rule_1d`, exact on Q_{2k-1}.
+    Cached: every caller shares one read-only rule per order."""
+    x, w = gauss_rule_1d(k)
     X, Y = np.meshgrid(x, x, indexing="ij")
     return QuadratureRule(
         points=np.column_stack([X.ravel(), Y.ravel()]),

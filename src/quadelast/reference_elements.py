@@ -44,6 +44,7 @@ __all__ = [
     "EDGE_STARTS",
     "EDGE_DIRS",
     "EDGE_NORMALS",
+    "edge_points",
 ]
 
 # Counterclockwise parametrization x(t) = start + t*dir of the four edges of
@@ -51,6 +52,12 @@ __all__ = [
 EDGE_STARTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 EDGE_DIRS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
+def edge_points(t) -> np.ndarray:
+    """The points start + t*dir of the four edges at the parameters ``t``
+    (any shape): shape (4, *t.shape, 2)."""
+    return np.moveaxis(EDGE_STARTS + np.multiply.outer(t, EDGE_DIRS), -2, 0)
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +165,8 @@ def _dof_points(order: int) -> np.ndarray:
     parametrization, edge by edge, followed by the ``order`` x ``order``
     tensor Gauss points of the cell.
     """
-    t, _ = gauss_rule_1d(order)
-    edges = EDGE_STARTS[:, None, :] + t[None, :, None] * EDGE_DIRS[:, None, :]
-    return np.concatenate([edges.reshape(-1, 2), gauss_rule(order).points])
+    edges = edge_points(gauss_rule_1d(order)[0]).reshape(-1, 2)
+    return np.concatenate([edges, gauss_rule(order).points])
 
 
 def _dof_weights(dofs, ncomp: int, order: int) -> np.ndarray:

@@ -7,10 +7,11 @@ negated, a system with its asymmetry block removed, a
 stress space with one edge orientation flipped, the displacement space
 paired with a stress space, the basis gradients by ``polyder``, a
 recorder of the quadrature orders the package integrates at, the Gram
-matrix summed from its cell arrays, the trace system summed by
-``coo_matrix`` through a phantom row and sliced, a 2-norm that calls no
-BLAS, the four independent closures of the
-trigonometric benchmark solution, evaluation on every cell of a mesh, the
+system's cell blocks and its global matrix summed from them, the Gram
+matrix summed from the whole-mesh oracle's cell arrays, the trace system
+summed by ``coo_matrix`` through a phantom row and sliced, a 2-norm that
+calls no BLAS, the four independent closures of the trigonometric
+benchmark solution, evaluation on every cell of a mesh, the
 plain-``einsum`` forms of the batched geometry, Piola, interpolation and
 Gram contractions, the four hand-written CSV and markdown table
 formatters that the CLI's one table writer replaced, and a context that
@@ -266,11 +267,28 @@ def without_asymmetry(system):
     return dataclasses.replace(system, class_matrices=A)
 
 
+def cell_gram(system, gram):
+    """The Gram system's cell blocks (E, k, k), signs included: the class
+    array ``gram`` of ``assembly.ynorm_gram`` gathered to the cells of
+    ``system`` like its class matrices.  It is the Gram of
+    ``own_classes(system, system.cell_matrices)``."""
+    return dataclasses.replace(system, class_matrices=gram).cell_matrices
+
+
 def gram_matrix(system, gram):
-    """The global Gram matrix: the cell arrays ``gram = (G, Mv, Mq)``
-    summed over the system's cell dofs of stress rows 0 and 1,
-    displacement components 0 and 1 and rotation, like K."""
-    G, Mv, Mq = gram
+    """The global Gram matrix: the Gram system's cell blocks
+    (:func:`cell_gram`) summed over the system's cell dofs of stress rows
+    0 and 1, displacement components 0 and 1 and rotation, like K."""
+    A, D = cell_gram(system, gram), system.cell_dofs
+    return scatter([(A[:, b, b], D[:, b], D[:, b])
+                    for b in system.local_blocks], (system.n, system.n))
+
+
+def einsum_gram_matrix(system, stress, disp, rot):
+    """Oracle of the N that ``analysis.infsup_estimate`` sums: the global
+    Gram matrix summed from :func:`einsum_gram`'s signed cell arrays
+    (G, Mv, Mq) over the system's cell dofs of the five local slices."""
+    G, Mv, Mq = einsum_gram(stress, disp, rot)
     D = system.cell_dofs
     return scatter([(block, D[:, b], D[:, b]) for block, b
                     in zip((G, G, Mv, Mv, Mq), system.local_blocks)],
@@ -384,8 +402,10 @@ def einsum_reference_rows(sigma, mesh, xhat):
 
 
 def einsum_gram(stress, disp, rot):
-    """The arrays (G, Mv, Mq) of ``assembly.ynorm_gram``, on the whole mesh
-    at once from ``mapping.geometry_at``."""
+    """The Gram's cell arrays, signs included, on the whole mesh at once
+    from ``mapping.geometry_at``: (tau, tau) + (div tau, div tau) of each
+    stress row (E, dimS, dimS), the mass of each displacement component
+    (E, dimV, dimV) and the rotation mass (E, dimQ, dimQ)."""
     rule = gauss_rule(default_quad(stress.element))
     _, DF, J = geometry_at(stress.mesh.element_corners(), rule.points)
     w = rule.weights

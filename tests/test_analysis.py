@@ -43,7 +43,8 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import (einsum_gram, flip_edge_sign, gram_matrix,
+from helpers import (cell_gram, einsum_gram, einsum_gram_matrix,
+                     flip_edge_sign, gram_matrix, jittered_square_mesh,
                      linear_solution, negated_cell_compliance, on_all_cells,
                      one_blas_thread, openblas_thread_controls,
                      paired_displacement, polyder_gradients,
@@ -275,9 +276,7 @@ def test_ynorm_gram_positive_definite():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    assert [a.shape for a in gram] == [
-        (len(system.cell_matrices), b.stop - b.start, b.stop - b.start)
-        for b in system.local_blocks[::2]]
+    assert gram.shape == system.class_matrices.shape
     N = gram_matrix(system, gram)
     assert N.shape == (S.n_dofs + V.n_dofs + Q.n_dofs,) * 2
     w = np.linalg.eigvalsh(N.toarray())
@@ -288,28 +287,91 @@ def test_ynorm_gram_positive_definite():
 def test_gram_cell_blocks_are_positive_definite(family):
     for seed in range(24):
         S, V, Q = build_elasticity_spaces(random_quad_mesh(seed), family)
-        for block in ynorm_gram(S, V, Q):
-            assert np.linalg.eigvalsh(block).min() > 0.0, seed
+        gram = ynorm_gram(S, V, Q)
+        for b in assemble(S, V, Q, PARAMS).local_blocks:
+            assert np.linalg.eigvalsh(gram[:, b, b]).min() > 0.0, seed
 
 
 def test_gram_blocks_lie_on_the_cell_layout():
-    # the arrays are the diagonal blocks of a block-diagonal cell matrix in
-    # the order of the cell matrices: stress rows against themselves,
-    # displacement components, rotation; the whole-mesh oracle lays them
-    # out with zeros between
+    # the Gram system's cell blocks are block diagonal in the order of the
+    # cell matrices: stress rows against themselves, displacement
+    # components, rotation; the whole-mesh oracle lays them out with zeros
+    # between
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "bdm1")
-    G, Mv, Mq = ynorm_gram(S, V, Q)
+    cells = cell_gram(assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q))
     cuts = np.cumsum([0, S.dofs.shape[2], S.dofs.shape[2], V.dofs.shape[2],
                       V.dofs.shape[2], Q.dofs.shape[2]])
     layout = np.zeros((S.mesh.n_quads, cuts[-1], cuts[-1]))
-    inside = np.zeros(layout.shape[1:], dtype=bool)
     G0, Mv0, Mq0 = einsum_gram(S, V, Q)
     for a, b, block in zip(cuts, cuts[1:], (G0, G0, Mv0, Mv0, Mq0)):
         layout[:, a:b, a:b] = block
-        inside[a:b, a:b] = True
-    assert np.all(layout[:, ~inside] == 0.0)
-    for a, b, block in zip(cuts, cuts[1:], (G, G, Mv, Mv, Mq)):
-        assert np.array_equal(block, layout[:, a:b, a:b])
+    assert np.array_equal(cells, layout)
+
+
+@pytest.mark.parametrize("family,mesh_fn", [
+    ("bdm1", generate_trapezoidal_mesh), ("rt2", generate_trapezoidal_mesh),
+    ("rt3", generate_square_mesh), ("rt2", jittered_square_mesh)])
+def test_ynorm_gram_is_one_class_array_with_zeros_between_blocks(family,
+                                                                 mesh_fn):
+    S, V, Q = build_elasticity_spaces(mesh_fn(4), family)
+    gram = ynorm_gram(S, V, Q)
+    k = 2 * S.local_dim + 2 * V.local_dim + Q.local_dim
+    assert gram.shape == (len(S.mesh.translation_classes[1]), k, k)
+    inside = np.zeros((k, k), dtype=bool)
+    for b in assemble(S, V, Q, PARAMS).local_blocks:
+        inside[b, b] = True
+    assert np.all(gram[:, ~inside] == 0.0)
+    assert np.all(np.diagonal(gram, axis1=1, axis2=2) > 0.0)
+
+
+@pytest.mark.parametrize("family,mesh_fn,n", [
+    ("bdm1", generate_trapezoidal_mesh, 8),
+    ("rt2", generate_trapezoidal_mesh, 4),
+    ("rt3", generate_square_mesh, 3), ("rt2", jittered_square_mesh, 3)])
+def test_infsup_gram_matrix_is_the_summed_cell_arrays(monkeypatch, family,
+                                                      mesh_fn, n):
+    # the Gram system's N, as the estimate hands it to ARPACK and as its
+    # cell blocks sum, is bit for bit the sum of the whole-mesh oracle's
+    # signed cell arrays over the five local slices
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
+    seen, eigsh = [], spla.eigsh
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["M"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    assert infsup_estimate(system, gram) > 0.0
+    want = einsum_gram_matrix(system, S, V, Q).tocsr()
+    want.sort_indices()
+    for N in (*seen, gram_matrix(system, gram)):
+        assert N.format == "csc" and N.shape == want.shape
+        N = N.tocsr()
+        N.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(N, name), getattr(want, name)), name
+    assert len(seen) == 1
+
+
+def test_infsup_and_the_blocks_never_form_cell_matrices(monkeypatch):
+    # M, Bd, Ba and N are summed from slices of the class matrices; the
+    # (E, k, k) cell matrices are formed by nothing on the way
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
+    system = assemble(S, V, Q, PARAMS)
+    reads, cell_matrices = [], BlockSystem.cell_matrices
+
+    def counting(self):
+        reads.append(1)
+        return cell_matrices.fget(self)
+
+    monkeypatch.setattr(BlockSystem, "cell_matrices", property(counting))
+    assert infsup_estimate(system, ynorm_gram(S, V, Q)) > 0.0
+    for block in (system.M, system.Bd, system.Ba, system.full_matrix()):
+        assert block.nnz > 0
+    assert reads == []
+    system.cell_matrices  # the counter counts
+    assert reads == [1]
 
 
 # -------------------------------------------- solution-level residuals
@@ -652,19 +714,26 @@ def test_infsup_is_zero_where_solve_refuses(monkeypatch):
     # every level's system has one cell's compliance negated, so its trace
     # system is not positive definite: solve refuses it, and the inf-sup
     # diagnostic must fail instead of passing on round-off estimates
-    real_assemble = cli.assemble
+    real_assemble, real_gram = cli.assemble, cli.ynorm_gram
     monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs:
                         negated_cell_compliance(real_assemble(*args, **kwargs)))
+    # the negated systems have one class per cell: their Gram is the
+    # real system's Gram gathered to its cells
+    monkeypatch.setattr(cli, "ynorm_gram", lambda *spaces: cell_gram(
+        real_assemble(*spaces, PARAMS), real_gram(*spaces)))
     results = run_diagnostics(RunConfig(element="rt2", levels=(2, 4)))
     record = next(r for r in results if r.name.startswith("inf-sup"))
     assert not record.passed
     assert record.note == "estimates 0.000000e+00, 0.000000e+00"
 
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
-    negated = negated_cell_compliance(assemble(S, V, Q, PARAMS))
+    system = assemble(S, V, Q, PARAMS)
+    negated = negated_cell_compliance(system)
     with pytest.raises(SingularSystem, match="not positive definite"):
         solve(negated)
-    assert infsup_estimate(negated, ynorm_gram(S, V, Q)) == 0.0
+    # one class per cell: the Gram is gathered to those classes
+    assert infsup_estimate(negated,
+                           cell_gram(system, ynorm_gram(S, V, Q))) == 0.0
 
 
 def test_infsup_estimate_is_deterministic():
@@ -677,11 +746,11 @@ def test_infsup_rejects_indefinite_gram():
     S, V, Q = build_elasticity_spaces(generate_square_mesh(2), "bdm1")
     system = assemble(S, V, Q, PARAMS)
     with pytest.raises(ValueError, match="not positive definite"):
-        infsup_estimate(system, [-a for a in ynorm_gram(S, V, Q)])
+        infsup_estimate(system, -ynorm_gram(S, V, Q))
 
 
 def test_infsup_factors_only_the_trace_system(monkeypatch):
-    # the Gram check is a batched Cholesky of the cell blocks: the one
+    # the Gram check is a batched Cholesky of the class matrices: the one
     # sparse factorization left is the hybrid solver's trace system
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "bdm1")
     system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
@@ -702,7 +771,8 @@ def test_infsup_rejects_one_negated_gram_block():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    gram[0][5] *= -1.0
+    b = system.local_blocks[0]
+    gram[system.cell_class[5], b, b] *= -1.0
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, gram)
 
@@ -711,9 +781,9 @@ def test_infsup_rejects_an_indefinite_block_with_positive_diagonal():
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    G = gram[0]
-    d = G[5].diagonal()
-    G[5, 0, 1] = G[5, 1, 0] = 2.0 * np.sqrt(d[0] * d[1])
+    G = gram[system.cell_class[5]]  # stress row 0 starts the local order
+    d = G.diagonal()
+    G[0, 1] = G[1, 0] = 2.0 * np.sqrt(d[0] * d[1])
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, gram)
 
@@ -725,8 +795,9 @@ def test_infsup_rejects_a_nan_in_the_gram(array):
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(2), "bdm1")
     system = assemble(S, V, Q, PARAMS)
     gram = ynorm_gram(S, V, Q)
-    block = gram[array]
-    block[1, 0, -1] = block[1, -1, 0] = np.nan
+    b = system.local_blocks[2 * array]
+    block = gram[system.cell_class[1], b, b]
+    block[0, -1] = block[-1, 0] = np.nan
     with pytest.raises(ValueError, match="not positive definite"):
         infsup_estimate(system, gram)
 
@@ -743,12 +814,12 @@ def test_infsup_rejects_a_dof_in_no_cell():
 
 
 @pytest.mark.parametrize("gram", [
-    lambda g: (g[0][:, :-1, :-1], *g[1:]),  # one local dof short
-    lambda g: (g[0], np.concatenate([g[1], g[1]]), g[2]),  # one cell too many
-    lambda g: (*g[:2], g[2][0]),  # one block, not a stack
+    lambda g: g[:, :-1, :-1],  # one local dof short
+    lambda g: np.concatenate([g, g]),  # one class too many
+    lambda g: g[0],  # one matrix, not a stack
 ], ids=["dof", "cell", "flat"])
 def test_infsup_rejects_gram_of_another_shape(gram):
-    # one cell: a stack of two blocks would broadcast against its dofs
+    # one cell: a stack of two matrices would broadcast against its dofs
     S, V, Q = build_elasticity_spaces(random_quad_mesh(0), "bdm1")
     system = assemble(S, V, Q, PARAMS)
     with pytest.raises(ValueError, match="shape"):

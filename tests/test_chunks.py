@@ -1,4 +1,4 @@
-"""Cell batches: cell matrices, load, Gram arrays and solutions are the
+"""Cell batches: cell matrices, load, Gram matrices and solutions are the
 same, bit for bit, whatever ``mapping.CELL_CHUNK`` is, errors, interpolants
 and diagnostics agree to round-off, and the transient memory of assembly,
 error evaluation and the diagnostics does not grow with the mesh."""
@@ -40,12 +40,12 @@ IDS = [f"{f}-{m.__name__.split('_')[1]}-n{n}" for f, m, n in CASES]
 
 
 def level(spaces):
-    """Cell matrices, load, Gram arrays, solution and error report of one
-    level at the current chunk size."""
+    """Cell matrices, load, Gram class matrices, solution and error report
+    of one level at the current chunk size."""
     system = assemble(*spaces, SOLUTION.params, f=SOLUTION.f, g=SOLUTION.g)
     x = solve(system).solution
     fields = [FEFunction(s, c) for s, c in zip(spaces, system.split(x))]
-    return (system.cell_matrices, system.rhs, *ynorm_gram(*spaces), x,
+    return (system.cell_matrices, system.rhs, ynorm_gram(*spaces), x,
             compute_errors(*fields, SOLUTION))
 
 

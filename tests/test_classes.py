@@ -18,8 +18,8 @@ from quadelast.mesh import (QuadMesh, generate_square_mesh,
 from quadelast.problem import LameParams, trig_solution
 from quadelast.solver import solve
 
-from helpers import (einsum_gram, jittered_square_mesh, monolithic_solve,
-                     percell_assemble)
+from helpers import (cell_gram, einsum_gram, jittered_square_mesh,
+                     monolithic_solve, percell_assemble)
 
 SOLUTION = trig_solution(LameParams(mu=79.3, lam=123.0))
 
@@ -90,9 +90,11 @@ def test_expanded_cell_matrices_match_percell_oracle(family, mesh_name):
     np.testing.assert_array_equal(system.rhs, rhs)
     assert len(system.class_matrices) == len(
         spaces[0].mesh.translation_classes[1])
-    # the Gram, expanded from its classes, is the whole-mesh oracle's
-    for got, want in zip(ynorm_gram(*spaces), einsum_gram(*spaces)):
-        np.testing.assert_array_equal(got, want)
+    # the Gram system's cell blocks are the whole-mesh oracle's
+    cells = cell_gram(system, ynorm_gram(*spaces))
+    G, Mv, Mq = einsum_gram(*spaces)
+    for b, want in zip(system.local_blocks, (G, G, Mv, Mv, Mq)):
+        np.testing.assert_array_equal(cells[:, b, b], want)
 
 
 @pytest.mark.parametrize("family", ["rt2", "bdm1"])
