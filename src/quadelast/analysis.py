@@ -3,7 +3,7 @@
 Everything here consumes solved fields (or exact callables) and produces
 numbers: L2 errors with relative percentages, observed orders between
 dyadic mesh levels, the commuting-interpolation residual for the stress
-interpolant, a sparse shift-invert inf-sup estimate for the saddle-point
+interpolant, a shift-invert Lanczos inf-sup estimate for the saddle-point
 system in the norm of :func:`assembly.ynorm_gram`, and the asymmetry norm
 of a computed stress.  Fields are evaluated one batch of
 :func:`mapping.cell_chunks` at a time, from that batch's geometry, so the
@@ -13,7 +13,7 @@ temporaries do not grow with the mesh.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import numpy.random  # loaded lazily by numpy: here, not in an estimate
 
 from .assembly import default_quad
 from .fe_space import FEFunction, FESpace, evaluate_batch, evaluate_div_batch
@@ -28,11 +28,11 @@ from .solver import HybridFactor, SolverError, cell_apply
 NORM_QUAD = 12
 
 #: Largest system size accepted by the inf-sup estimate.  One estimate in a
-#: fresh process on trapezoids (2 vCPUs, scipy 1.17, OpenBLAS at its default
-#: 2 threads, 3 runs): 0.05-0.06 s at 7,040 unknowns (rt2 n=16), 0.20-0.24 s
-#: and a 100 MB peak at 27,904 (rt2 n=32), 0.57-0.61 s and 188 MB at 45,568
-#: (bdm1 n=64), the same with 1 thread; a host where 2 threads stall reads
-#: 3-6x more.  A safety bound on time and memory, not a measured limit.
+#: fresh process on trapezoids (2 vCPUs, numpy 2.4, OpenBLAS at its default
+#: 2 threads, 3 runs): 0.06-0.07 s at 7,040 unknowns (rt2 n=16), 0.26-0.27 s
+#: (one run 0.90 s) and a 104 MB peak at 27,904 (rt2 n=32), 0.91-1.18 s and
+#: 180 MB at 45,568 (bdm1 n=64).  A safety bound on time and memory, not a
+#: measured limit.
 INFSUP_CAP = 50_000
 
 QUANTITIES = ("sigma", "div", "u", "p")
@@ -129,14 +129,18 @@ def infsup_estimate(system, gram) -> float:
     """Smallest singular value of the system in the solution norm.
 
     The discrete inf-sup constant is the smallest |lambda| of K x =
-    lambda N x, K the saddle-point operator and N the five diagonal
-    blocks of the Gram system: :func:`assembly.ynorm_gram`'s ``gram`` on
-    K's classes, signs and dofs (the numerical inf-sup test of Chapelle &
-    Bathe, 1993).  Shift-invert Lanczos about zero finds it; ARPACK
-    applies only N and K^-1, by the solver's hybrid factor, so the K
-    operator only gives the shape.  A system the factor refuses, as
-    ``solve`` does, gives 0.  Raises ValueError unless ``gram`` has the
-    class matrices' shape and N is SPD.
+    lambda N x, K the saddle-point operator and N the Gram system's:
+    :func:`assembly.ynorm_gram`'s ``gram`` on K's classes, signs and dofs
+    (the numerical inf-sup test of Chapelle & Bathe, 1993).  It is
+    1/|theta| for the theta of largest modulus of K^-1 N, which is
+    self-adjoint in the N inner product: shift-invert Lanczos about zero
+    (Ericsson & Ruhe, 1980).  The iteration runs in that inner product
+    with full reorthogonalization, from a fixed seeded start vector, and
+    stops when the Ritz residual |beta_j s_j| reaches machine precision
+    times |theta|, or when the space is exhausted.  K^-1 is the solver's
+    hybrid factor and N is applied cell by cell, so neither is summed.  A
+    system the factor refuses, as ``solve`` does, gives 0.  Raises
+    ValueError unless ``gram`` has the class matrices' shape and N is SPD.
     """
     if system.n > INFSUP_CAP:
         raise ValueError(f"inf-sup estimate is capped at {INFSUP_CAP} "
@@ -144,14 +148,16 @@ def infsup_estimate(system, gram) -> float:
     if np.shape(gram) != system.class_matrices.shape:
         raise ValueError(f"Gram shape {np.shape(gram)} is not the class "
                          f"matrices' {system.class_matrices.shape}")
-    blocks = system.local_blocks
-    N = replace(system, class_matrices=gram).block_sum(
-        zip(blocks, blocks), 0, (system.n, system.n))
+    s = system.cell_signs
+    diagonal = np.bincount(
+        system.cell_dofs.ravel(),
+        (np.diagonal(gram, axis1=1, axis2=2)[system.cell_class] * s * s)
+        .ravel(), minlength=system.n)
     # N is positive definite if every class matrix is and its diagonal has
     # no zero; cholesky returns NaN for a NaN entry instead of raising
     try:
         np.linalg.cholesky(gram)
-        if not (np.all(np.isfinite(gram)) and np.all(N.diagonal() > 0.0)):
+        if not (np.all(np.isfinite(gram)) and np.all(diagonal > 0.0)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite") from None
@@ -159,16 +165,73 @@ def infsup_estimate(system, gram) -> float:
         factor = HybridFactor(system)
     except SolverError:
         return 0.0
-    K = spla.LinearOperator(N.shape, matvec=lambda x: cell_apply(system, x),
-                            dtype=float)
-    Kinv = spla.LinearOperator(N.shape, matvec=factor.solve, dtype=float)
+    gram_system = replace(system, class_matrices=gram)
     # a fixed start vector makes the estimate reproducible; it is random
     # because a constant one can be orthogonal to the eigenvector on a
     # symmetric mesh
-    v0 = np.random.default_rng(0).standard_normal(system.n)
-    lam = spla.eigsh(K, k=1, M=N, sigma=0, which="LM", tol=0, OPinv=Kinv,
-                     v0=v0, return_eigenvectors=False)
-    return float(abs(lam[0]))
+    theta = _lanczos(factor.solve, lambda x: cell_apply(gram_system, x),
+                     np.random.default_rng(0).standard_normal(system.n))
+    return float(1.0 / abs(theta))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i->", a, b))
+
+
+def _lanczos(solve, inner, v: np.ndarray) -> float:
+    """The eigenvalue theta of largest modulus of x -> solve(inner(x)),
+    ``solve`` symmetric and ``inner`` SPD, so that it is self-adjoint in
+    the ``inner`` product: Lanczos from ``v`` in that product, with full
+    reorthogonalization (classical Gram-Schmidt, twice).  It stops when
+    the Ritz residual |beta_j s_j| reaches machine precision times
+    |theta|, or when the space is exhausted.  The vector products are
+    einsum's own loops: threaded BLAS calls can stall."""
+    n = len(v)
+    # the Lanczos vectors and their images under inner, as rows
+    V, Z = np.empty((8, n)), np.empty((8, n))
+    z = inner(v)
+    scale = np.sqrt(_dot(v, z))
+    V[0], Z[0] = v / scale, z / scale
+    alpha, beta = [], []
+    while True:
+        j = len(alpha)
+        w = solve(Z[j])
+        alpha.append(_dot(w, Z[j]))
+        for _ in range(2):
+            w -= np.einsum("ji,j->i", V[:j + 1],
+                           np.einsum("ji,i->j", Z[:j + 1], w))
+        u = inner(w)
+        b = np.sqrt(max(_dot(w, u), 0.0))
+        theta = np.linalg.eigvalsh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta = theta[np.argmax(np.abs(theta))]
+        if (b * _last_component(alpha, beta, theta)
+                <= np.finfo(float).eps * abs(theta) or j + 1 == n):
+            return theta
+        if j + 1 == len(V):
+            V, Z = (np.concatenate([A, np.empty_like(A)]) for A in (V, Z))
+        beta.append(b)
+        V[j + 1], Z[j + 1] = w / b, u / b
+
+
+def _last_component(alpha, beta, theta) -> float:
+    """|s_j|, the last entry of the unit eigenvector of the symmetric
+    tridiagonal T (diagonal ``alpha``, positive off-diagonal ``beta``) for
+    its eigenvalue ``theta`` at an end of the spectrum.  T u = theta u is
+    solved from the bottom up with u_j = 1: at an end of the spectrum that
+    is the bottom-up LDL^T of the semidefinite theta I - T, which is
+    stable and keeps the relative accuracy of a tiny s_j.  LAPACK's
+    eigenvectors would serve as well, but its divide and conquer calls a
+    threaded BLAS, which can stall on small matrices."""
+    u, below, last, total = 1.0, 0.0, 1.0, 1.0
+    for k in range(len(alpha) - 1, 0, -1):
+        above = beta[k] * below if k < len(beta) else 0.0
+        u, below = ((theta - alpha[k]) * u - above) / beta[k - 1], u
+        total += u * u
+        if abs(u) > 1e100:  # rescaled, so that nothing overflows
+            u, below, last, total = (u * 1e-100, below * 1e-100,
+                                     last * 1e-100, total * 1e-200)
+    return abs(last) / np.sqrt(total)
 
 
 def _reference_rows(sigma, xhat: np.ndarray, chunk):

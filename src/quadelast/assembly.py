@@ -37,7 +37,8 @@ of :func:`mapping.cell_chunks` at a time; the load (f, v) needs each
 cell's physical points and takes one more pass over all cells, so beyond
 the stored arrays the memory does not grow with the mesh.
 :meth:`BlockSystem.block_sum` sums slices of the class matrices into the
-global blocks M, Bd, Ba and the inf-sup Gram.
+sparse global blocks M, Bd and Ba, which the tests read; the package
+itself applies every operator cell by cell.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fe_space import FESpace, scatter, unmapped_basis
 from .mapping import (cell_batches, cell_chunks, gauss_rule, gauss_rule_1d,
@@ -94,6 +94,10 @@ class BlockSystem:
     system, on the same classes, signs and dofs.  ``cell_leaf`` places
     the cells in a nested dissection, which orders the solver's
     multipliers; ``arange(E)`` is the dissection of the index line.
+    ``stress`` is the stress space the system was assembled on, whose
+    cached ``FESpace.trace_plan`` the solver reads; without one it plans
+    from ``cell_dofs`` and ``cell_leaf``.  The global blocks are sparse
+    CSC matrices.
     """
 
     n_sigma: int
@@ -105,6 +109,7 @@ class BlockSystem:
     cell_dofs: np.ndarray  # (E, k) int
     cell_leaf: np.ndarray  # (E,) int, QuadMesh.dissection_leaves
     rhs: np.ndarray
+    stress: FESpace | None = None
 
     @property
     def cell_matrices(self) -> np.ndarray:
@@ -126,7 +131,7 @@ class BlockSystem:
                     for n in (self.n_sigma, self.n_sigma + self.n_v, self.n))
         return _local_slices(s // 2, (sv - s) // 2, k - sv)
 
-    def block_sum(self, pairs, row_offset, shape) -> sp.csc_matrix:
+    def block_sum(self, pairs, row_offset, shape):
         """The global block of the local slice pairs ``(i, j)`` in
         ``pairs``: every cell's A_c[i, j] s_i s_j, gathered from the class
         matrices, summed at its dofs (rows less ``row_offset``) into a CSC
@@ -138,13 +143,13 @@ class BlockSystem:
                        shape)
 
     @cached_property
-    def M(self) -> sp.csc_matrix:
+    def M(self):
         """Compliance block (A s, t)."""
         s = slice(0, self.local_blocks[1].stop)
         return self.block_sum([(s, s)], 0, (self.n_sigma, self.n_sigma))
 
     @cached_property
-    def Bd(self) -> sp.csc_matrix:
+    def Bd(self):
         """Divergence block (div s, v): displacement row rho against stress
         row rho."""
         s0, s1, v0, v1, _ = self.local_blocks
@@ -152,16 +157,17 @@ class BlockSystem:
                               (self.n_v, self.n_sigma))
 
     @cached_property
-    def Ba(self) -> sp.csc_matrix:
+    def Ba(self):
         """Asymmetry block (as s, q)."""
         s0, s1, _, _, q = self.local_blocks
         return self.block_sum([(q, s0), (q, s1)], self.n_sigma + self.n_v,
                               (self.n_q, self.n_sigma))
 
-    def full_matrix(self) -> sp.csc_matrix:
+    def full_matrix(self):
         """The symmetric indefinite matrix [[M, Bd^T, Ba^T], [Bd,], [Ba,]]."""
-        return sp.bmat([[self.M, self.Bd.T, self.Ba.T], [self.Bd, None, None],
-                        [self.Ba, None, None]], format="csc")
+        s, b = slice(0, self.local_blocks[1].stop), slice(
+            self.local_blocks[1].stop, None)
+        return self.block_sum([(s, s), (s, b), (b, s)], 0, (self.n, self.n))
 
     def split(self, x: np.ndarray):
         """Split a solution vector into (stress, displacement, rotation)."""
@@ -283,6 +289,7 @@ def assemble(stress: FESpace, disp: FESpace, rot: FESpace, params: LameParams,
         class_matrices=class_matrices, cell_class=cell_class,
         cell_signs=cell_signs, cell_dofs=cell_dofs,
         cell_leaf=mesh.dissection_leaves, rhs=rhs,
+        stress=stress,
     )
 
 

@@ -25,17 +25,18 @@ discontinuous space has no edge moments: it is numbered cell by cell.
 Multi-component spaces (matrix-valued stress, vector displacement) store one
 dof block per row: global dof = row * n_row_dofs + row-local dof, which
 ``FESpace.dofs`` tabulates for every element.  :func:`scatter` is the one
-sum of per-element blocks into a sparse matrix: the solver's trace system
-S, and ``BlockSystem.block_sum``'s M, Bd, Ba and inf-sup Gram; vectors
-are summed by ``np.bincount``.
+sum of per-element blocks into a sparse matrix, ``BlockSystem.block_sum``'s
+M, Bd and Ba, which only the tests and the benchmark read; vectors are
+summed by ``np.bincount``.  A stress space caches the hybrid solver's
+plan of its shared dofs (``FESpace.trace_plan``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import QuadMesh
 from .mapping import piola_values, ref_shape, relative_corners
@@ -143,6 +144,15 @@ class FESpace:
             )
         return coefficients[self.dofs_on(cells)] * self.row_signs[cells]
 
+    @cached_property
+    def trace_plan(self):
+        """The hybrid solver's material-free ``solver.TracePlan`` of this
+        stress space's shared dofs in the mesh's nested dissection, made
+        once and shared by every system assembled on the space."""
+        from .solver import TracePlan  # the solver imports this module
+        return TracePlan(np.concatenate(self.dofs, axis=1),
+                         self.mesh.dissection_leaves)
+
 
 @dataclass
 class FEFunction:
@@ -213,16 +223,20 @@ def grid_unknowns(family: str, n: int) -> int:
                                (q_element(r - 1), 2), (p_element(r - 1), 1)))
 
 
-def scatter(blocks, shape) -> sp.csc_matrix:
-    """Sum per-element dense blocks into one sparse matrix, in CSC: the
-    solver's trace system and every ``BlockSystem.block_sum``.
+def scatter(blocks, shape):
+    """Sum per-element dense blocks into one sparse CSC matrix: every
+    ``BlockSystem.block_sum``.  Its callers, ``BlockSystem.M``, ``Bd``,
+    ``Ba`` and ``full_matrix``, serve only the tests and the benchmark's
+    tracing, so the sparse-matrix package is imported here, on the first
+    call, and never on the package's import path.
 
     ``blocks`` holds ``(values, rows, cols)`` triples: ``values[e, i, j]``
     is added at global ``(rows[e, i], cols[e, j])``.  An entry whose row
-    or column index equals the matrix size is left out: that index is a
-    phantom, such as the multiplier the solver gives a slot whose dof the
-    cell does not share.  An index past it raises ValueError.
+    or column index equals the matrix size is left out, as a phantom.  An
+    index past it raises ValueError.
     """
+    import scipy.sparse as sp
+
     data, ii, jj = [], [], []
     for values, rows, cols in blocks:
         keep = ((rows != shape[0])[:, :, None]

@@ -15,17 +15,21 @@ Cell K's matrix is S_K A_c S_K, A_c the unsigned matrix of its
 translation class and S_K its dof signs, so K_K^{-1} = S_K A_c^{-1} S_K:
 the columns of A_c^{-1} at the slots are solved for once per class, and
 each cell's block of S and its multiplier correction are read off them.
-:func:`fe_space.scatter` sums the blocks into S, leaving out the unshared
-slots, and S is factored by symmetric-mode SuperLU with no pivoting; a
-positive pivot everywhere is the SPD and singularity check.  SuperLU keeps
-S's own order (``NATURAL``): the multipliers are numbered in a nested
-dissection taken from the mesh (George, 1973).  The cells are bisected
-recursively at the median of their centroids (the mesh's own
-``QuadMesh.dissection_leaves``), each multiplier belongs to the
-bisection that separates its two cells, and the separators are numbered
-in postorder, after the two halves they separate.  On trapezoid meshes
-at n = 16-128 this leaves 6-11% less fill than SuperLU's minimum-degree
-order of the same S.
+
+S is never summed.  It is factored by a multifrontal Cholesky (Duff &
+Reid, 1983; Liu, 1992) along a nested dissection taken from the mesh
+(George, 1973): the cells are bisected recursively at the median of their
+centroids (``QuadMesh.dissection_leaves``), each multiplier belongs to
+the tree node where its two cells part, and the multipliers are numbered
+in the postorder of that tree.  A node's front is the extend-add of its
+children's update matrices, the cells' trace blocks at height 1; its own
+multipliers are eliminated by a dense Cholesky, and the Schur complement
+on its boundary goes up to its parent.  All nodes of one height are one
+batch, padded to the height's largest front.  The material-free part,
+:class:`TracePlan`, is made once per stress space
+(``FESpace.trace_plan``).  A positive pivot everywhere is the SPD and
+singularity check.
+
 :class:`HybridFactor` keeps that factor, so K^{-1} applies to any later
 right-hand side; :func:`cell_apply` applies K cell by cell, and every
 solution is verified against its residual.  One helper applies the class
@@ -36,17 +40,16 @@ time, so no per-cell matrix is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from ._blas import one_blas_thread
 from .assembly import BlockSystem
-from .fe_space import scatter
 from .mapping import cell_batches
 
 __all__ = ["HybridFactor", "SolveReport", "SolverError", "SingularSystem",
-           "ResidualTooLarge", "cell_apply", "solve", "spd_factor"]
+           "ResidualTooLarge", "TracePlan", "cell_apply", "solve"]
 
 RESIDUAL_TOL = 1e-10
 PIVOT_TOL = 1e-13
@@ -73,19 +76,19 @@ class SolveReport:
     residual: float  # ||Kx - b|| / ||b||  (or absolute for b = 0)
     factorization: ClassVar[str] = "sparse"
     multipliers: int  # size of the factored trace system
-    factor_nnz: int  # nnz of its L + U factors; 0 when nothing is factored
+    factor_nnz: int  # entries of its Cholesky factor; 0 when none is factored
 
 
-def _multipliers(cell_dofs: np.ndarray, n: int, cell_leaf: np.ndarray):
+def _multipliers(cell_dofs: np.ndarray, cell_leaf: np.ndarray):
     """Multiplier numbering of the dofs that two cells list.
 
-    Returns the listing count of every global dof; the slots (m,), the
-    local dofs at which any cell lists a shared dof (on a mesh, the
-    stress edge moments), the same for every cell; and, per cell and
-    slot, the multiplier (E, m) and its sign (E, m), +1 in the first
-    listing and -1 in the second.  Where a cell's dof at a slot is not
-    shared, the slot has sign 0 and the phantom multiplier, numbered after
-    the real ones.
+    Returns the slots (m,), the local dofs at which any cell lists a
+    shared dof (on a mesh, the stress edge moments), the same for every
+    cell; per cell and slot, the multiplier (E, m) and its sign (E, m),
+    +1 in the first listing and -1 in the second; and the height of each
+    multiplier's tree node (M,).  Where a cell's dof at a slot is not
+    shared, the slot has sign 0 and the phantom multiplier M, numbered
+    after the real ones.
 
     The multipliers follow the nested dissection of the cells'
     ``cell_leaf`` ids: a shared dof belongs to the tree node where its two
@@ -96,10 +99,7 @@ def _multipliers(cell_dofs: np.ndarray, n: int, cell_leaf: np.ndarray):
     height, dof) puts the nodes in postorder.
     """
     flat = cell_dofs.ravel()
-    count = np.bincount(flat, minlength=n)
-    if count.max(initial=0) > 2:
-        raise ValueError("a dof is listed by three or more cells; "
-                         "only pairs can be tied by one multiplier")
+    count = np.bincount(flat)
     shared = count == 2
     # each dof's listings side by side, in the order the cells list it
     listing = np.argsort(flat, kind="stable")
@@ -111,7 +111,7 @@ def _multipliers(cell_dofs: np.ndarray, n: int, cell_leaf: np.ndarray):
     height = np.frexp(a ^ b)[1].astype(np.int64)
     # lexsort is stable, and the shared dofs come in increasing order
     order = np.lexsort((height, a | ((1 << height) - 1)))
-    number = np.empty(n, dtype=np.int64)
+    number = np.zeros(count.size, dtype=np.int64)
     number[np.flatnonzero(shared)[order]] = np.arange(order.size)
     on = shared[cell_dofs]
     slots = np.flatnonzero(on.any(axis=0))
@@ -119,38 +119,177 @@ def _multipliers(cell_dofs: np.ndarray, n: int, cell_leaf: np.ndarray):
     mult = np.where(on, number[cell_dofs[:, slots]], order.size)
     sign = np.where(on, np.where(first.reshape(cell_dofs.shape)[:, slots],
                                  1.0, -1.0), 0.0)
-    return count, slots, mult, sign
+    return slots, mult, sign, height[order]
 
 
-def spd_factor(N):
-    """Symmetric-mode SuperLU factor of the symmetric CSC matrix N, or
-    None unless N is numerically positive definite.  N is factored in the
-    order of its rows, so the caller numbers them to keep the fill low.
+class _Height(NamedTuple):
+    """The nodes of one height of a :class:`TracePlan`."""
 
-    A symmetric matrix is positive definite exactly when its LDL^T pivots
-    are positive.  With a zero pivot threshold SuperLU keeps every diagonal
-    pivot it can, so the pivots are the diagonal of U unless a zero pivot
-    forced a row exchange (perm_r differs from perm_c).  Every pivot must
-    exceed ``PIVOT_TOL`` times the largest diagonal entry of N.  An
-    allocation SuperLU could not make raises MemoryError.  Reading
-    the pivots makes scipy build L and U as matrices, so N is let go
-    first: a caller that holds no other reference frees it before then.
+    rows: np.ndarray  # (P, F) int, own then boundary multipliers
+    own: np.ndarray  # (P, O) int, rows[:, :O]
+    bound: np.ndarray  # (P * (F - O),) int, rows[:, O:] flat
+    n_own: np.ndarray  # (P,) int
+    pos: np.ndarray  # (children, q) int, each child's rows in its front
+    offsets: np.ndarray  # (children, q) int, those rows in the batch
+
+
+class TracePlan:
+    """The material-free plan of the trace system's factor.
+
+    Built from the cells' dofs (E, k) and their ``cell_leaf`` ids; only
+    the dofs two cells list matter, so a stress space's own dofs plan its
+    systems (``FESpace.trace_plan``).  Holds the numbering of
+    :func:`_multipliers` (``slots``, ``slot_mult``, ``sign``,
+    ``multipliers``) and, per height of the dissection tree from 1 up, one
+    :class:`_Height` of its P nodes:
+
+    - ``rows`` (P, F): each node's front, by multiplier: first the O
+      columns ``own`` of its ``n_own`` own multipliers, eliminated there,
+      then its boundary multipliers ``bound``, flat, which belong to its
+      ancestors; each part padded with the phantom M;
+    - ``pos``: each child's (q,) row positions in its parent's front, F for
+      a padded or phantom row, and ``offsets``, the offsets of those rows
+      in the batch of fronts (P, F + 1, F + 1).  The children are the cells
+      at height 1 and the nodes below otherwise, all of them, in order; one
+      whose rows are all padding adds its zeros to node 0's last row.
+
+    Two leaves or nodes share a parent exactly when their ids differ only
+    in the last bit.  A node's own multipliers belong to it and its
+    boundary ones to its ancestors, which come after it in postorder:
+    sorted by number, the own ones come first.
     """
-    floor = PIVOT_TOL * N.diagonal().max()
-    try:
-        lu = spla.splu(N, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        # SuperLU reports an allocation that failed inside its own
-        # routines as a RuntimeError naming malloc or calloc
-        if "alloc" in str(exc).lower():
-            raise MemoryError(str(exc)) from exc
-        return None  # exactly singular
-    del N
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > floor)):
-        return None
-    return lu
+
+    def __init__(self, cell_dofs: np.ndarray, cell_leaf: np.ndarray):
+        self.slots, self.slot_mult, self.sign, height = _multipliers(
+            cell_dofs, cell_leaf)
+        self.multipliers = M = len(height)
+        self.heights = []
+        rows, ids = self.slot_mult, np.asarray(cell_leaf, dtype=np.int64)
+        h = 0
+        while np.any(rows != M):
+            h += 1
+            child, col = np.nonzero(rows != M)
+            # every (parent, multiplier) pair once, by parent and number
+            key, at = np.unique((ids[child] >> 1) * (M + 1) + rows[child, col],
+                                return_inverse=True)
+            parent_id, mult = np.divmod(key, M + 1)
+            nodes, start = np.unique(parent_id, return_index=True)
+            node = np.searchsorted(nodes, parent_id)
+            rank = np.arange(len(key)) - start[node]
+            own = height[mult] == h
+            n_own = np.bincount(node[own], minlength=len(nodes))
+            O = int(n_own.max())
+            F = O + int(np.bincount(node[~own]).max(initial=0))
+            pos = np.where(own, rank, O + rank - n_own[node])
+            front = np.full((len(nodes), F), M)
+            front[node, pos] = mult
+            child_pos = np.full(rows.shape, F)
+            child_pos[child, col] = pos[at]
+            parent = np.zeros(len(rows), dtype=np.int64)
+            parent[child] = node[at]
+            self.heights.append(_Height(
+                front, front[:, :O].copy(), front[:, O:].ravel(), n_own,
+                child_pos, (parent[:, None] * (F + 1) + child_pos) * (F + 1)))
+            rows, ids = front[:, O:], nodes
+
+
+class _Fronts:
+    """The multifrontal Cholesky factor of the trace system S of a
+    :class:`TracePlan`, from each class's symmetric trace block ``traces``
+    (C, m, m) and each cell's slot signs (E, m).
+
+    A node's front [[F11, F12], [F21, F22]], own rows first, is factored
+    as L11 L11^T = F11, L21 = F21 L11^{-T}, and the update F22 - L21 L21^T
+    goes to its parent.  Per height it keeps G = [L11^{-1}; L21 L11^{-1}]
+    (P, F, O): the padded own rows' part of L11^{-1} is the identity.
+    Raises SingularSystem when a front is not numerically positive
+    definite: every pivot, a squared diagonal entry of L11, must exceed
+    ``PIVOT_TOL`` times S's largest diagonal entry.
+    """
+
+    def __init__(self, plan: TracePlan, traces: np.ndarray,
+                 cell_class: np.ndarray, slot_sign: np.ndarray):
+        self.plan, M = plan, plan.multipliers
+        diag = np.diagonal(traces, axis1=1, axis2=2)[cell_class]
+        floor = PIVOT_TOL * np.bincount(
+            plan.slot_mult.ravel(), (diag * slot_sign ** 2).ravel(),
+            minlength=M + 1)[:M].max(initial=0.0)
+
+        def cell_blocks(cells):
+            """The cells' trace blocks, each class's block signed."""
+            sign = slot_sign[cells]
+            return (traces[cell_class[cells]] * sign[:, :, None]
+                    * sign[:, None, :])
+
+        # the children's blocks: the cells' trace blocks at height 1, then
+        # the update matrices of the height below
+        blocks = cell_blocks
+        self.factors, self.nnz = [], 0
+        # the fronts are batches of small products, which stall on some
+        # hosts when they are threaded (see _blas)
+        with one_blas_thread():
+            for height in plan.heights:
+                blocks = self._eliminate(height, blocks, floor).__getitem__
+
+    def _eliminate(self, height: _Height, blocks, floor: float) -> np.ndarray:
+        """Assemble and factor the fronts of one height from their
+        children's blocks, ``blocks(children)`` for a batch of children,
+        keep G and return the update matrices."""
+        rows, own, _, n_own, pos, offsets = height
+        (P, F), O = rows.shape, own.shape[1]
+        # the extend-add: each child's block added at its rows' positions,
+        # one batch of children at a time, in order; the row and column F
+        # take the padded and phantom rows
+        front = np.zeros((P, F + 1, F + 1))
+        for children in cell_batches(len(pos)):
+            np.add.at(front.reshape(-1), (offsets[children, :, None]
+                                          + pos[children, None, :]).ravel(),
+                      blocks(children).ravel())
+        d = np.arange(O)
+        front[:, d, d] += d >= n_own[:, None]
+        try:
+            L = np.linalg.cholesky(front[:, :O, :O])
+        except np.linalg.LinAlgError:
+            L = None
+        if L is None or not np.all(
+                np.diagonal(L, axis1=1, axis2=2)[d < n_own[:, None]] ** 2
+                > floor):
+            raise SingularSystem(
+                "trace system not positive definite beyond tolerance; "
+                "system nearly singular")
+        G = np.empty((P, F, O))
+        G[:, :O] = np.linalg.inv(L)
+        L21 = front[:, O:F, :O] @ G[:, :O].transpose(0, 2, 1)
+        G[:, O:] = L21 @ G[:, :O]
+        self.factors.append(G)
+        n_bound = np.count_nonzero(rows[:, O:] != self.plan.multipliers,
+                                   axis=1)
+        self.nnz += int(np.sum(n_own * (n_own + 1) // 2 + n_own * n_bound))
+        return front[:, O:F, O:F] - L21 @ L21.transpose(0, 2, 1)
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """S^{-1} g for g (M + 1,), whose phantom last entry is ignored:
+        a forward sweep up the heights, y = L11^{-1} g_own and g_bound -=
+        L21 y, and a backward sweep down, x_own = L11^{-T} (y - L21^T
+        x_bound).  The products are einsum's own loops: many small
+        threaded BLAS calls can stall, and an iterative caller makes
+        dozens of sweeps."""
+        M = self.plan.multipliers
+        x = g.copy()
+        levels = list(zip(self.plan.heights, self.factors))
+        for (_, own, bound, *_), G in levels:
+            x[M] = 0.0
+            v = np.einsum("pfo,po->pf", G, x[own])
+            O = own.shape[1]
+            x[own] = v[:, :O]
+            x -= np.bincount(bound, v[:, O:].ravel(), minlength=M + 1)
+        for (rows, own, *_), G in reversed(levels):
+            x[M] = 0.0
+            v = x[rows]
+            v[:, own.shape[1]:] *= -1.0
+            x[own] = np.einsum("pfo,pf->po", G, v)
+        x[M] = 0.0
+        return x
 
 
 def _norm(v: np.ndarray) -> float:
@@ -189,25 +328,33 @@ class HybridFactor:
     """K^{-1} by hybridization, for K the operator of a :class:`BlockSystem`.
 
     ``columns`` (C, k, m) holds each class inverse's columns at the slots,
-    the same for every cell.  A load ``rhs`` is solved with the factor, and
-    ``solution`` is K^{-1} rhs; :meth:`solve` takes any later right-hand
-    side.  Raises SingularSystem when a dof belongs to no cell, a class
-    matrix is singular or the trace system is not numerically positive
-    definite, and ValueError when a dof is listed by three or more cells.
+    the same for every cell, and ``traces`` (C, m, m) their symmetrized
+    block at the slots.  The plan of the system's stress space, or one
+    made from its dofs and leaves, numbers the multipliers.  A load
+    ``rhs`` is solved with the factor, and ``solution`` is K^{-1} rhs;
+    :meth:`solve` takes any later right-hand side.  Raises SingularSystem
+    when a dof belongs to no cell, a class matrix is singular or the trace
+    system is not numerically positive definite, and ValueError when a dof
+    is listed by three or more cells.
     """
 
     def __init__(self, system: BlockSystem, rhs=None):
         D = self.cell_dofs = system.cell_dofs
         self.cell_class, self.cell_signs = system.cell_class, system.cell_signs
-        self.count, self.slots, self.slot_mult, sign = _multipliers(
-            D, system.n, system.cell_leaf)
+        self.count = np.bincount(D.ravel(), minlength=system.n)
+        if self.count.max(initial=0) > 2:
+            raise ValueError("a dof is listed by three or more cells; "
+                             "only pairs can be tied by one multiplier")
         if np.any(self.count == 0):
             raise SingularSystem(
                 "a dof belongs to no cell; the system is singular")
-        self.multipliers = int(np.count_nonzero(self.count == 2))
+        plan = (TracePlan(D, system.cell_leaf) if system.stress is None
+                else system.stress.trace_plan)
+        self.slots, self.slot_mult = plan.slots, plan.slot_mult
+        self.multipliers = plan.multipliers
         # a slot's sign in the class basis: its multiplier's sign times the
         # cell's sign of the slot's local dof
-        self.slot_sign = sign * self.cell_signs[:, self.slots]
+        self.slot_sign = plan.sign * self.cell_signs[:, self.slots]
         self.class_matrices = system.class_matrices
         unit = np.zeros((D.shape[1], len(self.slots)))
         unit[self.slots, np.arange(len(self.slots))] = 1.0
@@ -215,6 +362,8 @@ class HybridFactor:
             self.columns = np.linalg.solve(system.class_matrices, unit)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"singular cell matrix: {exc}") from exc
+        A = self.columns[:, self.slots]
+        self.traces = 0.5 * (A + A.transpose(0, 2, 1))
         self._inverses = None
         y = None
         if rhs is not None:
@@ -224,30 +373,9 @@ class HybridFactor:
             for cells in cell_batches(len(D)):
                 A = system.class_matrices[self.cell_class[cells]]
                 y[cells] = np.linalg.solve(A, y[cells, :, None])[..., 0]
-        self.lu = None
-        if self.multipliers:
-            # no name keeps S, so it is freed inside spd_factor
-            m = self.multipliers
-            self.lu = spd_factor(scatter(
-                [(self.cell_traces(), self.slot_mult, self.slot_mult)],
-                (m, m)))
-            if self.lu is None:
-                raise SingularSystem(
-                    "trace system not positive definite beyond tolerance; "
-                    "system nearly singular")
+        self.fronts = _Fronts(plan, self.traces, self.cell_class,
+                              self.slot_sign)
         self.solution = None if y is None else self._recover(y)
-
-    def cell_traces(self) -> np.ndarray:
-        """Each cell's block C^T K_K^{-1} C of the trace system, (E, m, m):
-        its class inverse's block at the slots, symmetrized once per class,
-        times the slot signs.  The signs are 0 or ±1, so this is bit for bit
-        the symmetrized signed block."""
-        sgn = self.slot_sign
-        A = self.columns[:, self.slots]
-        T = (0.5 * (A + A.transpose(0, 2, 1)))[self.cell_class]
-        T *= sgn[:, :, None]
-        T *= sgn[:, None, :]
-        return T
 
     def _cell_loads(self, b: np.ndarray) -> np.ndarray:
         """The cells' loads in their class basis, (E, k): each shared dof's
@@ -259,12 +387,10 @@ class HybridFactor:
     def _recover(self, y: np.ndarray) -> np.ndarray:
         """K^{-1} b from ``y`` (E, k), the class inverses applied to b's
         cell loads: multipliers, then cell by cell.  Overwrites ``y``."""
-        g = np.bincount(self.slot_mult.ravel(),
-                        (self.slot_sign * y[:, self.slots]).ravel(),
-                        minlength=self.multipliers + 1)
-        lam = np.zeros(self.multipliers + 1)
-        if self.lu is not None:
-            lam[:-1] = self.lu.solve(g[:-1])
+        lam = self.fronts.solve(np.bincount(
+            self.slot_mult.ravel(),
+            (self.slot_sign * y[:, self.slots]).ravel(),
+            minlength=self.multipliers + 1))
         # y -= A_c^{-1} C lam, from the class inverses' columns at the slots
         y -= _class_apply(self.columns, self.cell_class,
                           self.slot_sign * lam[self.slot_mult])
@@ -305,5 +431,4 @@ def solve(system: BlockSystem) -> SolveReport:
     return SolveReport(
         solution=x, residual=_check_residual(cell_apply(system, x),
                                              system.rhs),
-        multipliers=factor.multipliers,
-        factor_nnz=0 if factor.lu is None else int(factor.lu.nnz))
+        multipliers=factor.multipliers, factor_nnz=factor.fronts.nnz)

@@ -14,13 +14,13 @@ calls no BLAS, the four independent closures of the trigonometric
 benchmark solution, evaluation on every cell of a mesh, the
 plain-``einsum`` forms of the batched geometry, Piola, interpolation and
 Gram contractions, the four hand-written CSV and markdown table
-formatters that the CLI's one table writer replaced, and a context that
-runs an oracle on one BLAS thread."""
+formatters that the CLI's one table writer replaced, a context that runs
+an oracle on one BLAS thread, the solver's former SuperLU factor of the
+trace system and its former ARPACK inf-sup estimate, a hybrid factor's
+cell trace blocks and the dense Cholesky factor held by its fronts, and a
+mesh of a rectangular grid of cells read back from a mesh file."""
 
-import contextlib
-import ctypes
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -29,14 +29,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import quadelast.analysis
+from quadelast import _blas
+from quadelast._blas import openblas_controls
 import quadelast.assembly
 import quadelast.cli
+import quadelast.solver
 from quadelast.assembly import boundary_term, default_quad
 from quadelast.fe_space import (FEFunction, build_displacement_space, scatter,
                                 unmapped_basis)
 from quadelast.mapping import (cell_chunks, gauss_rule, geometry_at,
                                piola_values, ref_shape)
-from quadelast.mesh import QuadMesh, generate_square_mesh
+from quadelast.mesh import (QuadMesh, generate_square_mesh, read_mesh,
+                            write_mesh)
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
 from quadelast.reference_elements import ReferenceElement
 from quadelast.solver import PIVOT_TOL, RESIDUAL_TOL, SingularSystem
@@ -238,6 +242,78 @@ def scattered_trace_system(T, slot_mult, n_mult):
     cols = np.broadcast_to(slot_mult[:, None, :], Se.shape).ravel()
     S = sp.coo_matrix((Se.ravel(), (rows, cols)), shape=(n + 1, n + 1))
     return S.tocsr()[:n, :n].tocsc()
+
+
+def cell_traces(factor):
+    """A ``solver.HybridFactor``'s cell blocks of the trace system
+    (E, m, m): each class's symmetrized block at the slots times the
+    cell's slot signs."""
+    sgn = factor.slot_sign
+    return (factor.traces[factor.cell_class] * sgn[:, :, None]
+            * sgn[:, None, :])
+
+
+def superlu_trace_factor(factor):
+    """Oracle of the trace system's factor: the symmetric-mode SuperLU
+    factor, with no pivoting and in the order of the multipliers, of S
+    summed by :func:`scattered_trace_system`, as the solver factored it
+    before its fronts; None when S has no row."""
+    m = factor.multipliers
+    if m == 0:
+        return None
+    S = scattered_trace_system(cell_traces(factor), factor.slot_mult, m)
+    return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def fronts_cholesky(fronts) -> np.ndarray:
+    """The dense lower Cholesky factor L (M, M) that the fronts of a
+    ``solver.HybridFactor`` hold: per node L11 = (L11^{-1})^{-1} on its own
+    rows and L21 = (L21 L11^{-1}) L11 below them, at its multipliers."""
+    M = fronts.plan.multipliers
+    L = np.zeros((M + 1, M + 1))
+    for height, G in zip(fronts.plan.heights, fronts.factors):
+        O = height.own.shape[1]
+        L11 = np.linalg.inv(G[:, :O])
+        block = np.concatenate([L11, G[:, O:] @ L11], axis=1)
+        rows = height.rows
+        L[rows[:, :, None], height.own[:, None, :]] = block
+    return L[:M, :M]
+
+
+def arpack_infsup(system, gram) -> float:
+    """Oracle of ``analysis.infsup_estimate``: ARPACK's shift-invert
+    Lanczos about zero on K x = lambda N x, N the Gram system summed by
+    :func:`gram_matrix` and K^-1 the hybrid factor, from the estimate's
+    seeded start vector; 0 where the factor refuses the system."""
+    try:
+        factor = quadelast.solver.HybridFactor(system)
+    except quadelast.solver.SolverError:
+        return 0.0
+    N = gram_matrix(system, gram)
+    K = spla.LinearOperator(
+        N.shape, matvec=lambda x: quadelast.solver.cell_apply(system, x),
+        dtype=float)
+    Kinv = spla.LinearOperator(N.shape, matvec=factor.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(system.n)
+    lam = spla.eigsh(K, k=1, M=N, sigma=0, which="LM", tol=0, OPinv=Kinv,
+                     v0=v0, return_eigenvectors=False)
+    return float(abs(lam[0]))
+
+
+def read_grid_mesh(path, nx: int, ny: int) -> QuadMesh:
+    """The nx x ny grid of the unit square, written to ``path`` and read
+    back by ``mesh.read_mesh``: with nx * ny not a power of 2 its
+    dissection tree has nodes with one child."""
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1),
+                       np.linspace(0.0, 1.0, ny + 1))
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    corner = j * (nx + 1) + i
+    quads = np.stack([corner, corner + 1, corner + nx + 2, corner + nx + 1],
+                     axis=1)
+    write_mesh(QuadMesh(np.column_stack([x.ravel(), y.ravel()]), quads),
+               path)
+    return read_mesh(path)
 
 
 def own_classes(system, cell_matrices):
@@ -498,49 +574,17 @@ def format_locking_md(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: (set, get) thread-count symbols of an OpenBLAS copy: numpy's bundled
-#: 64-bit-integer build, scipy's bundled build, a plain build.
-OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}set_num_threads{suffix}", f"{prefix}get_num_threads{suffix}")
-    for prefix, suffix in (("scipy_openblas_", "64_"),
-                           ("scipy_openblas_", ""), ("openblas_", "")))
-
-
 def openblas_thread_controls() -> list:
     """``(set, get)`` thread-count functions of the OpenBLAS copies that
     numpy and scipy bundle (``numpy.libs``, ``scipy.libs``), found through
     ctypes by their exported symbols.  A copy without both symbols, or a
     build that bundles none, gives no entry."""
-    controls = []
-    for module in (np, scipy):
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for lib in sorted(libs.glob("*openblas*.so*")):
-            handle = ctypes.CDLL(str(lib))
-            for names in OPENBLAS_THREAD_SYMBOLS:
-                if all(hasattr(handle, name) for name in names):
-                    set_threads, get_threads = map(handle.__getattr__, names)
-                    set_threads.argtypes = [ctypes.c_int]
-                    set_threads.restype = None
-                    get_threads.argtypes = []
-                    get_threads.restype = ctypes.c_int
-                    controls.append((set_threads, get_threads))
-                    break
-    return controls
+    return [c for module in (np, scipy) for c in openblas_controls(module)]
 
 
-@contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's and scipy's bundled OpenBLAS on one
     thread each, and restore their thread counts after it.  For an
-    oracle's own dense computations only: OpenBLAS stalls on two threads
-    on some hosts, and the code under test keeps the default threads.
-    Where no copy is found it does nothing."""
-    controls = openblas_thread_controls()
-    counts = [get() for _, get in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, counts):
-            set_threads(count)
+    oracle's own dense computations: OpenBLAS stalls on two threads on
+    some hosts.  Where no copy is found it does nothing."""
+    return _blas.one_blas_thread(openblas_thread_controls())

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
+import quadelast.analysis as analysis
+import quadelast.solver
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.fe_space import (
     FEFunction,
@@ -43,7 +44,8 @@ from quadelast.reference_elements import (
     shifted_legendre,
 )
 
-from helpers import (cell_gram, einsum_gram, einsum_gram_matrix,
+from helpers import (arpack_infsup, cell_gram, einsum_gram,
+                     einsum_gram_matrix,
                      flip_edge_sign, gram_matrix, jittered_square_mesh,
                      linear_solution, negated_cell_compliance, on_all_cells,
                      one_blas_thread, openblas_thread_controls,
@@ -330,28 +332,26 @@ def test_ynorm_gram_is_one_class_array_with_zeros_between_blocks(family,
     ("rt3", generate_square_mesh, 3), ("rt2", jittered_square_mesh, 3)])
 def test_infsup_gram_matrix_is_the_summed_cell_arrays(monkeypatch, family,
                                                       mesh_fn, n):
-    # the Gram system's N, as the estimate hands it to ARPACK and as its
-    # cell blocks sum, is bit for bit the sum of the whole-mesh oracle's
-    # signed cell arrays over the five local slices
+    # the Gram system's N, as the estimate applies it cell by cell and as
+    # its cell blocks sum, is bit for bit the sum of the whole-mesh
+    # oracle's signed cell arrays over the five local slices
     S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
     system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
-    seen, eigsh = [], spla.eigsh
+    seen, cell_apply = {}, analysis.cell_apply
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["M"])
-        return eigsh(*args, **kwargs)
+    def recording(applied, x):
+        if applied.class_matrices is gram:
+            seen[id(applied)] = applied
+        return cell_apply(applied, x)
 
-    monkeypatch.setattr(spla, "eigsh", recording)
+    monkeypatch.setattr(analysis, "cell_apply", recording)
     assert infsup_estimate(system, gram) > 0.0
-    want = einsum_gram_matrix(system, S, V, Q).tocsr()
-    want.sort_indices()
-    for N in (*seen, gram_matrix(system, gram)):
-        assert N.format == "csc" and N.shape == want.shape
-        N = N.tocsr()
-        N.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(N, name), getattr(want, name)), name
-    assert len(seen) == 1
+    want = einsum_gram_matrix(system, S, V, Q).toarray()
+    (applied,) = seen.values()
+    columns = np.stack([cell_apply(applied, e) for e in np.eye(system.n)],
+                       axis=1)
+    for N in (columns, gram_matrix(system, gram).toarray()):
+        assert np.array_equal(N, want)
 
 
 def test_infsup_and_the_blocks_never_form_cell_matrices(monkeypatch):
@@ -751,20 +751,49 @@ def test_infsup_rejects_indefinite_gram():
 
 def test_infsup_factors_only_the_trace_system(monkeypatch):
     # the Gram check is a batched Cholesky of the class matrices: the one
-    # sparse factorization left is the hybrid solver's trace system
+    # factorization of a global system left is the hybrid solver's trace
+    # system, by its fronts
     S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "bdm1")
     system, gram = assemble(S, V, Q, PARAMS), ynorm_gram(S, V, Q)
-    shapes, splu = [], spla.splu
+    sizes, fronts = [], quadelast.solver._Fronts.__init__
 
-    def recording(A, **kw):
-        shapes.append(A.shape)
-        return splu(A, **kw)
+    def recording(self, plan, *args):
+        sizes.append(plan.multipliers)
+        fronts(self, plan, *args)
 
-    monkeypatch.setattr(spla, "splu", recording)
+    monkeypatch.setattr(quadelast.solver._Fronts, "__init__", recording)
     assert infsup_estimate(system, gram) > 0.0
-    (shape,) = shapes
+    (size,) = sizes
     factor = HybridFactor(system)
-    assert shape == (factor.multipliers,) * 2
+    assert size == factor.multipliers
+
+
+# bdm1 on trapezoids at n = 16 and 32, rt2 at n = 8 and rt3 at n = 4, both
+# families at the soft material, the locking study's largest Poisson ratio
+# and the one-cell square
+ARPACK_CASES = [("bdm1", generate_trapezoidal_mesh, 16, PARAMS),
+                ("bdm1", generate_trapezoidal_mesh, 32, PARAMS),
+                ("rt2", generate_trapezoidal_mesh, 8, PARAMS),
+                ("rt3", generate_trapezoidal_mesh, 4, PARAMS),
+                ("rt2", generate_trapezoidal_mesh, 8,
+                 LameParams(mu=0.01, lam=0.01)),
+                ("bdm1", generate_trapezoidal_mesh, 8,
+                 LameParams(mu=0.01, lam=0.01)),
+                ("bdm1", generate_trapezoidal_mesh, 8,
+                 LameParams.from_young_poisson(1000.0, 0.4999)),
+                ("bdm1", generate_square_mesh, 1, PARAMS)]
+ARPACK_IDS = ["bdm1-n16", "bdm1-n32", "rt2-n8", "rt3-n4", "rt2-n8-soft",
+              "bdm1-n8-soft", "bdm1-n8-nu0.4999", "bdm1-square-n1"]
+
+
+@pytest.mark.parametrize("family,mesh_fn,n,params", ARPACK_CASES,
+                         ids=ARPACK_IDS)
+def test_infsup_matches_the_arpack_oracle(family, mesh_fn, n, params):
+    # the former estimate, ARPACK's shift-invert Lanczos on the summed N
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    system, gram = assemble(S, V, Q, params), ynorm_gram(S, V, Q)
+    ref = arpack_infsup(system, gram)
+    assert abs(infsup_estimate(system, gram) - ref) <= 1e-12 * ref
 
 
 def test_infsup_rejects_one_negated_gram_block():

@@ -1,9 +1,14 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadelast
 import quadelast.cli as cli
+import quadelast.solver
 from quadelast.cli import (
     ConfigError,
     RunConfig,
@@ -550,6 +555,43 @@ def test_locking_builds_each_level_once(monkeypatch):
     assert {(name, id(mesh)) for name, mesh in computed} == {
         (name, id(mesh)) for mesh in built
         for name in ("translation_classes", "dissection_leaves")}
+
+
+def test_locking_plans_the_trace_factor_once_per_level(monkeypatch):
+    # the plan is material-free: a default sweep makes one per level, on
+    # the level's stress space, for all four Poisson ratios
+    planned, plan = [], quadelast.solver.TracePlan.__init__
+
+    def counting(self, cell_dofs, cell_leaf):
+        planned.append(len(cell_leaf))
+        plan(self, cell_dofs, cell_leaf)
+
+    monkeypatch.setattr(quadelast.solver.TracePlan, "__init__", counting)
+    config = cli._config_from_args(cli.build_parser().parse_args(["locking"]))
+    rows = run_locking(config)
+    assert len(rows) == 4 * len(config.levels) == 20
+    assert planned == [n * n for n in config.levels]
+
+
+# the import and every study, in a fresh interpreter: nothing may load a
+# scipy module, not even lazily inside a run
+NO_SCIPY = """
+import sys
+import quadelast.cli as cli
+for argv in (["convergence", "--element", "rt2", "--mesh", "trapezoid"],
+             ["locking"], ["diagnostics", "--element", "bdm1"]):
+    assert cli.main(argv + ["--levels", "2,4"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_no_scipy_module_is_loaded_by_the_package_or_its_studies():
+    src = str(Path(quadelast.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_mesh_command_and_read_mesh_compute_no_classes(monkeypatch,

@@ -1,19 +1,19 @@
 """The nested-dissection order of the trace system: the mesh's bisection
-tree, the multiplier numbering read off it, and the fill of the factor
-SuperLU computes in that order."""
+tree, the multiplier numbering read off it, and the factor that the fronts
+hold in that order, against SuperLU's."""
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-import quadelast.solver
 from quadelast.assembly import assemble
 from quadelast.fe_space import build_elasticity_spaces
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.problem import LameParams
-from quadelast.solver import HybridFactor, spd_factor
+from quadelast.solver import HybridFactor
 
-from helpers import jittered_square_mesh
+from helpers import (cell_traces, fronts_cholesky, jittered_square_mesh,
+                     scattered_trace_system, superlu_trace_factor)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 
@@ -108,25 +108,33 @@ def test_multipliers_are_numbered_in_postorder(family, mesh):
 
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
 def test_superlu_factors_in_the_mesh_order(family):
+    # SuperLU keeps the mesh order of S, and the fronts hold its factor:
+    # L D L^T with unit L is C C^T for C = L sqrt(D)
     system = assemble(*build_elasticity_spaces(
         generate_trapezoidal_mesh(8), family), PARAMS)
-    lu = HybridFactor(system).lu
+    factor = HybridFactor(system)
+    lu = superlu_trace_factor(factor)
     np.testing.assert_array_equal(lu.perm_c, np.arange(lu.shape[0]))
     np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+    C = lu.L.toarray() * np.sqrt(lu.U.diagonal())
+    L = fronts_cholesky(factor.fronts)
+    assert abs(L - C).max() <= 1e-13 * abs(C).max()
+    assert np.array_equal(L, np.tril(L))
 
 
 @pytest.mark.parametrize("kind", sorted(MESHES))
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("family", ["rt2", "rt3", "bdm1"])
-def test_fill_is_at_most_superlu_minimum_degree(family, n, kind,
-                                                monkeypatch):
+def test_fill_is_at_most_superlu_minimum_degree(family, n, kind):
+    # the fronts store every entry of a dense front's Cholesky factor; that
+    # is at most the lower factor SuperLU fills in a minimum-degree order
     system = assemble(*build_elasticity_spaces(MESHES[kind](n), family),
                       PARAMS)
-    factored = []
-    monkeypatch.setattr(quadelast.solver, "spd_factor",
-                        lambda N: factored.append(N) or spd_factor(N))
     factor = HybridFactor(system)
-    (S,) = factored
+    S = scattered_trace_system(cell_traces(factor), factor.slot_mult,
+                               factor.multipliers)
     mmd = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
-    assert factor.lu.nnz <= mmd.nnz
+    assert factor.fronts.nnz <= mmd.L.nnz
+    L = fronts_cholesky(factor.fronts)
+    assert np.count_nonzero(L) <= factor.fronts.nnz

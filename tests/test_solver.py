@@ -1,15 +1,13 @@
 import dataclasses
-import sys
-import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+import quadelast.assembly
+import quadelast.fe_space
 import quadelast.solver
+from quadelast import cli
 
 from quadelast.mesh import generate_square_mesh, generate_trapezoidal_mesh
 from quadelast.mapping import gauss_rule, geometry_at
@@ -23,13 +21,13 @@ from quadelast.solver import (
     SolverError,
     cell_apply,
     solve,
-    spd_factor,
 )
-from quadelast.analysis import compute_errors
+from quadelast.analysis import compute_errors, infsup_estimate
+from quadelast.assembly import ynorm_gram
 
-from helpers import (linear_solution, monolithic_solve,
-                     negated_cell_compliance, norm, on_all_cells,
-                     scattered_trace_system)
+from helpers import (cell_traces, jittered_square_mesh, linear_solution,
+                     monolithic_solve, negated_cell_compliance, norm,
+                     on_all_cells, read_grid_mesh, superlu_trace_factor)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 TRIG = trig_solution(PARAMS)
@@ -113,103 +111,75 @@ def test_solve_matches_monolithic_oracle(family, mesh_fn, n, params):
     assert (report.multipliers == 0) == (n == 1)
 
 
+def trace_solves_agree(factor):
+    """The fronts' S^{-1} g against the SuperLU oracle's, for a seeded g."""
+    lu, m = superlu_trace_factor(factor), factor.multipliers
+    g = np.random.default_rng(4).standard_normal(m + 1)
+    x = factor.fronts.solve(g)
+    assert x[m] == 0.0
+    if lu is None:
+        return
+    want = lu.solve(g[:m])
+    assert abs(x[:m] - want).max() <= 1e-12 * abs(want).max()
+
+
 @pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
                          ids=ORACLE_IDS)
-def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params,
-                                               monkeypatch):
-    # the matrix the factor hands to SuperLU has the CSC pattern of the
-    # coo_matrix-and-slice oracle, explicit zeros included, and its bits
+def test_trace_system_matches_scattered_oracle(family, mesh_fn, n, params):
+    # the fronts solve the trace system that the coo_matrix-and-slice
+    # oracle sums, as SuperLU does
     system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
-    factored = []
-    monkeypatch.setattr(quadelast.solver, "spd_factor",
-                        lambda N: factored.append(N) or spd_factor(N))
-    factor = HybridFactor(system)
-    (S,) = factored
-    ref = scattered_trace_system(factor.cell_traces(), factor.slot_mult,
-                                 factor.multipliers)
-    assert isinstance(S, sp.csc_matrix)
-    assert S.has_canonical_format and S.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(S, name), getattr(ref, name))
+    trace_solves_agree(HybridFactor(system))
+
+
+TREE_MESHES = {
+    "jittered-n8": lambda path: jittered_square_mesh(8),
+    "square-n3": lambda path: generate_square_mesh(3),
+    "square-n1": lambda path: generate_square_mesh(1),
+    "read-5x3": lambda path: read_grid_mesh(path, 5, 3),
+}
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt2", "rt3"])
+@pytest.mark.parametrize("mesh", sorted(TREE_MESHES))
+def test_fronts_match_superlu_where_nodes_have_one_child(family, mesh,
+                                                         tmp_path):
+    # cell counts that are not powers of 2 leave nodes with one child, and
+    # one cell leaves no trace system at all
+    S, V, Q = build_elasticity_spaces(
+        TREE_MESHES[mesh](tmp_path / "mesh.txt"), family)
+    system = assemble(S, V, Q, PARAMS, f=TRIG.f, g=TRIG.g)
+    trace_solves_agree(HybridFactor(system))
+    x, xm = solve(system).solution, monolithic_solve(system)
+    assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
 
 
 def test_trace_system_is_built_without_a_copy_of_its_entries(monkeypatch):
-    # rt2 trapezoid n = 32 has 247,936 real slot pairs: the data and index
-    # arrays that scatter keeps take 5.95 MB and S 2.63 MB.  Building S
-    # traced 11.21 MB, 2.63 MB beyond both (the COO conversion's int32
-    # indices and the keep mask); with a concatenate copy of the one block
-    # it traced 12.16 MB, through a CSR matrix 11.85 MB, and through a
-    # phantom row, CSR and a slice 11.83 MB.  The bound allows half the
-    # kept arrays, 2.98 MB, beyond them and S.
-    system = assemble(*build_elasticity_spaces(
-        generate_trapezoidal_mesh(32), "rt2"), PARAMS)
-    HybridFactor(system)  # scipy's first calls allocate once
-    cell_traces, traced = HybridFactor.cell_traces, []
+    # S is never summed: the fronts are read from the cells' trace blocks,
+    # so neither a solve nor the inf-sup estimate calls the sparse sum
+    calls = []
 
-    def start_after_cell_traces(factor):
-        T = cell_traces(factor)
-        tracemalloc.start()
-        return T
+    def counting(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("scatter called")
 
-    def stop_before_spd_factor(N):
-        traced.append((tracemalloc.get_traced_memory()[1],
-                       N.data.nbytes + N.indices.nbytes + N.indptr.nbytes))
-        tracemalloc.stop()
-        return spd_factor(N)
-
-    monkeypatch.setattr(HybridFactor, "cell_traces", start_after_cell_traces)
-    monkeypatch.setattr(quadelast.solver, "spd_factor", stop_before_spd_factor)
-    try:
-        factor = HybridFactor(system)
-    finally:
-        tracemalloc.stop()
-    [(peak, out)] = traced
-    real = np.count_nonzero(factor.slot_mult != factor.multipliers, axis=1)
-    kept = 3 * 8 * int(np.sum(real ** 2))  # float64 data, int64 indices
-    assert peak <= kept + out + kept / 2, (peak, kept, out)
+    for module in (quadelast.fe_space, quadelast.assembly):
+        monkeypatch.setattr(module, "scatter", counting)
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
+    system = assemble(S, V, Q, PARAMS, f=TRIG.f, g=TRIG.g)
+    assert solve(system).residual <= 1e-10
+    assert infsup_estimate(assemble(S, V, Q, PARAMS),
+                           ynorm_gram(S, V, Q)) > 0.0
+    assert calls == []
 
 
 @pytest.mark.parametrize("family,mesh_fn,n,params", ORACLE_CASES,
                          ids=ORACLE_IDS)
 def test_cell_traces_are_symmetric_bit_for_bit(family, mesh_fn, n, params):
     system = assemble(*build_elasticity_spaces(mesh_fn(n), family), params)
-    T = HybridFactor(system).cell_traces()
-    assert np.array_equal(T, T.transpose(0, 2, 1))
-
-
-# before 3.11 CPython keeps a call's arguments on the caller's stack until
-# the call returns, so the trace system cannot be freed inside spd_factor
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="call arguments outlive the call before 3.11")
-@pytest.mark.parametrize("family", ["bdm1", "rt2"])
-def test_trace_system_freed_before_pivots_are_read(family, monkeypatch):
-    splu, freed_at_U = spla.splu, []
-
-    class RecordingLU:
-        """splu that records, at each read of U, whether the matrix it
-        factored has been freed."""
-
-        def __init__(self, N, **kwargs):
-            self._matrix = weakref.ref(N)
-            self._lu = splu(N, **kwargs)
-
-        @property
-        def U(self):
-            freed_at_U.append(self._matrix() is None)
-            return self._lu.U
-
-        perm_r = property(lambda self: self._lu.perm_r)
-        perm_c = property(lambda self: self._lu.perm_c)
-        nnz = property(lambda self: self._lu.nnz)
-
-        def solve(self, b):
-            return self._lu.solve(b)
-
-    monkeypatch.setattr(spla, "splu", RecordingLU)
-    _, system = assembled(generate_trapezoidal_mesh(4), family)
-    report = solve(system)
-    assert freed_at_U == [True]
-    assert report.residual <= 1e-10
+    factor = HybridFactor(system)
+    for T in (factor.traces, cell_traces(factor)):
+        assert np.array_equal(T, T.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt2"])
@@ -373,6 +343,26 @@ def test_negated_cell_compliance_makes_trace_system_indefinite(family,
         solve(negated_cell_compliance(system))
 
 
+def test_pivot_under_the_floor_is_singular(monkeypatch):
+    # a front whose Cholesky succeeds with a pivot under PIVOT_TOL times
+    # S's largest diagonal entry is refused all the same: the first pivot
+    # of every front at the first height is scaled to 1e-14 of its square
+    _, system = assembled(generate_trapezoidal_mesh(4), "rt2")
+    cholesky, calls = np.linalg.cholesky, []
+
+    def small_first_pivot(a):
+        calls.append(a.shape)
+        L = cholesky(a)
+        if len(calls) == 1:
+            L[:, 0, 0] *= 1e-7
+        return L
+
+    monkeypatch.setattr(np.linalg, "cholesky", small_first_pivot)
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        solve(system)
+    assert len(calls) == 1
+
+
 def test_dof_listed_by_three_cells_rejected():
     _, system = assembled(generate_square_mesh(2), "bdm1", sol=None)
     D = system.cell_dofs.copy()
@@ -383,20 +373,38 @@ def test_dof_listed_by_three_cells_rejected():
 
 @pytest.mark.parametrize("message,raises", [
     # the two texts scipy's SuperLU raised at rt2 trapezoid n = 256 under a
-    # 1.5 GB address-space limit, and its text for an exactly singular S
+    # 1.5 GB address-space limit; the fronts now allocate through numpy, and
+    # a failed allocation inside their Cholesky must still reach the caller
+    # as MemoryError, not be taken for a singular front
     ("SUPERLU_MALLOC fails for buf in intCalloc() at line 173 in file "
      "../scipy/sparse/linalg/_dsolve/SuperLU/SRC/memory.c", MemoryError),
-    ("Malloc fails for local work[].", MemoryError),
-    ("Factor is exactly singular", SingularSystem)])
+    ("Malloc fails for local work[].", MemoryError)])
 def test_superlu_allocation_failure_is_out_of_memory(message, raises,
                                                      monkeypatch):
-    def failing(N, **kwargs):
-        raise RuntimeError(message)
+    def failing(a):
+        raise raises(message)
 
-    monkeypatch.setattr(spla, "splu", failing)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
     _, system = assembled(generate_trapezoidal_mesh(2), "rt2")
-    with pytest.raises(raises):
+    with pytest.raises(raises) as info:
         solve(system)
+    assert str(info.value) == message
+
+
+def test_memory_error_in_the_factor_exits_1_naming_the_level(capsys,
+                                                           monkeypatch):
+    # numpy raises MemoryError where an allocation fails; one inside the
+    # fronts' Cholesky ends the run with exit code 1 and the level named
+    def exhausted(a):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(np.linalg, "cholesky", exhausted)
+    code = cli.main(["convergence", "--element", "rt2", "--mesh",
+                     "trapezoid", "--levels", "2,4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("solver failure: convergence run failed at level n=2: "
+                   "out of memory\n")
 
 
 def test_exception_hierarchy():
