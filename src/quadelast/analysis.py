@@ -29,9 +29,9 @@ NORM_QUAD = 12
 
 #: Largest system size accepted by the inf-sup estimate.  One estimate in a
 #: fresh process on trapezoids (2 vCPUs, numpy 2.4, OpenBLAS at its default
-#: 2 threads, 3 runs): 0.06-0.07 s at 7,040 unknowns (rt2 n=16), 0.26-0.27 s
-#: (one run 0.90 s) and a 104 MB peak at 27,904 (rt2 n=32), 0.91-1.18 s and
-#: 180 MB at 45,568 (bdm1 n=64).  A safety bound on time and memory, not a
+#: 2 threads, E = 1000, nu = 0.3): 0.12 s and a 49 MB peak at 7,040
+#: unknowns (rt2 n=16), 0.33 s and 95 MB at 27,904 (rt2 n=32), 1.16 s and
+#: 162 MB at 45,568 (bdm1 n=64).  A safety bound on time and memory, not a
 #: measured limit.
 INFSUP_CAP = 50_000
 

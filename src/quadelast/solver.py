@@ -24,8 +24,10 @@ the tree node where its two cells part, and the multipliers are numbered
 in the postorder of that tree.  A node's front is the extend-add of its
 children's update matrices, the cells' trace blocks at height 1; its own
 multipliers are eliminated by a dense Cholesky, and the Schur complement
-on its boundary goes up to its parent.  All nodes of one height are one
-batch, padded to the height's largest front.  The material-free part,
+on its boundary goes up to its parent.  The fronts of one height are
+padded to its largest front and factored in batches of at most
+``FRONT_CHUNK`` entries, so the factor's working memory is the update
+matrices of two heights and one batch.  The material-free part,
 :class:`TracePlan`, is made once per stress space
 (``FESpace.trace_plan``).  A positive pivot everywhere is the SPD and
 singularity check.
@@ -53,6 +55,12 @@ __all__ = ["HybridFactor", "SolveReport", "SolverError", "SingularSystem",
 
 RESIDUAL_TOL = 1e-10
 PIVOT_TOL = 1e-13
+#: Padded front entries assembled and factored in one batch (512 kB of
+#: fronts).  Against whole heights, fresh processes of the conv and
+#: locking study workloads peaked 5-6 MB lower with batches of 2**16
+#: entries, 4-5 MB lower with 2**17 and 2.5 MB lower with 2**18; 2**15
+#: was no lower than 2**16 and makes more, smaller calls.
+FRONT_CHUNK = 1 << 16
 
 
 class SolverError(Exception):
@@ -122,6 +130,12 @@ def _multipliers(cell_dofs: np.ndarray, cell_leaf: np.ndarray):
     return slots, mult, sign, height[order]
 
 
+def _batch(F: int) -> int:
+    """The fronts (F + 1, F + 1) in one batch: ``FRONT_CHUNK`` padded
+    entries, or one front."""
+    return max(1, FRONT_CHUNK // (F + 1) ** 2)
+
+
 class _Height(NamedTuple):
     """The nodes of one height of a :class:`TracePlan`."""
 
@@ -130,7 +144,8 @@ class _Height(NamedTuple):
     bound: np.ndarray  # (P * (F - O),) int, rows[:, O:] flat
     n_own: np.ndarray  # (P,) int
     pos: np.ndarray  # (children, q) int, each child's rows in its front
-    offsets: np.ndarray  # (children, q) int, those rows in the batch
+    offsets: np.ndarray  # (children, q) int, those rows in their batch
+    start: np.ndarray  # (P + 1,) int, each node's first child
 
 
 class TracePlan:
@@ -140,23 +155,28 @@ class TracePlan:
     the dofs two cells list matter, so a stress space's own dofs plan its
     systems (``FESpace.trace_plan``).  Holds the numbering of
     :func:`_multipliers` (``slots``, ``slot_mult``, ``sign``,
-    ``multipliers``) and, per height of the dissection tree from 1 up, one
-    :class:`_Height` of its P nodes:
+    ``multipliers``), ``cells``, the cells grouped by their parent node,
+    each group in mesh order, and, per height of the dissection tree from
+    1 up, one :class:`_Height` of its P nodes:
 
     - ``rows`` (P, F): each node's front, by multiplier: first the O
       columns ``own`` of its ``n_own`` own multipliers, eliminated there,
       then its boundary multipliers ``bound``, flat, which belong to its
       ancestors; each part padded with the phantom M;
     - ``pos``: each child's (q,) row positions in its parent's front, F for
-      a padded or phantom row, and ``offsets``, the offsets of those rows
-      in the batch of fronts (P, F + 1, F + 1).  The children are the cells
-      at height 1 and the nodes below otherwise, all of them, in order; one
-      whose rows are all padding adds its zeros to node 0's last row.
+      a padded or phantom row, ``offsets``, the offsets of those rows in
+      the parent's batch of fronts (:func:`_batch`, fronts (F + 1, F + 1)),
+      and ``start``: nodes ``lo:hi`` own the children
+      ``start[lo]:start[hi]``.  The children are ``cells`` at
+      height 1 and the nodes below otherwise, all of them; one whose rows
+      are all padding joins the group before it, or node 0's, and adds
+      only to the padded row and column.
 
     Two leaves or nodes share a parent exactly when their ids differ only
-    in the last bit.  A node's own multipliers belong to it and its
-    boundary ones to its ancestors, which come after it in postorder:
-    sorted by number, the own ones come first.
+    in the last bit.  The nodes of a height are in order of id, so the
+    nodes below are already grouped by parent.  A node's own multipliers
+    belong to it and its boundary ones to its ancestors, which come after
+    it in postorder: sorted by number, the own ones come first.
     """
 
     def __init__(self, cell_dofs: np.ndarray, cell_leaf: np.ndarray):
@@ -165,6 +185,7 @@ class TracePlan:
         self.multipliers = M = len(height)
         self.heights = []
         rows, ids = self.slot_mult, np.asarray(cell_leaf, dtype=np.int64)
+        self.cells = np.arange(len(rows))
         h = 0
         while np.any(rows != M):
             h += 1
@@ -173,9 +194,9 @@ class TracePlan:
             key, at = np.unique((ids[child] >> 1) * (M + 1) + rows[child, col],
                                 return_inverse=True)
             parent_id, mult = np.divmod(key, M + 1)
-            nodes, start = np.unique(parent_id, return_index=True)
+            nodes, first = np.unique(parent_id, return_index=True)
             node = np.searchsorted(nodes, parent_id)
-            rank = np.arange(len(key)) - start[node]
+            rank = np.arange(len(key)) - first[node]
             own = height[mult] == h
             n_own = np.bincount(node[own], minlength=len(nodes))
             O = int(n_own.max())
@@ -185,11 +206,17 @@ class TracePlan:
             front[node, pos] = mult
             child_pos = np.full(rows.shape, F)
             child_pos[child, col] = pos[at]
-            parent = np.zeros(len(rows), dtype=np.int64)
+            parent = np.full(len(rows), -1)
             parent[child] = node[at]
+            if h == 1:
+                self.cells = np.argsort(parent, kind="stable")
+                parent, child_pos = parent[self.cells], child_pos[self.cells]
+            parent = np.maximum.accumulate(parent).clip(0)
             self.heights.append(_Height(
                 front, front[:, :O].copy(), front[:, O:].ravel(), n_own,
-                child_pos, (parent[:, None] * (F + 1) + child_pos) * (F + 1)))
+                child_pos,
+                (parent[:, None] % _batch(F) * (F + 1) + child_pos) * (F + 1),
+                np.searchsorted(parent, np.arange(len(nodes) + 1))))
             rows, ids = front[:, O:], nodes
 
 
@@ -205,18 +232,28 @@ class _Fronts:
     Raises SingularSystem when a front is not numerically positive
     definite: every pivot, a squared diagonal entry of L11, must exceed
     ``PIVOT_TOL`` times S's largest diagonal entry.
+
+    The fronts of a height are assembled and factored in batches of at
+    most ``FRONT_CHUNK`` padded entries, or one front, and G and the
+    updates are written into arrays of the whole height.  So the working
+    memory is the update matrices of two heights and one batch (Liu,
+    1992).  LAPACK and BLAS factor each front on its own, and a batch
+    sums each front entry's contributions in the order of the children,
+    so the factor is the same, bit for bit, in any batch.
     """
 
     def __init__(self, plan: TracePlan, traces: np.ndarray,
                  cell_class: np.ndarray, slot_sign: np.ndarray):
         self.plan, M = plan, plan.multipliers
-        diag = np.diagonal(traces, axis1=1, axis2=2)[cell_class]
         floor = PIVOT_TOL * np.bincount(
-            plan.slot_mult.ravel(), (diag * slot_sign ** 2).ravel(),
-            minlength=M + 1)[:M].max(initial=0.0)
+            plan.slot_mult.ravel(),
+            (np.diagonal(traces, axis1=1, axis2=2)[cell_class]
+             * slot_sign ** 2).ravel(), minlength=M + 1)[:M].max(initial=0.0)
 
-        def cell_blocks(cells):
-            """The cells' trace blocks, each class's block signed."""
+        def cell_blocks(children):
+            """The trace blocks of ``cells[children]``, each class's block
+            signed."""
+            cells = plan.cells[children]
             sign = slot_sign[cells]
             return (traces[cell_class[cells]] * sign[:, :, None]
                     * sign[:, None, :])
@@ -224,48 +261,66 @@ class _Fronts:
         # the children's blocks: the cells' trace blocks at height 1, then
         # the update matrices of the height below
         blocks = cell_blocks
-        self.factors, self.nnz = [], 0
+        # the factor first, then one buffer for a batch of fronts: fresh
+        # arrays per batch cost more in page faults than the fronts' own
+        # arithmetic, and the transients, allocated after what is kept,
+        # leave one free block behind
+        shapes = [(*h.rows.shape, h.own.shape[1]) for h in plan.heights]
+        self.factors = [np.empty(shape) for shape in shapes]
+        work = np.empty(max((min(_batch(F), P) * (F + 1) ** 2
+                             for P, F, _ in shapes), default=0))
+        self.nnz = 0
         # the fronts are batches of small products, which stall on some
         # hosts when they are threaded (see _blas)
         with one_blas_thread():
-            for height in plan.heights:
-                blocks = self._eliminate(height, blocks, floor).__getitem__
+            for height, G in zip(plan.heights, self.factors):
+                blocks = self._eliminate(height, G, blocks, floor,
+                                         work).__getitem__
 
-    def _eliminate(self, height: _Height, blocks, floor: float) -> np.ndarray:
+    def _eliminate(self, height: _Height, G: np.ndarray, blocks,
+                   floor: float, work: np.ndarray) -> np.ndarray:
         """Assemble and factor the fronts of one height from their
-        children's blocks, ``blocks(children)`` for a batch of children,
-        keep G and return the update matrices."""
-        rows, own, _, n_own, pos, offsets = height
+        children's blocks, ``blocks(children)`` for a slice of children,
+        in batches in ``work``; write G and return the update matrices."""
+        rows, own, _, n_own, pos, offsets, start = height
         (P, F), O = rows.shape, own.shape[1]
-        # the extend-add: each child's block added at its rows' positions,
-        # one batch of children at a time, in order; the row and column F
-        # take the padded and phantom rows
-        front = np.zeros((P, F + 1, F + 1))
-        for children in cell_batches(len(pos)):
-            np.add.at(front.reshape(-1), (offsets[children, :, None]
-                                          + pos[children, None, :]).ravel(),
-                      blocks(children).ravel())
+        update = np.empty((P, F - O, F - O))
         d = np.arange(O)
-        front[:, d, d] += d >= n_own[:, None]
-        try:
-            L = np.linalg.cholesky(front[:, :O, :O])
-        except np.linalg.LinAlgError:
-            L = None
-        if L is None or not np.all(
-                np.diagonal(L, axis1=1, axis2=2)[d < n_own[:, None]] ** 2
-                > floor):
-            raise SingularSystem(
-                "trace system not positive definite beyond tolerance; "
-                "system nearly singular")
-        G = np.empty((P, F, O))
-        G[:, :O] = np.linalg.inv(L)
-        L21 = front[:, O:F, :O] @ G[:, :O].transpose(0, 2, 1)
-        G[:, O:] = L21 @ G[:, :O]
-        self.factors.append(G)
+        step = _batch(F)
+        for lo in range(0, P, step):
+            hi = min(lo + step, P)
+            children = slice(start[lo], start[hi])
+            # the extend-add: each child's block added at its rows'
+            # positions, in the order of the children; the row and column
+            # F take the padded and phantom rows
+            front = work[:(hi - lo) * (F + 1) ** 2]
+            front[:] = 0.0
+            np.add.at(front, (offsets[children, :, None]
+                              + pos[children, None, :]).ravel(),
+                      blocks(children).ravel())
+            front = front.reshape(hi - lo, F + 1, F + 1)
+            padded = d >= n_own[lo:hi, None]
+            front[:, d, d] += padded
+            try:
+                L = np.linalg.cholesky(front[:, :O, :O])
+            except np.linalg.LinAlgError:
+                L = None
+            if L is None or not np.all(
+                    np.diagonal(L, axis1=1, axis2=2)[~padded] ** 2 > floor):
+                raise SingularSystem(
+                    "trace system not positive definite beyond tolerance; "
+                    "system nearly singular")
+            Gb = G[lo:hi]
+            Gb[:, :O] = np.linalg.inv(L)
+            L21 = front[:, O:F, :O] @ Gb[:, :O].transpose(0, 2, 1)
+            Gb[:, O:] = L21 @ Gb[:, :O]
+            out = update[lo:hi]
+            np.matmul(L21, L21.transpose(0, 2, 1), out=out)
+            np.subtract(front[:, O:F, O:F], out, out=out)
         n_bound = np.count_nonzero(rows[:, O:] != self.plan.multipliers,
                                    axis=1)
         self.nnz += int(np.sum(n_own * (n_own + 1) // 2 + n_own * n_bound))
-        return front[:, O:F, O:F] - L21 @ L21.transpose(0, 2, 1)
+        return update
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """S^{-1} g for g (M + 1,), whose phantom last entry is ignored:

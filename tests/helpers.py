@@ -17,8 +17,9 @@ Gram contractions, the four hand-written CSV and markdown table
 formatters that the CLI's one table writer replaced, a context that runs
 an oracle on one BLAS thread, the solver's former SuperLU factor of the
 trace system and its former ARPACK inf-sup estimate, a hybrid factor's
-cell trace blocks and the dense Cholesky factor held by its fronts, and a
-mesh of a rectangular grid of cells read back from a mesh file."""
+cell trace blocks and the dense Cholesky factor held by its fronts, the
+fronts' former elimination of a whole height at once, and a mesh of a
+rectangular grid of cells read back from a mesh file."""
 
 import dataclasses
 
@@ -37,8 +38,8 @@ import quadelast.solver
 from quadelast.assembly import boundary_term, default_quad
 from quadelast.fe_space import (FEFunction, build_displacement_space, scatter,
                                 unmapped_basis)
-from quadelast.mapping import (cell_chunks, gauss_rule, geometry_at,
-                               piola_values, ref_shape)
+from quadelast.mapping import (cell_batches, cell_chunks, gauss_rule,
+                               geometry_at, piola_values, ref_shape)
 from quadelast.mesh import (QuadMesh, generate_square_mesh, read_mesh,
                             write_mesh)
 from quadelast.problem import LameParams, ManufacturedSolution, compliance_matrix
@@ -279,6 +280,47 @@ def fronts_cholesky(fronts) -> np.ndarray:
         rows = height.rows
         L[rows[:, :, None], height.own[:, None, :]] = block
     return L[:M, :M]
+
+
+def whole_height_eliminate(fronts, height, G, blocks, floor, work):
+    """Oracle of ``solver._Fronts._eliminate``, with its signature: every
+    front of the height assembled at once, in one (P, F + 1, F + 1)
+    array, by ``np.add.at`` over the children in mesh order, 128 at a
+    time, then one batched Cholesky, inverse and two products for the
+    whole height, as the fronts were factored before their batches.
+    Writes G, adds the height's entries to ``fronts.nnz`` and returns the
+    update matrices; ``work`` is not used."""
+    rows, own, _, n_own, pos, _, start = height
+    (P, F), O = rows.shape, own.shape[1]
+    parent = np.repeat(np.arange(P), np.diff(start))
+    offsets = (parent[:, None] * (F + 1) + pos) * (F + 1)
+    children = np.arange(len(pos))
+    if height is fronts.plan.heights[0]:
+        # the cells in mesh order, not grouped by parent
+        children = np.argsort(fronts.plan.cells)
+    front = np.zeros((P, F + 1, F + 1))
+    for batch in cell_batches(children):
+        np.add.at(front.reshape(-1), (offsets[batch, :, None]
+                                      + pos[batch, None, :]).ravel(),
+                  blocks(batch).ravel())
+    d = np.arange(O)
+    front[:, d, d] += d >= n_own[:, None]
+    try:
+        L = np.linalg.cholesky(front[:, :O, :O])
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not np.all(
+            np.diagonal(L, axis1=1, axis2=2)[d < n_own[:, None]] ** 2
+            > floor):
+        raise SingularSystem("trace system not positive definite beyond "
+                             "tolerance; system nearly singular")
+    G[:, :O] = np.linalg.inv(L)
+    L21 = front[:, O:F, :O] @ G[:, :O].transpose(0, 2, 1)
+    G[:, O:] = L21 @ G[:, :O]
+    n_bound = np.count_nonzero(rows[:, O:] != fronts.plan.multipliers,
+                               axis=1)
+    fronts.nnz += int(np.sum(n_own * (n_own + 1) // 2 + n_own * n_bound))
+    return front[:, O:F, O:F] - L21 @ L21.transpose(0, 2, 1)
 
 
 def arpack_infsup(system, gram) -> float:

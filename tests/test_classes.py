@@ -3,7 +3,8 @@ cells whose corners, relative to the first corner, are equal bit for bit.
 The expanded cell matrices and the load are the per-cell oracle's to the
 last bit, a mesh with one class per cell solves like any other, and the
 assembled system and the solve's peak no longer hold E dense cell
-matrices."""
+matrices, and the trace factor's working memory is bounded by its update
+matrices and one batch of fronts."""
 
 import dataclasses
 import tracemalloc
@@ -16,7 +17,7 @@ from quadelast.fe_space import build_elasticity_spaces
 from quadelast.mesh import (QuadMesh, generate_square_mesh,
                             generate_trapezoidal_mesh)
 from quadelast.problem import LameParams, trig_solution
-from quadelast.solver import solve
+from quadelast.solver import FRONT_CHUNK, HybridFactor, solve
 
 from helpers import (cell_gram, einsum_gram, jittered_square_mesh,
                      monolithic_solve, percell_assemble)
@@ -122,7 +123,8 @@ def traced(fn, *args, **kwargs):
 def test_system_and_solve_hold_no_dense_cell_matrices():
     # rt2 trapezoid n = 32 with the trig load: E dense cell matrices alone
     # are 10 MB; with them the system held 10.1 MB and the solve's traced
-    # peak was 35.8 MB
+    # peak was 35.8 MB, and with every front of a height factored at once
+    # it was 18.0 MB; in batches of fronts it is 14.0 MB
     spaces = build_elasticity_spaces(generate_trapezoidal_mesh(4), "rt2")
     solve(assemble(*spaces, SOLUTION.params, f=SOLUTION.f, g=SOLUTION.g))
     spaces = build_elasticity_spaces(generate_trapezoidal_mesh(32), "rt2")
@@ -130,4 +132,24 @@ def test_system_and_solve_hold_no_dense_cell_matrices():
                              f=SOLUTION.f, g=SOLUTION.g)
     assert held <= 2.5e6, held
     _, _, peak = traced(solve, system)
-    assert peak <= 24e6, peak
+    assert peak <= 15e6, peak
+
+
+def test_factor_works_in_two_update_stacks_and_one_batch():
+    # a multifrontal factor needs, beyond what it keeps, the update
+    # matrices in flight (Liu, 1992): here those of two consecutive
+    # heights, and one batch of fronts with the extend-add index of its
+    # children, at most two per front, so three batch caps.  At rt2
+    # trapezoid n = 32 that is 6.0 MB; with every front of a height at
+    # once the factor took 9.7 MB beyond what it keeps, and in batches
+    # 5.6 MB
+    spaces = build_elasticity_spaces(generate_trapezoidal_mesh(32), "rt2")
+    system = assemble(*spaces, SOLUTION.params, f=SOLUTION.f, g=SOLUTION.g)
+    plan = spaces[0].trace_plan
+    _, held, peak = traced(HybridFactor, system)
+    stacks = [P * (F - own.shape[1]) ** 2 * 8
+              for (P, F), own in ((h.rows.shape, h.own) for h in plan.heights)]
+    largest = max(F for _, F in (h.rows.shape for h in plan.heights))
+    assert (largest + 1) ** 2 <= FRONT_CHUNK
+    bound = max(map(sum, zip([0] + stacks, stacks))) + 3 * FRONT_CHUNK * 8
+    assert peak - held <= bound, (peak - held, bound)

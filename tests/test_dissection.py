@@ -1,6 +1,7 @@
 """The nested-dissection order of the trace system: the mesh's bisection
-tree, the multiplier numbering read off it, and the factor that the fronts
-hold in that order, against SuperLU's."""
+tree, the multiplier numbering read off it, the factor that the fronts
+hold in that order, against SuperLU's, and the plan's grouping of each
+node's children."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from quadelast.problem import LameParams
 from quadelast.solver import HybridFactor
 
 from helpers import (cell_traces, fronts_cholesky, jittered_square_mesh,
-                     scattered_trace_system, superlu_trace_factor)
+                     read_grid_mesh, scattered_trace_system,
+                     superlu_trace_factor)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 
@@ -138,3 +140,42 @@ def test_fill_is_at_most_superlu_minimum_degree(family, n, kind):
     assert factor.fronts.nnz <= mmd.L.nnz
     L = fronts_cholesky(factor.fronts)
     assert np.count_nonzero(L) <= factor.fronts.nnz
+
+
+PLAN_MESHES = {"square-n3": lambda path: generate_square_mesh(3),
+               "read-5x3": lambda path: read_grid_mesh(path, 5, 3),
+               "trapezoid-n8": lambda path: generate_trapezoidal_mesh(8),
+               "jittered-n6": lambda path: jittered_square_mesh(6)}
+
+
+@pytest.mark.parametrize("family", ["rt2", "bdm1"])
+@pytest.mark.parametrize("mesh", sorted(PLAN_MESHES))
+def test_plan_reads_each_parents_children_as_one_slice(mesh, family,
+                                                       tmp_path):
+    # at height 1 the cells are grouped by parent, each group in mesh
+    # order; at every height the nodes lo:hi own exactly the children
+    # start[lo]:start[hi], whose rows sit at their positions in the
+    # parent's front; cell counts that are not powers of 2 leave nodes
+    # with one child
+    stress = build_elasticity_spaces(PLAN_MESHES[mesh](tmp_path / "m.txt"),
+                                     family)[0]
+    plan, leaf = stress.trace_plan, stress.mesh.dissection_leaves
+    np.testing.assert_array_equal(np.sort(plan.cells),
+                                  np.arange(len(leaf)))
+    ids, rows = leaf[plan.cells], plan.slot_mult[plan.cells]
+    one_child = False
+    for h, height in enumerate(plan.heights, start=1):
+        nodes, start = np.unique(ids >> 1), height.start
+        assert len(nodes) == len(height.rows) == len(start) - 1
+        assert start[0] == 0 and start[-1] == len(ids)
+        for p, node in enumerate(nodes):
+            kids = slice(start[p], start[p + 1])
+            assert np.all(ids[kids] >> 1 == node)
+            if h == 1:
+                assert np.all(np.diff(plan.cells[kids]) > 0)
+            real = rows[kids] != plan.multipliers
+            np.testing.assert_array_equal(
+                height.rows[p, height.pos[kids][real]], rows[kids][real])
+        one_child |= bool(np.any(np.diff(start) == 1))
+        ids, rows = nodes, height.rows[:, height.own.shape[1]:]
+    assert one_child == bool(len(leaf) & (len(leaf) - 1))

@@ -27,7 +27,8 @@ from quadelast.assembly import ynorm_gram
 
 from helpers import (cell_traces, jittered_square_mesh, linear_solution,
                      monolithic_solve, negated_cell_compliance, norm,
-                     on_all_cells, read_grid_mesh, superlu_trace_factor)
+                     on_all_cells, read_grid_mesh, superlu_trace_factor,
+                     whole_height_eliminate)
 
 PARAMS = LameParams(mu=79.3, lam=123.0)
 TRIG = trig_solution(PARAMS)
@@ -152,6 +153,68 @@ def test_fronts_match_superlu_where_nodes_have_one_child(family, mesh,
     trace_solves_agree(HybridFactor(system))
     x, xm = solve(system).solution, monolithic_solve(system)
     assert abs(x - xm).max() <= 1e-10 * abs(xm).max()
+
+
+BATCH_MESHES = dict(TREE_MESHES, **{
+    "trapezoid-n32": lambda path: generate_trapezoidal_mesh(32)})
+BATCH_CASES = ([(mesh, family) for mesh in sorted(TREE_MESHES)
+                for family in ("bdm1", "rt2", "rt3")]
+               + [("trapezoid-n32", "rt2"), ("trapezoid-n32", "bdm1")])
+
+
+def batches(height) -> int:
+    P, F = height.rows.shape
+    return len(range(0, P, quadelast.solver._batch(F)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mesh,family", BATCH_CASES)
+def test_batched_fronts_match_whole_heights_bit_for_bit(mesh, family,
+                                                        tmp_path,
+                                                        monkeypatch):
+    # the fronts, factored in batches, hold the factor of every front of a
+    # height factored at once, to the last bit, and so give the same
+    # solution; at trapezoid n = 32 heights split into several batches
+    S, V, Q = build_elasticity_spaces(
+        BATCH_MESHES[mesh](tmp_path / "mesh.txt"), family)
+    system = assemble(S, V, Q, PARAMS, f=TRIG.f, g=TRIG.g)
+    if mesh == "trapezoid-n32":
+        assert max(map(batches, S.trace_plan.heights)) > 1
+    batched, x = HybridFactor(system).fronts, solve(system).solution
+    monkeypatch.setattr(quadelast.solver._Fronts, "_eliminate",
+                        whole_height_eliminate)
+    whole = HybridFactor(system).fronts
+    assert whole.nnz == batched.nnz
+    assert len(whole.factors) == len(batched.factors) == len(
+        S.trace_plan.heights)
+    for a, b in zip(whole.factors, batched.factors):
+        assert same_bits(a, b)
+    assert same_bits(solve(system).solution, x)
+
+
+def test_pivot_under_the_floor_in_a_later_batch_is_singular(monkeypatch):
+    # the first height of rt2 trapezoid n = 32 is factored in several
+    # batches: a pivot under the floor in the last front of its third
+    # batch is refused there, after two batches of the height have passed
+    S, V, Q = build_elasticity_spaces(generate_trapezoidal_mesh(32), "rt2")
+    system = assemble(S, V, Q, PARAMS, f=TRIG.f, g=TRIG.g)
+    assert batches(S.trace_plan.heights[0]) > 3
+    cholesky, calls = np.linalg.cholesky, []
+
+    def small_pivot_in_third_batch(a):
+        calls.append(a.shape)
+        L = cholesky(a)
+        if len(calls) == 3:
+            L[-1, 0, 0] *= 1e-7
+        return L
+
+    monkeypatch.setattr(np.linalg, "cholesky", small_pivot_in_third_batch)
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        solve(system)
+    assert len(calls) == 3
 
 
 def test_trace_system_is_built_without_a_copy_of_its_entries(monkeypatch):
