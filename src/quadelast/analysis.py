@@ -13,7 +13,6 @@ temporaries do not grow with the mesh.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.random  # loaded lazily by numpy: here, not in an estimate
 
 from .assembly import default_quad
 from .fe_space import FEFunction, FESpace, evaluate_batch, evaluate_div_batch
@@ -135,7 +134,7 @@ def infsup_estimate(system, gram) -> float:
     1/|theta| for the theta of largest modulus of K^-1 N, which is
     self-adjoint in the N inner product: shift-invert Lanczos about zero
     (Ericsson & Ruhe, 1980).  The iteration runs in that inner product
-    with full reorthogonalization, from a fixed seeded start vector, and
+    with full reorthogonalization, from :func:`seeded_draws` of seed 0, and
     stops when the Ritz residual |beta_j s_j| reaches machine precision
     times |theta|, or when the space is exhausted.  K^-1 is the solver's
     hybrid factor and N is applied cell by cell, so neither is summed.  A
@@ -166,12 +165,25 @@ def infsup_estimate(system, gram) -> float:
     except SolverError:
         return 0.0
     gram_system = replace(system, class_matrices=gram)
-    # a fixed start vector makes the estimate reproducible; it is random
-    # because a constant one can be orthogonal to the eigenvector on a
-    # symmetric mesh
+    # a fixed start vector makes the estimate reproducible; it is
+    # pseudo-random because a constant one can be orthogonal to the
+    # eigenvector on a symmetric mesh
     theta = _lanczos(factor.solve, lambda x: cell_apply(gram_system, x),
-                     np.random.default_rng(0).standard_normal(system.n))
+                     seeded_draws(system.n, 0))
     return float(1.0 / abs(theta))
+
+
+def seeded_draws(n: int, seed: int) -> np.ndarray:
+    """``n`` reproducible pseudo-random values in [-1, 1), a function of
+    ``seed`` alone: the SplitMix64 outputs of ``seed`` (Steele, Lea &
+    Flood, OOPSLA 2014), hashed from the counter in wrapping uint64
+    arithmetic, their top 53 bits mapped exactly to [-1, 1)."""
+    golden = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio
+    z = np.uint64(seed) + golden * np.arange(1, n + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -52 - 1.0
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

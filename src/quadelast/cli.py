@@ -25,6 +25,7 @@ from .analysis import (
     infsup_estimate,
     interpolate_stress,
     normal_jump_norm,
+    seeded_draws,
     stress_l2_error,
 )
 from .assembly import assemble, ynorm_gram
@@ -70,6 +71,11 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
 
 
+def _is_int(value) -> bool:
+    """A Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings shared by the study runners."""
@@ -96,6 +102,8 @@ class RunConfig:
         if not self.levels:
             raise ConfigError("at least one mesh level is required")
         for n in self.levels:
+            if not _is_int(n):
+                raise ConfigError(f"mesh levels must be integers, got {n!r}")
             if n < 1 or (n & (n - 1)) != 0:
                 raise ConfigError(f"mesh levels must be powers of 2, got {n}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
@@ -113,7 +121,9 @@ class RunConfig:
             if not os.path.isdir(os.path.dirname(self.out) or "."):
                 raise ConfigError(f"output directory of {self.out!r} does "
                                   "not exist or is not a directory")
-        # the seed range np.random.RandomState accepts
+        # the CLI's own seed range, 32 bits
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         for nu in self.poisson:
@@ -280,8 +290,7 @@ def run_diagnostics(config: RunConfig) -> tuple:
     results.append(Diagnostic("commuting-interpolation residual", s5, 1e-10,
                               f"{config.element} on n={config.levels[0]}"))
 
-    rng = np.random.RandomState(config.seed)
-    fn = FEFunction(stress, rng.standard_normal(stress.n_dofs))
+    fn = FEFunction(stress, seeded_draws(stress.n_dofs, config.seed))
     jump = normal_jump_norm(fn)
     results.append(Diagnostic("interior-edge normal jump", jump, 1e-10,
                               "random unit-scale coefficients"))
@@ -430,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         table.add_argument("--format", dest="fmt", choices=FORMATS,
                            default="csv")
     _add_material_flags(diag)
-    diag.add_argument("--seed", type=int, default=0)
+    diag.add_argument("--seed", type=int, default=0,
+                      help="seed in [0, 2**32) of the conformity check's "
+                      "pseudo-random stress coefficients")
     return parser
 
 

@@ -326,8 +326,8 @@ def whole_height_eliminate(fronts, height, G, blocks, floor, work):
 def arpack_infsup(system, gram) -> float:
     """Oracle of ``analysis.infsup_estimate``: ARPACK's shift-invert
     Lanczos about zero on K x = lambda N x, N the Gram system summed by
-    :func:`gram_matrix` and K^-1 the hybrid factor, from the estimate's
-    seeded start vector; 0 where the factor refuses the system."""
+    :func:`gram_matrix` and K^-1 the hybrid factor, from a seeded normal
+    start vector; 0 where the factor refuses the system."""
     try:
         factor = quadelast.solver.HybridFactor(system)
     except quadelast.solver.SolverError:

@@ -698,6 +698,41 @@ def test_infsup_matches_dense_oracle(family, mesh_fn, n, params):
     assert abs(infsup_estimate(system, gram) - ref) <= 1e-10 * ref
 
 
+@pytest.mark.parametrize("family,mesh_fn,n,params", INFSUP_CASES,
+                         ids=INFSUP_IDS)
+def test_infsup_does_not_depend_on_the_start_vector(family, mesh_fn, n,
+                                                    params):
+    # the same Lanczos run from numpy's normal draws, the former start
+    S, V, Q = build_elasticity_spaces(mesh_fn(n), family)
+    system, gram = assemble(S, V, Q, params), ynorm_gram(S, V, Q)
+    gram_system = dataclasses.replace(system, class_matrices=gram)
+    theta = analysis._lanczos(
+        HybridFactor(system).solve,
+        lambda x: quadelast.solver.cell_apply(gram_system, x),
+        np.random.default_rng(0).standard_normal(system.n))
+    ref = 1.0 / abs(theta)
+    assert abs(infsup_estimate(system, gram) - ref) <= 1e-12 * ref
+
+
+def test_seeded_draws_are_splitmix64_in_the_unit_interval():
+    # the first SplitMix64 output of seed 1234567, a published test vector
+    assert analysis.seeded_draws(1, 1234567)[0] == (
+        (6457827717110365317 >> 11) * 2.0 ** -52 - 1.0)
+    draws = {seed: analysis.seeded_draws(10_000, seed)
+             for seed in (0, 1, 2, 2 ** 32 - 1)}
+    for seed, v in draws.items():
+        assert v.dtype == np.float64 and v.shape == (10_000,)
+        assert np.all(v >= -1.0) and np.all(v < 1.0)
+        assert abs(v.mean()) < 0.05 and len(np.unique(v)) == v.size
+        assert analysis.seeded_draws(10_000, seed).tobytes() == v.tobytes()
+        # a shorter draw is a prefix of a longer one
+        assert np.array_equal(analysis.seeded_draws(7, seed), v[:7])
+    vectors = list(draws.values())
+    assert all(not np.array_equal(a, b)
+               for i, a in enumerate(vectors) for b in vectors[i + 1:])
+    assert analysis.seeded_draws(0, 0).shape == (0,)
+
+
 @pytest.mark.parametrize("family,mesh_fn,n", ORACLE_CASES, ids=ORACLE_IDS)
 def test_infsup_nearly_incompressible_is_compliance_floor(family, mesh_fn, n):
     # the dense oracle itself is off by up to 3.7e-9 relative here, so the

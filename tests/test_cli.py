@@ -154,6 +154,19 @@ def test_seed_range_ends_are_accepted():
     assert RunConfig(seed=2 ** 32 - 1).seed == 2 ** 32 - 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", None),
+    ("levels", (2.0,)), ("levels", ("2",)), ("levels", (True,)),
+    ("levels", (2, 4.0)),
+])
+def test_mistyped_seed_or_level_is_a_config_error(field, value):
+    # raised by the config itself, so before any mesh is built
+    message = {"seed": "seed must be an integer",
+               "levels": "mesh levels must be integers"}[field]
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{field: value})
+
+
 @pytest.mark.parametrize("argv", [
     ("convergence", "--mesh", "trapezoid", "--levels", "1,2"),
     ("locking", "--levels", "1,2"),
@@ -573,25 +586,39 @@ def test_locking_plans_the_trace_factor_once_per_level(monkeypatch):
     assert planned == [n * n for n in config.levels]
 
 
-# the import and every study, in a fresh interpreter: nothing may load a
-# scipy module, not even lazily inside a run
-NO_SCIPY = """
+# the import and every study, in a fresh interpreter: the modules named
+# argv[1] or below it that they load beyond numpy's own import (numpy 1
+# imports numpy.random eagerly, numpy 2 on first use)
+LOADED_BY_THE_STUDIES = """
 import sys
+import numpy
+prefix, before = sys.argv[1], set(sys.modules)
 import quadelast.cli as cli
 for argv in (["convergence", "--element", "rt2", "--mesh", "trapezoid"],
              ["locking"], ["diagnostics", "--element", "bdm1"]):
     assert cli.main(argv + ["--levels", "2,4"]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in set(sys.modules) - before
+             if m == prefix or m.startswith(prefix + ".")))
 """
 
 
-def test_no_scipy_module_is_loaded_by_the_package_or_its_studies():
+def modules_loaded_by_the_studies(prefix: str) -> str:
     src = str(Path(quadelast.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY],
-                          capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": src, "PATH": ""})
+    done = subprocess.run([sys.executable, "-c", LOADED_BY_THE_STUDIES,
+                           prefix], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": src, "PATH": ""})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_no_scipy_module_is_loaded_by_the_package_or_its_studies():
+    # not even lazily inside a run
+    assert modules_loaded_by_the_studies("scipy") == "[]"
+
+
+def test_no_numpy_random_module_is_loaded_by_the_package_or_its_studies():
+    # the studies' pseudo-random draws are analysis.seeded_draws
+    assert modules_loaded_by_the_studies("numpy.random") == "[]"
 
 
 def test_mesh_command_and_read_mesh_compute_no_classes(monkeypatch,
